@@ -19,7 +19,6 @@ from scipy.special import expit
 from .core import NullHypothesis, UndirectedGraph, as_model_params
 
 TOL_SCORE = 1e-8
-MAX_FIXED_POINT = 500
 MAX_NEWTON = 100
 DIVERGENCE_CAP = 40.0
 
@@ -45,16 +44,35 @@ def interaction_variances(beta) -> np.ndarray:
     return w
 
 
-def log_likelihood(beta, g: UndirectedGraph) -> float:
+def log_likelihood(beta, g: UndirectedGraph, classes=None) -> float:
+    """Log-likelihood of the graph g, which enters only through its degree sequence.
+
+    With ``classes``, the class index of each node, beta holds one value per
+    class.  Without it, nodes of equal parameter form the classes: their pair
+    terms are identical, so every evaluation runs over the m distinct values
+    in O(m^2).
+    """
     b = as_model_params(beta, "beta")
-    if b.size != g.n:
-        raise ValueError(f"parameter length {b.size} does not match n={g.n}")
-    iu = np.triu_indices(g.n, k=1)
-    return float(b @ g.degrees - np.logaddexp(0.0, _pair_logits(b)[iu]).sum())
+    if classes is None:
+        if b.size != g.n:
+            raise ValueError(f"parameter length {b.size} does not match n={g.n}")
+        b, classes = np.unique(b, return_inverse=True)
+    w = np.bincount(classes, minlength=b.size).astype(float)
+    totals = np.bincount(classes, weights=g.degrees, minlength=b.size)
+    f = np.logaddexp(0.0, _pair_logits(b))
+    # each unordered pair once: all ordered pairs of distinct nodes, halved
+    return float(b @ totals - 0.5 * (w @ f @ w - w @ np.diag(f)))
 
 
-def expected_degrees(beta) -> np.ndarray:
-    return edge_probabilities(beta).sum(axis=1)
+def expected_degrees(beta, classes=None) -> np.ndarray:
+    """Expected degree of each node; with ``classes`` (see log_likelihood), of one node per class."""
+    b = as_model_params(beta, "beta")
+    per_node = classes is None
+    if per_node:
+        b, classes = np.unique(b, return_inverse=True)
+    p = expit(_pair_logits(b))
+    e = p @ np.bincount(classes, minlength=b.size) - np.diag(p)
+    return e[classes] if per_node else e
 
 
 def score(beta, g: UndirectedGraph) -> np.ndarray:
@@ -65,17 +83,26 @@ def score(beta, g: UndirectedGraph) -> np.ndarray:
     return g.degrees - expected_degrees(b)
 
 
-def fisher_info(beta, n: Optional[int] = None) -> np.ndarray:
+def fisher_info(beta, n: Optional[int] = None, classes=None) -> np.ndarray:
     """Covariance matrix of the degree sequence.
 
     Off-diagonal entries are the pair variances; each diagonal entry is the
-    row sum of the others, so the result is diagonally balanced.
+    row sum of the others, so the result is diagonally balanced.  With
+    ``classes`` (see log_likelihood) it is the covariance of the class degree
+    totals, the information in one parameter per class.
     """
     b = as_model_params(beta, "beta")
     if n is not None and n != b.size:
         raise ValueError(f"n={n} does not match parameter length {b.size}")
-    v = interaction_variances(b)
-    np.fill_diagonal(v, v.sum(axis=1))
+    w = np.ones(b.size) if classes is None else np.bincount(classes, minlength=b.size).astype(float)
+    pi = _pair_logits(b)
+    v = expit(pi) * expit(-pi)
+    own = np.diag(v).copy()
+    # variance of one node's degree, then the covariances of the class totals
+    node = v @ w - own
+    v *= w[:, None]
+    v *= w
+    np.fill_diagonal(v, w * node + w * (w - 1.0) * own)
     return v
 
 
@@ -147,120 +174,86 @@ def _nonexistent(beta: np.ndarray, iterations: int = 0) -> BetaFit:
 def _saturated(beta: np.ndarray, tol: float) -> bool:
     # a pair logit at -log(tol) leaves a residual of about tol, which the
     # score test cannot tell from zero, so the point cannot be certified as
-    # an interior maximizer; joint escape directions stall exactly there
-    iu = np.triu_indices(beta.size, k=1)
-    return bool(np.abs(_pair_logits(beta)[iu]).max() >= -math.log(tol))
+    # an interior maximizer; joint escape directions stall exactly there.
+    # The extreme pair logits are the sums of the two smallest and two largest.
+    s = np.sort(beta)
+    return max(abs(s[0] + s[1]), abs(s[-1] + s[-2])) >= -math.log(tol)
 
 
-def _fixed_point(
-    d: np.ndarray,
-    beta: np.ndarray,
-    free: np.ndarray,
-    *,
-    target: float,
-    max_iter: int,
-    cap: float,
-) -> tuple[np.ndarray, int, bool]:
-    """Multiplicative degree-matching updates on the free coordinates.
+def _fit_classes(g: UndirectedGraph, r: int, pinned: Optional[np.ndarray], *, tol: float) -> BetaFit:
+    """Damped Newton ascent with one parameter per class of nodes.
 
-    Returns (beta, iterations, diverged).  The update adds
-    log(d_i / Ed_i(beta)) to each free coordinate, which is the classical
-    per-node fixed-point map written in increment form.
+    The first r nodes are pinned to ``pinned``, or tied to one unknown value
+    when ``pinned`` is None; nodes r.. are free.  Free nodes of equal degree
+    share the maximizer (the likelihood is strictly concave and unchanged by
+    swapping them), so each degree forms one class, and a step solves an
+    m-by-m system over the m fitted classes.  The result is expanded to n
+    entries and certified once on the n-node functions, which group nodes of
+    equal value themselves.  Reduced coordinates are the free nodes one by
+    one and the tied block summed.
     """
-    it = 0
-    for it in range(1, max_iter + 1):
-        ed = expected_degrees(beta)
-        resid = np.abs(d[free] - ed[free])
-        if resid.size == 0 or resid.max() <= target:
-            return beta, it - 1, False
-        beta = beta.copy()
-        beta[free] += np.log(d[free]) - np.log(ed[free])
-        if np.abs(beta[free]).max() > cap:
-            return beta, it, True
-    return beta, it, False
-
-
-def _newton_reduced(
-    g: UndirectedGraph,
-    base: np.ndarray,
-    J: np.ndarray,
-    theta: np.ndarray,
-    *,
-    tol: float,
-    max_iter: int,
-    cap: float,
-    start_iterations: int,
-) -> BetaFit:
-    """Damped Newton ascent over beta = base + J @ theta."""
     d = g.degrees
-    beta = base + J @ theta
-    ll = log_likelihood(beta, g)
-    s = J.T @ (d - expected_degrees(beta))
-    gnorm = float(np.abs(s).max()) if s.size else 0.0
-    iters = start_iterations
-    for _ in range(max_iter):
-        if gnorm <= tol:
-            if _saturated(beta, tol):
-                return _nonexistent(beta, iters)
-            return BetaFit(beta, ll, iters, True, True, gnorm)
-        V = fisher_info(beta)
-        H = J.T @ V @ J
+    tied = pinned is None and r > 0
+    degs, classes = np.unique(d[r:], return_inverse=True)
+    fixed = np.zeros(0)
+    if tied:
+        classes = np.concatenate([np.zeros(r, dtype=int), classes + 1])
+    elif r > 0:
+        fixed, head = np.unique(pinned, return_inverse=True)
+        classes = np.concatenate([head + degs.size, classes])
+    mult = np.bincount(classes).astype(float)
+    totals = np.bincount(classes, weights=d)
+    m = mult.size - fixed.size
+    # reduced score = class score over per: one node's share, or the whole tied block
+    per = mult[:m].copy()
+    if tied:
+        per[0] = 1.0
+
+    def evaluate(theta):
+        b = np.concatenate([theta, fixed])
+        s = (totals - mult * expected_degrees(b, classes))[:m]
+        return log_likelihood(b, g, classes), s, float(np.abs(s / per).max())
+
+    theta = np.zeros(m)
+    ll, s, gnorm = evaluate(theta)
+    iters = 0
+    while gnorm > tol and iters < MAX_NEWTON:
+        H = fisher_info(np.concatenate([theta, fixed]), classes=classes)[:m, :m]
         try:
             delta = np.linalg.solve(H, s)
         except np.linalg.LinAlgError:
             break
-        step = 1.0
-        accepted = False
-        for _ in range(30):
-            cand_theta = theta + step * delta
-            cand_beta = base + J @ cand_theta
-            if np.abs(cand_theta).max() <= cap:
-                cand_ll = log_likelihood(cand_beta, g)
-                cand_s = J.T @ (d - expected_degrees(cand_beta))
-                cand_gnorm = float(np.abs(cand_s).max())
-                if cand_ll > ll or cand_gnorm < gnorm:
-                    theta, beta, ll, s, gnorm = cand_theta, cand_beta, cand_ll, cand_s, cand_gnorm
-                    accepted = True
-                    break
-            step *= 0.5
         iters += 1
-        if not accepted:
+        for step in 0.5 ** np.arange(30):
+            cand = theta + step * delta
+            if np.abs(cand).max() <= DIVERGENCE_CAP:
+                cand_ll, cand_s, cand_gnorm = evaluate(cand)
+                if cand_ll > ll or cand_gnorm < gnorm:
+                    theta, ll, s, gnorm = cand, cand_ll, cand_s, cand_gnorm
+                    break
+        else:
             break
-        if np.abs(theta).max() > cap:
-            return _nonexistent(beta, iters)
+    beta = np.concatenate([theta, fixed])[classes]
+    score_n = d - expected_degrees(beta)
+    reduced = np.concatenate([[score_n[:r].sum()] if tied else [], score_n[r:]])
+    gnorm = float(np.abs(reduced).max())
     converged = gnorm <= tol
     if converged and _saturated(beta, tol):
         return _nonexistent(beta, iters)
-    return BetaFit(beta, ll, iters, converged, True, gnorm)
+    return BetaFit(beta, log_likelihood(beta, g), iters, converged, True, gnorm)
 
 
 def fit_mle(g: UndirectedGraph, *, tol: float = TOL_SCORE) -> BetaFit:
-    """Fit all n parameters.
+    """Fit all n parameters by Newton steps over the degree classes.
 
-    Runs the fixed-point map to a loose residual, then Newton steps on the
-    full score to tol.  A degree of 0 or n-1 means the maximizer does not
-    exist and is reported without iterating.
+    A degree of 0 or n-1 means the maximizer does not exist and is reported
+    without iterating.
     """
     d = g.degrees
     n = g.n
     if np.any(d == 0) or np.any(d == n - 1):
         return _nonexistent(np.zeros(n))
-    free = np.arange(n)
-    beta, fp_iters, diverged = _fixed_point(
-        d, np.zeros(n), free, target=max(tol, 1e-2), max_iter=MAX_FIXED_POINT, cap=DIVERGENCE_CAP
-    )
-    if diverged:
-        return _nonexistent(beta, fp_iters)
-    return _newton_reduced(
-        g,
-        np.zeros(n),
-        np.eye(n),
-        beta,
-        tol=tol,
-        max_iter=MAX_NEWTON,
-        cap=DIVERGENCE_CAP,
-        start_iterations=fp_iters,
-    )
+    return _fit_classes(g, 0, None, tol=tol)
 
 
 def fit_restricted_specified(g: UndirectedGraph, null: NullHypothesis, *, tol: float = TOL_SCORE) -> BetaFit:
@@ -277,26 +270,9 @@ def fit_restricted_specified(g: UndirectedGraph, null: NullHypothesis, *, tol: f
     base[:r] = null.values
     if r == n:
         return BetaFit(base, log_likelihood(base, g), 0, True, True, 0.0)
-    free = np.arange(r, n)
-    if np.any(d[free] == 0) or np.any(d[free] == n - 1):
+    if np.any(d[r:] == 0) or np.any(d[r:] == n - 1):
         return _nonexistent(base)
-    beta, fp_iters, diverged = _fixed_point(
-        d, base.copy(), free, target=max(tol, 1e-2), max_iter=MAX_FIXED_POINT, cap=DIVERGENCE_CAP
-    )
-    if diverged:
-        return _nonexistent(beta, fp_iters)
-    J = np.zeros((n, n - r))
-    J[free, np.arange(n - r)] = 1.0
-    return _newton_reduced(
-        g,
-        base,
-        J,
-        beta[free] ,
-        tol=tol,
-        max_iter=MAX_NEWTON,
-        cap=DIVERGENCE_CAP,
-        start_iterations=fp_iters,
-    )
+    return _fit_classes(g, r, null.values, tol=tol)
 
 
 def fit_restricted_homogeneous(g: UndirectedGraph, r: int, *, tol: float = TOL_SCORE) -> BetaFit:
@@ -308,25 +284,9 @@ def fit_restricted_homogeneous(g: UndirectedGraph, r: int, *, tol: float = TOL_S
     block = int(d[:r].sum())
     if block == 0 or block == r * (n - 1):
         return _nonexistent(np.zeros(n))
-    if r < n:
-        tail = np.arange(r, n)
-        if np.any(d[tail] == 0) or np.any(d[tail] == n - 1):
-            return _nonexistent(np.zeros(n))
-    m = n - r + 1
-    J = np.zeros((n, m))
-    J[:r, 0] = 1.0
-    if r < n:
-        J[np.arange(r, n), np.arange(1, m)] = 1.0
-    return _newton_reduced(
-        g,
-        np.zeros(n),
-        J,
-        np.zeros(m),
-        tol=tol,
-        max_iter=MAX_NEWTON,
-        cap=DIVERGENCE_CAP,
-        start_iterations=0,
-    )
+    if np.any(d[r:] == 0) or np.any(d[r:] == n - 1):
+        return _nonexistent(np.zeros(n))
+    return _fit_classes(g, r, None, tol=tol)
 
 
 def simulate_graph(beta, rng: np.random.Generator) -> UndirectedGraph:

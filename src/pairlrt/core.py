@@ -8,6 +8,7 @@ count, otherwise it is inferred as one plus the largest id seen.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -71,7 +72,7 @@ class UndirectedGraph:
             raise ValueError("adjacency matrix must be square")
         if a.shape[0] < MIN_NODES:
             raise ValueError(f"need at least {MIN_NODES} nodes, got {a.shape[0]}")
-        if not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
         a = a.astype(np.int8)
         if np.any(np.diag(a) != 0):
@@ -91,14 +92,22 @@ class UndirectedGraph:
         return int(self.degrees.sum()) // 2
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "UndirectedGraph":
-        adj = np.zeros((n, n), dtype=np.int8)
-        for i, j in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-            if i == j:
+    def from_edges(cls, n: int, edges) -> "UndirectedGraph":
+        """Graph on n nodes from (i, j) pairs of integer ids; duplicate edges collapse."""
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if e.shape == (0,):
+            e = np.zeros((0, 2), dtype=np.int64)
+        if e.ndim != 2 or e.shape[1] != 2 or not np.issubdtype(e.dtype, np.integer):
+            raise ValueError("edges must be (i, j) pairs of integer node ids")
+        bad = (e < 0).any(axis=1) | (e >= n).any(axis=1) | (e[:, 0] == e[:, 1])
+        if bad.any():
+            i, j = e[np.argmax(bad)].tolist()
+            if i == j and 0 <= i < n:
                 raise ValueError(f"self-loop at node {i}")
-            adj[i, j] = adj[j, i] = 1
+            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+        adj = np.zeros((n, n), dtype=np.int8)
+        adj[e[:, 0], e[:, 1]] = 1
+        adj[e[:, 1], e[:, 0]] = 1
         return cls(adj)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -269,16 +278,44 @@ class NullHypothesis:
         return cls.homogeneous(int(d["r"]))
 
 
-def load_edge_list(source: TextSource) -> UndirectedGraph:
-    """Parse an undirected edge list.
+# An edge-list body of ASCII digits, spaces, tabs and newlines only, with at
+# least one digit.  np.loadtxt splits such a body into the same lines and
+# tokens as the line scan and reads each token as int() does, so the two
+# parsers agree on it; anything else goes to the scan.
+_PLAIN_BODY = re.compile(r"[0-9 \t\n]*[0-9][0-9 \t\n]*")
 
-    Lines hold two ids separated by whitespace or a comma.  Duplicate edges
-    collapse to one.  Rejects self-loops, ids outside a declared n, and empty
-    input.
-    """
+
+def _plain_edges(text: str) -> Optional[tuple[Optional[int], np.ndarray]]:
+    """(declared n, id pairs) of a plain, well-formed edge list, or None to
+    leave the text to the line scan, which accepts the same edges and names
+    the first bad line of everything else."""
+    first = next(_content_lines(text), None)
+    if first is None:
+        return None
+    lineno, body = first
+    declared = None
+    if body.startswith("n="):
+        declared = _parse_header(body, lineno)
+        lines = text.split("\n", lineno)
+        text = lines[lineno] if len(lines) > lineno else ""
+    if not _PLAIN_BODY.fullmatch(text):
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2)
+    except ValueError:  # ragged rows or an id beyond int64
+        return None
+    valid = (
+        rows.shape[1] == 2
+        and (rows[:, 0] != rows[:, 1]).all()
+        and (declared is None or rows.max() < declared)
+    )
+    return (declared, rows) if valid else None
+
+
+def _scan_edge_list(source: TextSource) -> tuple[Optional[int], list[tuple[int, int]]]:
+    """(declared n, edges) line by line; raises at the first malformed line."""
     declared: Optional[int] = None
     edges: list[tuple[int, int]] = []
-    max_id = -1
     saw_content = False
     for lineno, body in _content_lines(source):
         if body.startswith("n=") and not saw_content:
@@ -300,10 +337,23 @@ def load_edge_list(source: TextSource) -> UndirectedGraph:
         if declared is not None and (i >= declared or j >= declared):
             raise DataFormatError(f"line {lineno}: node id exceeds declared n={declared}")
         edges.append((i, j))
-        max_id = max(max_id, i, j)
     if not saw_content:
         raise DataFormatError("empty input")
-    n = declared if declared is not None else max_id + 1
+    return declared, edges
+
+
+def load_edge_list(source: TextSource) -> UndirectedGraph:
+    """Parse an undirected edge list.
+
+    Lines hold two ids separated by whitespace or a comma.  Duplicate edges
+    collapse to one.  Rejects self-loops, ids outside a declared n, and empty
+    input.  A string whose edge lines hold plain digits only (no comments or
+    commas after the header) is read in one numpy pass; any other input is
+    scanned line by line.
+    """
+    plain = _plain_edges(source) if isinstance(source, str) else None
+    declared, edges = plain if plain is not None else _scan_edge_list(source)
+    n = declared if declared is not None else int(np.max(edges, initial=-1)) + 1
     if n < MIN_NODES:
         raise DataFormatError(f"need at least {MIN_NODES} nodes, inferred n={n}")
     return UndirectedGraph.from_edges(n, edges)

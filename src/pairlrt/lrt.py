@@ -129,6 +129,16 @@ def reference_distribution(model: str, null: NullHypothesis, regime: str) -> Ref
     return Bootstrap()
 
 
+def fit_pair(data: Union[UndirectedGraph, ComparisonTable], null: NullHypothesis, tol: float = 1e-8) -> tuple:
+    """The (full, restricted) maximum-likelihood fits of the data's model under null."""
+    if isinstance(data, ComparisonTable):
+        return bt_model.bt_fit_mle(data, tol=tol), bt_model.bt_fit_restricted(data, null, tol=tol)
+    full = beta_model.fit_mle(data, tol=tol)
+    if null.kind == "specified":
+        return full, beta_model.fit_restricted_specified(data, null, tol=tol)
+    return full, beta_model.fit_restricted_homogeneous(data, null.r, tol=tol)
+
+
 def lrt_statistic(full, restricted) -> float:
     """Twice the log-likelihood gap, clamped to zero within rounding slack."""
     if not (full.exists and restricted.exists):
@@ -226,8 +236,7 @@ def bootstrap_pvalue(
         raise ValueError("bootstrap reference applies to specified nulls only")
     if rng is None:
         rng = np.random.default_rng(0)
-    full = bt_model.bt_fit_mle(table, tol=tol)
-    restr = bt_model.bt_fit_restricted(table, null, tol=tol)
+    full, restr = fit_pair(table, null, tol)
     observed = lrt_statistic(full, restr)
     stats, total = bootstrap_distribution(table, null, restr.beta_hat, B, rng, tol)
     if len(stats) < total / 2:
@@ -262,15 +271,7 @@ def run_test(
     null.validate_for(model, data.n)
     reference = reference_distribution(model, null, regime)
 
-    if model == "beta":
-        full = beta_model.fit_mle(data, tol=tol)
-        if null.kind == "specified":
-            restricted = beta_model.fit_restricted_specified(data, null, tol=tol)
-        else:
-            restricted = beta_model.fit_restricted_homogeneous(data, null.r, tol=tol)
-    else:
-        full = bt_model.bt_fit_mle(data, tol=tol)
-        restricted = bt_model.bt_fit_restricted(data, null, tol=tol)
+    full, restricted = fit_pair(data, null, tol)
     stat = lrt_statistic(full, restricted)
 
     warnings: list = []

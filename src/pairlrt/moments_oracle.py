@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import beta_model
+from . import beta_model, lrt
 from .core import NullHypothesis, UndirectedGraph, as_model_params
 
 ENUMERATION_MAX_NODES = 5
@@ -255,16 +255,8 @@ def enumerate_exact_moments(
         adj = np.zeros((n, n), dtype=np.int8)
         adj[iu] = bits[g].astype(np.int8)
         adj += adj.T
-        graph = UndirectedGraph(adj)
-        full = beta_model.fit_mle(graph, tol=1e-11)
-        if not full.exists:
-            nonexist += probs[g]
-            continue
-        if null.kind == "specified":
-            restr = beta_model.fit_restricted_specified(graph, null, tol=1e-11)
-        else:
-            restr = beta_model.fit_restricted_homogeneous(graph, null.r, tol=1e-11)
-        if not restr.exists:
+        full, restr = lrt.fit_pair(UndirectedGraph(adj), null, tol=1e-11)
+        if not (full.exists and restr.exists):
             nonexist += probs[g]
             continue
         # nested optima can tie; solver slack makes the difference dip a hair below zero

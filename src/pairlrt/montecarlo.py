@@ -259,15 +259,7 @@ def _one_replicate(scenario: Scenario, index: int, stats_only: bool):
     data = _simulate(scenario, rng)
     null = scenario.null
     try:
-        if scenario.model == "beta":
-            full = beta_model.fit_mle(data)
-            if null.kind == "specified":
-                restr = beta_model.fit_restricted_specified(data, null)
-            else:
-                restr = beta_model.fit_restricted_homogeneous(data, null.r)
-        else:
-            full = bt_model.bt_fit_mle(data)
-            restr = bt_model.bt_fit_restricted(data, null)
+        full, restr = lrt.fit_pair(data, null)
         stat = lrt.lrt_statistic(full, restr)
     except NonexistentMLEError:
         return index, float("nan"), float("nan")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairlrt import beta_model as bm
@@ -218,3 +218,72 @@ def test_fit_stationarity_property(seed, n):
         assert np.abs(bm.score(fit.beta_hat, g)).max() <= 1e-8
     if not fit.exists:
         assert not fit.converged
+
+
+def test_regular_graph_closed_form():
+    # one degree class: every node solves d = (n - 1) expit(2 b)
+    n, d = 10, 4
+    g = UndirectedGraph.from_edges(n, [(i, (i + k) % n) for i in range(n) for k in (1, 2)])
+    fit = bm.fit_mle(g)
+    assert fit.exists and fit.converged
+    assert np.all(fit.beta_hat == fit.beta_hat[0])
+    frac = d / (n - 1)
+    assert fit.beta_hat[0] == pytest.approx(0.5 * np.log(frac / (1 - frac)), abs=1e-12)
+
+
+def _fit_and_oracle(g, which, r, values):
+    """One of the three fits and the oracle's maximum loglik over the same constraint set."""
+    n = g.n
+    if which == "full":
+        return bm.fit_mle(g), lambda x: x, lambda gr: gr, n
+    if which == "specified":
+
+        def embed(x):
+            return np.concatenate([values, x])
+
+        return bm.fit_restricted_specified(g, NullHypothesis.specified(r, values)), embed, lambda gr: gr[r:], n - r
+
+    def tie(x):
+        return np.concatenate([np.repeat(x[0], r), x[1:]])
+
+    def project(gr):
+        return np.concatenate([[gr[:r].sum()], gr[r:]])
+
+    return bm.fit_restricted_homogeneous(g, r), tie, project, n - r + 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 10), st.sampled_from(["full", "specified", "homogeneous"]))
+def test_degree_classes_share_the_maximizer(seed, n, which):
+    rng = np.random.default_rng(seed)
+    g = bm.simulate_graph(rng.uniform(-1.0, 1.0, n), rng)
+    r = 0 if which == "full" else 2
+    values = rng.uniform(-0.5, 0.5, r)
+    d = g.degrees
+    assume(np.unique(d[r:]).size < n - r)  # some free degree repeats
+    fit, embed, project, m = _fit_and_oracle(g, which, r, values)
+    if not (fit.exists and fit.converged):
+        return
+    b = fit.beta_hat
+    free = np.arange(r, n)
+    for i in free:
+        same = free[d[free] == d[i]]
+        assert np.all(b[same] == b[i]), (i, same, b[same])
+    if which == "homogeneous":
+        assert np.all(b[:r] == b[0])
+    oracle = maximize_graph(g.adj, embed, project, m)
+    assert abs(fit.loglik - graph_loglik(embed(oracle), g.adj)) <= 1e-8
+
+
+def test_homogeneous_gradient_norm_sums_the_tied_block(rng):
+    _, g = random_existing_graph(rng, 8)
+    r = 4
+    # a loose tolerance stops Newton early, so the reported residual is far from zero
+    fit = bm.fit_restricted_homogeneous(g, r, tol=1e-2)
+    s = bm.score(fit.beta_hat, g)
+    reduced = np.concatenate([[s[:r].sum()], s[r:]])
+    assert fit.gradient_norm == pytest.approx(np.abs(reduced).max(), rel=1e-9, abs=1e-15)
+    tight = bm.fit_restricted_homogeneous(g, r)
+    s = bm.score(tight.beta_hat, g)
+    assert tight.gradient_norm == pytest.approx(max(abs(s[:r].sum()), np.abs(s[r:]).max()), rel=1e-9, abs=1e-15)
+    assert tight.gradient_norm <= 1e-8

@@ -9,6 +9,8 @@ from pairlrt.core import (
     NullHypothesis,
     ParameterVector,
     UndirectedGraph,
+    _plain_edges,
+    _scan_edge_list,
     as_model_params,
     degrees,
     load_comparisons,
@@ -46,11 +48,69 @@ def test_edge_list_round_trip():
         ("n=2\n0 1\n", "at least 3"),
         ("0 1\nn=4\n", "first content line"),
         ("n=3\n0 1 2\n", "two node ids"),
+        ("n=3\n0.5 2\n", "not an integer"),
+        ("n=3\n1e0 2\n", "not an integer"),
+        ("n=3\n-0.4 1\n", "not an integer"),
+        ("n=5\n1 2\r3 4\n", "two node ids"),
+        ("n=3\n0 1\n,\n", "two node ids"),
     ],
 )
 def test_edge_list_errors(text, fragment):
     with pytest.raises(DataFormatError, match=fragment):
         load_edge_list(text)
+
+
+def _assert_parsers_agree(text):
+    """The numpy pass accepts only text the line scan accepts, with the same edges."""
+    try:
+        plain = _plain_edges(text)
+    except DataFormatError as err:  # a bad header, which the scan rejects alike
+        with pytest.raises(DataFormatError, match=str(err)):
+            _scan_edge_list(text)
+        return
+    if plain is not None:
+        declared, rows = plain
+        assert _scan_edge_list(text) == (declared, [tuple(row) for row in rows.tolist()])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n=4\n0 1\n1 2\n\n2 3\n", "0 1\n1 2\n", "n=3\n", "# c\nn=4\n0\t1\n 2  3 \n", "n=4 # h\n3 0\n0 3\n",
+        "n=3\n0.5 2\n", "n=3\n1e0 2\n", "n=3\n-0.4 1\n", "n=3\n+1 2\n", "n=3\n1_0 2\n", "n=5\n1 2\r3 4\n",
+        "n=3\n0 1\n,\n", "0 1\n1,2\n", "n=3\n0 1\n1 2 # c\n", "n=3\n0 9\n", "n=3\n1 1\n", "n=3\n0 1 2\n",
+        "0 1\nn=3\n", "n=3\n99999999999999999999 1\n", "n=3\n007 2\n", "n=x\n0 1\n", "n=3",
+    ],
+)
+def test_edge_list_parsers_agree(text):
+    _assert_parsers_agree(text)
+
+
+# edge lines that are mostly plain, with the odd token, separator or line end
+# that only the line scan may accept or that both must reject
+_ID = st.sampled_from(["0", "1", "2", "3", "4", "5"] * 4 + ["007", "-1", "+1", "0.5", "1e0", "1_0", ""])
+_SEP = st.sampled_from([" ", "\t", "  "] * 5 + [",", " , "])
+_END = st.sampled_from(["\n"] * 12 + ["\r\n", "\r", " # c\n", "\n\n", ""])
+_EDGE_LINES = st.lists(st.tuples(_ID, _SEP, _ID, _END).map("".join), max_size=6).map("".join)
+
+
+@given(st.sampled_from(["", "n=6\n", "# c\nn=6\n", "n=4\n", "n=2\n"]), _EDGE_LINES)
+@settings(max_examples=300, deadline=None)
+def test_edge_list_parsers_agree_on_random_text(header, body):
+    _assert_parsers_agree(header + body)
+
+
+def test_from_edges_takes_integer_pairs_only():
+    assert UndirectedGraph.from_edges(3, []).edge_count == 0
+    assert UndirectedGraph.from_edges(3, np.array([[0, 1], [2, 1]])).degrees.tolist() == [1, 2, 1]
+    with pytest.raises(ValueError, match="pairs"):
+        UndirectedGraph.from_edges(6, [(0, 1, 2), (3, 4, 5)])
+    with pytest.raises(ValueError, match="integer"):
+        UndirectedGraph.from_edges(3, [(0.5, 1.0)])
+    with pytest.raises(ValueError, match="self-loop"):
+        UndirectedGraph.from_edges(3, [(0, 1), (2, 2)])
+    with pytest.raises(ValueError, match="out of range"):
+        UndirectedGraph.from_edges(3, [(0, 3)])
 
 
 def test_comparisons_cycle():
