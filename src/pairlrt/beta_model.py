@@ -16,11 +16,9 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from .core import NullHypothesis, UndirectedGraph, as_model_params
+from .core import Fit, NullHypothesis, UndirectedGraph, as_model_params, newton_ascent, nonexistent_fit
 
 TOL_SCORE = 1e-8
-MAX_NEWTON = 100
-DIVERGENCE_CAP = 40.0
 
 
 def _pair_logits(beta: np.ndarray) -> np.ndarray:
@@ -134,43 +132,6 @@ def bn_cn(beta) -> ModelDiagnostics:
     return ModelDiagnostics(b_n=b_n, c_n=c_n, consistency_radius=radius)
 
 
-@dataclass(frozen=True)
-class BetaFit:
-    """Result of a maximum-likelihood fit.
-
-    gradient_norm is the max-abs entry of the score in the fitted (possibly
-    reduced) coordinates.  When exists is false, beta_hat holds the last
-    iterate and loglik is NaN.
-    """
-
-    beta_hat: np.ndarray
-    loglik: float
-    iterations: int
-    converged: bool
-    exists: bool
-    gradient_norm: float
-
-    def summary(self) -> dict:
-        return {
-            "loglik": self.loglik,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "exists": self.exists,
-            "gradient_norm": self.gradient_norm,
-        }
-
-
-def _nonexistent(beta: np.ndarray, iterations: int = 0) -> BetaFit:
-    return BetaFit(
-        beta_hat=beta.copy(),
-        loglik=float("nan"),
-        iterations=iterations,
-        converged=False,
-        exists=False,
-        gradient_norm=float("inf"),
-    )
-
-
 def _saturated(beta: np.ndarray, tol: float) -> bool:
     # a pair logit at -log(tol) leaves a residual of about tol, which the
     # score test cannot tell from zero, so the point cannot be certified as
@@ -180,7 +141,7 @@ def _saturated(beta: np.ndarray, tol: float) -> bool:
     return max(abs(s[0] + s[1]), abs(s[-1] + s[-2])) >= -math.log(tol)
 
 
-def _fit_classes(g: UndirectedGraph, r: int, pinned: Optional[np.ndarray], *, tol: float) -> BetaFit:
+def _fit_classes(g: UndirectedGraph, r: int, pinned: Optional[np.ndarray], *, tol: float) -> Fit:
     """Damped Newton ascent with one parameter per class of nodes.
 
     The first r nodes are pinned to ``pinned``, or tied to one unknown value
@@ -200,50 +161,30 @@ def _fit_classes(g: UndirectedGraph, r: int, pinned: Optional[np.ndarray], *, to
         classes = np.concatenate([np.zeros(r, dtype=int), classes + 1])
     elif r > 0:
         fixed, head = np.unique(pinned, return_inverse=True)
-        classes = np.concatenate([head + degs.size, classes])
+        classes = np.concatenate([head, classes + fixed.size])
     mult = np.bincount(classes).astype(float)
     totals = np.bincount(classes, weights=d)
-    m = mult.size - fixed.size
     # reduced score = class score over per: one node's share, or the whole tied block
-    per = mult[:m].copy()
+    per = mult[fixed.size:].copy()
     if tied:
         per[0] = 1.0
-
-    def evaluate(theta):
-        b = np.concatenate([theta, fixed])
-        s = (totals - mult * expected_degrees(b, classes))[:m]
-        return log_likelihood(b, g, classes), s, float(np.abs(s / per).max())
-
-    theta = np.zeros(m)
-    ll, s, gnorm = evaluate(theta)
-    iters = 0
-    while gnorm > tol and iters < MAX_NEWTON:
-        H = fisher_info(np.concatenate([theta, fixed]), classes=classes)[:m, :m]
-        try:
-            delta = np.linalg.solve(H, s)
-        except np.linalg.LinAlgError:
-            break
-        iters += 1
-        for step in 0.5 ** np.arange(30):
-            cand = theta + step * delta
-            if np.abs(cand).max() <= DIVERGENCE_CAP:
-                cand_ll, cand_s, cand_gnorm = evaluate(cand)
-                if cand_ll > ll or cand_gnorm < gnorm:
-                    theta, ll, s, gnorm = cand, cand_ll, cand_s, cand_gnorm
-                    break
-        else:
-            break
-    beta = np.concatenate([theta, fixed])[classes]
+    values, _, _, iters = newton_ascent(
+        lambda b: log_likelihood(b, g, classes),
+        lambda b: totals - mult * expected_degrees(b, classes),
+        lambda b: fisher_info(b, classes=classes),
+        np.zeros(per.size), fixed, per, tol,
+    )
+    beta = values[classes]
     score_n = d - expected_degrees(beta)
     reduced = np.concatenate([[score_n[:r].sum()] if tied else [], score_n[r:]])
     gnorm = float(np.abs(reduced).max())
     converged = gnorm <= tol
     if converged and _saturated(beta, tol):
-        return _nonexistent(beta, iters)
-    return BetaFit(beta, log_likelihood(beta, g), iters, converged, True, gnorm)
+        return nonexistent_fit(beta, iters)
+    return Fit(beta, log_likelihood(beta, g), iters, converged, True, gnorm)
 
 
-def fit_mle(g: UndirectedGraph, *, tol: float = TOL_SCORE) -> BetaFit:
+def fit_mle(g: UndirectedGraph, *, tol: float = TOL_SCORE) -> Fit:
     """Fit all n parameters by Newton steps over the degree classes.
 
     A degree of 0 or n-1 means the maximizer does not exist and is reported
@@ -252,11 +193,11 @@ def fit_mle(g: UndirectedGraph, *, tol: float = TOL_SCORE) -> BetaFit:
     d = g.degrees
     n = g.n
     if np.any(d == 0) or np.any(d == n - 1):
-        return _nonexistent(np.zeros(n))
+        return nonexistent_fit(np.zeros(n))
     return _fit_classes(g, 0, None, tol=tol)
 
 
-def fit_restricted_specified(g: UndirectedGraph, null: NullHypothesis, *, tol: float = TOL_SCORE) -> BetaFit:
+def fit_restricted_specified(g: UndirectedGraph, null: NullHypothesis, *, tol: float = TOL_SCORE) -> Fit:
     """Fit with the first r parameters pinned to the null values."""
     if null.kind != "specified":
         raise ValueError("null must be of the specified kind")
@@ -269,13 +210,13 @@ def fit_restricted_specified(g: UndirectedGraph, null: NullHypothesis, *, tol: f
     base = np.zeros(n)
     base[:r] = null.values
     if r == n:
-        return BetaFit(base, log_likelihood(base, g), 0, True, True, 0.0)
+        return Fit(base, log_likelihood(base, g), 0, True, True, 0.0)
     if np.any(d[r:] == 0) or np.any(d[r:] == n - 1):
-        return _nonexistent(base)
+        return nonexistent_fit(base)
     return _fit_classes(g, r, null.values, tol=tol)
 
 
-def fit_restricted_homogeneous(g: UndirectedGraph, r: int, *, tol: float = TOL_SCORE) -> BetaFit:
+def fit_restricted_homogeneous(g: UndirectedGraph, r: int, *, tol: float = TOL_SCORE) -> Fit:
     """Fit with the first r parameters tied to a common unknown value."""
     if not 1 <= r <= g.n:
         raise ValueError(f"r must be in [1, {g.n}], got {r}")
@@ -283,9 +224,9 @@ def fit_restricted_homogeneous(g: UndirectedGraph, r: int, *, tol: float = TOL_S
     d = g.degrees
     block = int(d[:r].sum())
     if block == 0 or block == r * (n - 1):
-        return _nonexistent(np.zeros(n))
+        return nonexistent_fit(np.zeros(n))
     if np.any(d[r:] == 0) or np.any(d[r:] == n - 1):
-        return _nonexistent(np.zeros(n))
+        return nonexistent_fit(np.zeros(n))
     return _fit_classes(g, r, None, tol=tol)
 
 

@@ -10,19 +10,15 @@ graph is strongly connected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.special import expit
 
-from .core import ComparisonTable, NullHypothesis, as_model_params
+from .core import ComparisonTable, Fit, NullHypothesis, as_model_params, newton_ascent, nonexistent_fit
 
 TOL_SCORE = 1e-8
-MAX_MINORIZE = 500
-MAX_NEWTON = 100
-DIVERGENCE_CAP = 40.0
 
 
 def _pair_diffs(beta: np.ndarray) -> np.ndarray:
@@ -37,51 +33,57 @@ def win_probabilities(beta) -> np.ndarray:
     return p
 
 
-def bt_log_likelihood(beta, table: ComparisonTable) -> float:
-    b = as_model_params(beta, "bt")
-    if b.size != table.n:
-        raise ValueError(f"parameter length {b.size} does not match n={table.n}")
-    iu = np.triu_indices(table.n, k=1)
-    k = table.totals[iu].astype(float)
-    pairs = np.logaddexp(b[:, None], b[None, :])[iu]
-    return float(b @ table.degrees - k @ pairs)
+def _class_totals(table: ComparisonTable, classes, size: int) -> np.ndarray:
+    """Comparison counts between each ordered pair of classes, those within a class on the diagonal."""
+    if classes is None:
+        if size != table.n:
+            raise ValueError(f"parameter length {size} does not match n={table.n}")
+        return table.totals
+    pair = classes[:, None] * size + classes
+    return np.bincount(pair.ravel(), weights=table.totals.ravel(), minlength=size * size).reshape(size, size)
 
 
-def bt_expected_wins(beta, table: ComparisonTable) -> np.ndarray:
+def bt_log_likelihood(beta, table: ComparisonTable, classes=None) -> float:
+    """Log-likelihood of the win counts.
+
+    With ``classes``, the class index of each subject, beta holds one value
+    per class, the reference's class first.
+    """
     b = as_model_params(beta, "bt")
-    p = expit(_pair_diffs(b))
-    np.fill_diagonal(p, 0.0)
-    return (table.totals * p).sum(axis=1)
+    k = _class_totals(table, classes, b.size)
+    wins = table.degrees if classes is None else np.bincount(classes, weights=table.degrees, minlength=b.size)
+    # each comparison appears under both orders of its pair, hence the half
+    return float(b @ wins - 0.5 * np.sum(k * np.logaddexp(b[:, None], b[None, :])))
+
+
+def bt_expected_wins(beta, table: ComparisonTable, classes=None) -> np.ndarray:
+    """Expected wins of each subject; with ``classes`` (see bt_log_likelihood), each class's total."""
+    b = as_model_params(beta, "bt")
+    return (_class_totals(table, classes, b.size) * expit(_pair_diffs(b))).sum(axis=1)
 
 
 def bt_score(beta, table: ComparisonTable) -> np.ndarray:
     """Gradient in the free coordinates (subjects 2..n)."""
     b = as_model_params(beta, "bt")
-    if b.size != table.n:
-        raise ValueError(f"parameter length {b.size} does not match n={table.n}")
     return (table.degrees - bt_expected_wins(b, table))[1:]
 
 
-def _weighted_variances(beta: np.ndarray, table: ComparisonTable) -> np.ndarray:
-    d = _pair_diffs(beta)
-    w = table.totals * expit(d) * expit(-d)
-    np.fill_diagonal(w, 0.0)
-    return w
-
-
-def bt_fisher_info(beta, table: ComparisonTable) -> np.ndarray:
+def bt_fisher_info(beta, table: ComparisonTable, classes=None) -> np.ndarray:
     """Information matrix for the free coordinates.
 
     Off-diagonal (i, j) holds -k_ij v_ij; the diagonal sums k_ij v_ij over
-    every opponent including the reference subject.
+    every opponent including the reference subject.  With ``classes`` (see
+    bt_log_likelihood) it is the information in one value per class, for
+    every class: k sums the comparisons between two classes, and those
+    within a class carry no information.
     """
     b = as_model_params(beta, "bt")
-    if b.size != table.n:
-        raise ValueError(f"parameter length {b.size} does not match n={table.n}")
-    w = _weighted_variances(b, table)
+    d = _pair_diffs(b)
+    w = _class_totals(table, classes, b.size) * expit(d) * expit(-d)
+    np.fill_diagonal(w, 0.0)
     full = -w
     np.fill_diagonal(full, w.sum(axis=1))
-    return full[1:, 1:]
+    return full[1:, 1:] if classes is None else full
 
 
 def bt_bn_cn(beta) -> tuple[float, float]:
@@ -101,31 +103,6 @@ def strongly_connected(table: ComparisonTable) -> bool:
     return int(ncomp) == 1
 
 
-@dataclass(frozen=True)
-class BTFit:
-    """Fit result on the reference scale; beta_hat[0] is always 0."""
-
-    beta_hat: np.ndarray
-    loglik: float
-    iterations: int
-    converged: bool
-    exists: bool
-    gradient_norm: float
-
-    def summary(self) -> dict:
-        return {
-            "loglik": self.loglik,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "exists": self.exists,
-            "gradient_norm": self.gradient_norm,
-        }
-
-
-def _bt_nonexistent(beta: np.ndarray, iterations: int = 0) -> BTFit:
-    return BTFit(beta.copy(), float("nan"), iterations, False, False, float("inf"))
-
-
 def _bt_saturated(beta: np.ndarray, table: ComparisonTable, tol: float) -> bool:
     # a compared pair whose merit difference reaches -log(tol) leaves a win
     # residual the score test cannot tell from zero; a tied block escaping
@@ -137,155 +114,72 @@ def _bt_saturated(beta: np.ndarray, table: ComparisonTable, tol: float) -> bool:
     return bool(np.abs(_pair_diffs(beta)[iu][active]).max() >= -math.log(tol))
 
 
-def _bt_newton_reduced(
-    table: ComparisonTable,
-    base: np.ndarray,
-    J: np.ndarray,
-    theta: np.ndarray,
-    *,
-    tol: float,
-    max_iter: int,
-    cap: float,
-    start_iterations: int,
-) -> BTFit:
-    """Damped Newton ascent over beta = base + J_pad @ theta with beta[0] = 0.
+def _fit_classes(table: ComparisonTable, classes: np.ndarray, fixed: np.ndarray, theta: np.ndarray, tol: float) -> Fit:
+    """Newton ascent from ``theta`` over the classes after the ``fixed`` ones.
 
-    J maps theta to the free coordinates 1..n-1; base[0] must be 0.
+    Each free subject is its own class and a tied block is one class, so the
+    reduced coordinates are the free subjects one by one and the block summed.
     """
-    d = table.degrees
-    n = table.n
-
-    def expand(th: np.ndarray) -> np.ndarray:
-        beta = base.copy()
-        beta[1:] += J @ th
-        return beta
-
-    beta = expand(theta)
-    ll = bt_log_likelihood(beta, table)
-    s = J.T @ (d - bt_expected_wins(beta, table))[1:]
-    gnorm = float(np.abs(s).max()) if s.size else 0.0
-    iters = start_iterations
-    for _ in range(max_iter):
-        if gnorm <= tol:
-            if _bt_saturated(beta, table, tol):
-                return _bt_nonexistent(beta, iters)
-            return BTFit(beta, ll, iters, True, True, gnorm)
-        H = J.T @ bt_fisher_info(beta, table) @ J
-        try:
-            delta = np.linalg.solve(H, s)
-        except np.linalg.LinAlgError:
-            break
-        step = 1.0
-        accepted = False
-        for _ in range(30):
-            cand_theta = theta + step * delta
-            if np.abs(cand_theta).max() <= cap:
-                cand_beta = expand(cand_theta)
-                cand_ll = bt_log_likelihood(cand_beta, table)
-                cand_s = J.T @ (d - bt_expected_wins(cand_beta, table))[1:]
-                cand_gnorm = float(np.abs(cand_s).max())
-                if cand_ll > ll or cand_gnorm < gnorm:
-                    theta, beta, ll = cand_theta, cand_beta, cand_ll
-                    s, gnorm = cand_s, cand_gnorm
-                    accepted = True
-                    break
-            step *= 0.5
-        iters += 1
-        if not accepted:
-            break
-        if np.abs(theta).max() > cap:
-            return _bt_nonexistent(beta, iters)
-    if gnorm <= tol and _bt_saturated(beta, table, tol):
-        return _bt_nonexistent(beta, iters)
-    return BTFit(beta, ll, iters, gnorm <= tol, True, gnorm)
+    wins = np.bincount(classes, weights=table.degrees)
+    values, ll, gnorm, iters = newton_ascent(
+        lambda b: bt_log_likelihood(b, table, classes),
+        lambda b: wins - bt_expected_wins(b, table, classes),
+        lambda b: bt_fisher_info(b, table, classes),
+        theta, fixed, np.ones(theta.size), tol,
+    )
+    beta = values[classes]
+    converged = gnorm <= tol
+    if converged and _bt_saturated(beta, table, tol):
+        return nonexistent_fit(beta, iters)
+    return Fit(beta, ll, iters, converged, True, gnorm)
 
 
-def bt_fit_mle(table: ComparisonTable, *, tol: float = TOL_SCORE, init=None) -> BTFit:
+def bt_fit_mle(table: ComparisonTable, *, tol: float = TOL_SCORE, init=None) -> Fit:
     """Fit the n-1 free merit parameters.
 
-    Existence is decided up front by strong connectivity.  The solver runs
-    the minorization update (each merit is rescaled by observed over expected
-    wins, then the reference is re-zeroed) to a loose residual and finishes
-    with Newton steps.
+    Existence is decided up front by strong connectivity.  Newton steps
+    start from ``init`` (zero by default) on every subject but the reference.
     """
     n = table.n
     if not strongly_connected(table):
-        return _bt_nonexistent(np.zeros(n))
-    d = table.degrees.astype(float)
-    beta = np.zeros(n) if init is None else as_model_params(init, "bt").copy()
-    target = max(tol, 1e-2)
-    mm_iters = 0
-    for mm_iters in range(1, MAX_MINORIZE + 1):
-        ew = bt_expected_wins(beta, table)
-        if np.abs(d - ew)[1:].max() <= target:
-            mm_iters -= 1
-            break
-        beta = beta + np.log(d) - np.log(ew)
-        beta = beta - beta[0]
-        if np.abs(beta).max() > DIVERGENCE_CAP:
-            return _bt_nonexistent(beta, mm_iters)
-    J = np.eye(n - 1)
-    return _bt_newton_reduced(
-        table,
-        np.zeros(n),
-        J,
-        beta[1:],
-        tol=tol,
-        max_iter=MAX_NEWTON,
-        cap=DIVERGENCE_CAP,
-        start_iterations=mm_iters,
-    )
+        return nonexistent_fit(np.zeros(n))
+    theta = np.zeros(n - 1) if init is None else as_model_params(init, "bt")[1:]
+    if theta.size != n - 1:
+        raise ValueError(f"init length {theta.size + 1} does not match n={n}")
+    return _fit_classes(table, np.arange(n), np.zeros(1), theta, tol)
 
 
-def bt_fit_restricted(table: ComparisonTable, null: NullHypothesis, *, tol: float = TOL_SCORE) -> BTFit:
+def bt_fit_restricted(table: ComparisonTable, null: NullHypothesis, *, tol: float = TOL_SCORE) -> Fit:
     """Fit under a null constraint on subjects 1..r.
 
     Specified nulls pin subjects 2..r to given offsets from the reference;
-    homogeneous nulls tie subjects 1..r to the reference's level, leaving a
-    single common value fixed at zero by the normalization.
+    homogeneous nulls tie subjects 2..r to one common unknown level, while
+    the reference stays at zero.
     """
     null.validate_for("bt", table.n)
     n = table.n
     r = null.r
     d = table.degrees
     k_row = table.totals.sum(axis=1)
+    free_boundary = np.any(d[r:] == 0) or np.any(d[r:] == k_row[r:])
     if null.kind == "specified":
-        base = np.zeros(n)
-        base[1:r] = null.values
+        base = np.concatenate([[0.0], null.values, np.zeros(n - r)])
         if r == n:
-            return BTFit(base, bt_log_likelihood(base, table), 0, True, True, 0.0)
-        free = np.arange(r, n)
-        if np.any(d[free] == 0) or np.any(d[free] == k_row[free]):
-            return _bt_nonexistent(base)
-        J = np.zeros((n - 1, n - r))
-        J[free - 1, np.arange(n - r)] = 1.0
-        return _bt_newton_reduced(
-            table, base, J, np.zeros(n - r), tol=tol,
-            max_iter=MAX_NEWTON, cap=DIVERGENCE_CAP, start_iterations=0,
-        )
-    # Homogeneous: subjects 1..r-1 (everyone in the block except the
-    # reference) share one unknown level.  The reduced parameters are that
-    # level plus the tail.  Cross-block win totals decide existence for the
-    # block's shared coordinate.
+            return Fit(base, bt_log_likelihood(base, table), 0, True, True, 0.0)
+        if free_boundary:
+            return nonexistent_fit(base)
+        # the reference and the pinned subjects are fixed classes, every other subject its own
+        return _fit_classes(table, np.arange(n), base[:r], np.zeros(n - r), tol)
+    # Cross-block win totals decide existence for the block's shared level.
     tied = np.arange(1, r)
     outside = np.concatenate(([0], np.arange(r, n)))
-    if r < n:
-        free = np.arange(r, n)
-        if np.any(d[free] == 0) or np.any(d[free] == k_row[free]):
-            return _bt_nonexistent(np.zeros(n))
     cross_total = int(table.totals[np.ix_(tied, outside)].sum())
     cross_wins = int(table.wins[np.ix_(tied, outside)].sum())
-    if cross_total > 0 and cross_wins in (0, cross_total):
-        return _bt_nonexistent(np.zeros(n))
-    m = 1 + (n - r)
-    J = np.zeros((n - 1, m))
-    J[tied - 1, 0] = 1.0
-    if r < n:
-        J[np.arange(r, n) - 1, np.arange(1, m)] = 1.0
-    return _bt_newton_reduced(
-        table, np.zeros(n), J, np.zeros(m), tol=tol,
-        max_iter=MAX_NEWTON, cap=DIVERGENCE_CAP, start_iterations=0,
-    )
+    if free_boundary or (cross_total > 0 and cross_wins in (0, cross_total)):
+        return nonexistent_fit(np.zeros(n))
+    # class 0 is the reference, class 1 the tied block, then one class per tail subject
+    classes = np.concatenate([[0], np.ones(r - 1, dtype=int), np.arange(2, n - r + 2)])
+    return _fit_classes(table, classes, np.zeros(1), np.zeros(n - r + 1), tol)
 
 
 def simulate_comparisons(beta, k, rng: np.random.Generator) -> ComparisonTable:

@@ -15,6 +15,8 @@ from typing import IO, Iterable, Iterator, Optional, Union
 import numpy as np
 
 MIN_NODES = 3
+MAX_NEWTON = 100
+DIVERGENCE_CAP = 40.0
 
 TextSource = Union[str, IO[str], Iterable[str]]
 
@@ -127,6 +129,7 @@ class ComparisonTable:
 
     wins: np.ndarray
     degrees: np.ndarray = field(init=False)
+    _totals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.wins)
@@ -143,8 +146,11 @@ class ComparisonTable:
         if np.any(np.diag(w) != 0):
             raise ValueError("self-comparisons are not allowed")
         w.setflags(write=False)
+        t = w + w.T
+        t.setflags(write=False)
         object.__setattr__(self, "wins", w)
         object.__setattr__(self, "degrees", w.sum(axis=1))
+        object.__setattr__(self, "_totals", t)
 
     @property
     def n(self) -> int:
@@ -152,8 +158,8 @@ class ComparisonTable:
 
     @property
     def totals(self) -> np.ndarray:
-        """Symmetric matrix of comparison counts per pair."""
-        return self.wins + self.wins.T
+        """Symmetric matrix of comparison counts per pair, computed once."""
+        return self._totals
 
     def to_text(self) -> str:
         out = [f"n={self.n}"]
@@ -205,6 +211,81 @@ def as_model_params(beta, model: str) -> np.ndarray:
     if model == "bt" and b.size and b[0] != 0.0:
         raise ValueError("reference subject parameter must be 0")
     return b
+
+
+@dataclass(frozen=True)
+class Fit:
+    """Result of a maximum-likelihood fit of either model.
+
+    gradient_norm is the max-abs entry of the score in the fitted reduced
+    coordinates: free parameters one by one and a tied block summed.  When
+    exists is false, beta_hat holds the last iterate and loglik is NaN.
+    Comparison-model fits are on the reference scale, so beta_hat[0] is 0.
+    """
+
+    beta_hat: np.ndarray
+    loglik: float
+    iterations: int
+    converged: bool
+    exists: bool
+    gradient_norm: float
+
+    def summary(self) -> dict:
+        return {
+            "loglik": self.loglik,
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "exists": self.exists,
+            "gradient_norm": self.gradient_norm,
+        }
+
+
+def nonexistent_fit(beta: np.ndarray, iterations: int = 0) -> Fit:
+    """The report of a fit whose maximizer does not exist; beta is the last iterate."""
+    return Fit(beta.copy(), float("nan"), iterations, False, False, float("inf"))
+
+
+def newton_ascent(loglik, score, info, theta: np.ndarray, fixed: np.ndarray, per: np.ndarray, tol: float):
+    """Damped Newton ascent over the fitted classes of a node-to-class map.
+
+    The class values are ``fixed`` followed by the fitted ``theta``.  loglik,
+    score and info take the values of every class and return the
+    log-likelihood, its gradient and the information matrix over every
+    class; the ascent reads the fitted entries.  The gradient norm is the
+    max of |score / per| over the fitted classes, so ``per`` scales each
+    class score to the coordinate it reports.  A step halves until it stays
+    inside the divergence cap and raises the log-likelihood or lowers the
+    gradient norm; the ascent stops when the norm is within tol, the
+    information is singular, no step is accepted, or after MAX_NEWTON steps.
+    Returns the values of every class, their log-likelihood, the gradient
+    norm and the number of Newton steps.
+    """
+    f = fixed.size
+
+    def evaluate(th):
+        b = np.concatenate([fixed, th])
+        s = score(b)[f:]
+        return loglik(b), s, float(np.abs(s / per).max())
+
+    ll, s, gnorm = evaluate(theta)
+    iters = 0
+    while gnorm > tol and iters < MAX_NEWTON:
+        H = info(np.concatenate([fixed, theta]))[f:, f:]
+        try:
+            delta = np.linalg.solve(H, s)
+        except np.linalg.LinAlgError:
+            break
+        iters += 1
+        for step in 0.5 ** np.arange(30):
+            cand = theta + step * delta
+            if np.abs(cand).max() <= DIVERGENCE_CAP:
+                cand_ll, cand_s, cand_gnorm = evaluate(cand)
+                if cand_ll > ll or cand_gnorm < gnorm:
+                    theta, ll, s, gnorm = cand, cand_ll, cand_s, cand_gnorm
+                    break
+        else:
+            break
+    return np.concatenate([fixed, theta]), ll, gnorm, iters
 
 
 @dataclass(frozen=True)

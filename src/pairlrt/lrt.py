@@ -217,34 +217,26 @@ def bootstrap_distribution(
     return stats, B
 
 
-def bootstrap_pvalue(
+def bootstrap_tail(
     table: ComparisonTable,
     null: NullHypothesis,
-    B: int = DEFAULT_BOOTSTRAP_B,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    tol: float = 1e-8,
-) -> float:
-    """Parametric bootstrap p-value for the comparison-model specified null.
+    stat: float,
+    beta_null: np.ndarray,
+    B: int,
+    rng: np.random.Generator,
+    tol: float,
+) -> tuple[float, int]:
+    """Bootstrap p-value of stat and the number of usable replicates.
 
-    Fits the restricted model, simulates B tables from it with the observed
-    pair totals, and returns (1 + #{bootstrap stat >= observed}) over
-    (#usable + 1).  Replicates whose maximizer fails to exist are dropped;
-    losing more than half of them is an error.
+    The p-value is (1 + #{bootstrap stat >= stat}) over (#usable + 1).
+    Replicates whose maximizer fails to exist are dropped; when more than
+    half of them are lost there is no p-value, and it is NaN.
     """
-    if null.kind != "specified":
-        raise ValueError("bootstrap reference applies to specified nulls only")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    full, restr = fit_pair(table, null, tol)
-    observed = lrt_statistic(full, restr)
-    stats, total = bootstrap_distribution(table, null, restr.beta_hat, B, rng, tol)
+    stats, total = bootstrap_distribution(table, null, beta_null, B, rng, tol)
     if len(stats) < total / 2:
-        raise RuntimeError(
-            f"only {len(stats)} of {total} bootstrap replicates had existing maximizers"
-        )
-    exceed = sum(1 for s in stats if s >= observed)
-    return (1.0 + exceed) / (len(stats) + 1.0)
+        return float("nan"), len(stats)
+    exceed = sum(1 for s in stats if s >= stat)
+    return (1.0 + exceed) / (len(stats) + 1.0), len(stats)
 
 
 def run_test(
@@ -306,18 +298,14 @@ def run_test(
         if rng is None:
             rng = np.random.default_rng(0)
         reference = Bootstrap(bootstrap_reps)
-        stats, total = bootstrap_distribution(
-            data, null, restricted.beta_hat, bootstrap_reps, rng, tol
-        )
-        if len(stats) < total / 2:
+        p_value, used = bootstrap_tail(data, null, stat, restricted.beta_hat, bootstrap_reps, rng, tol)
+        if math.isnan(p_value):
             raise RuntimeError(
-                f"only {len(stats)} of {total} bootstrap replicates had existing maximizers"
+                f"only {used} of {bootstrap_reps} bootstrap replicates had existing maximizers"
             )
-        if len(stats) < total:
-            warnings.append(f"dropped {total - len(stats)} bootstrap replicates with nonexistent maximizers")
-        exceed = sum(1 for s in stats if s >= stat)
-        p_value = (1.0 + exceed) / (len(stats) + 1.0)
-        diagnostics["bootstrap_used"] = len(stats)
+        if used < bootstrap_reps:
+            warnings.append(f"dropped {bootstrap_reps - used} bootstrap replicates with nonexistent maximizers")
+        diagnostics["bootstrap_used"] = used
 
     return TestReport(
         model=model,

@@ -271,13 +271,7 @@ def _one_replicate(scenario: Scenario, index: int, stats_only: bool):
     elif isinstance(reference, lrt.ChiSquare):
         p = lrt.chi_square_sf(stat, reference.df)
     else:
-        boot_stats, total = lrt.bootstrap_distribution(
-            data, null, restr.beta_hat, reference.B, rng, bt_model.TOL_SCORE
-        )
-        if len(boot_stats) < total / 2:
-            return index, stat, float("nan")
-        exceed = sum(1 for s in boot_stats if s >= stat)
-        p = (1.0 + exceed) / (len(boot_stats) + 1.0)
+        p, _ = lrt.bootstrap_tail(data, null, stat, restr.beta_hat, reference.B, rng, bt_model.TOL_SCORE)
     return index, stat, p
 
 

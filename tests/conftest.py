@@ -37,3 +37,8 @@ def random_connected_table(rng, n, k=4, scale=0.8, attempts=200):
         if bt_model.strongly_connected(table):
             return beta, table
     raise RuntimeError("no connected instance found")
+
+
+def tied_class_map(n):
+    """Node-to-class map: node 0 alone in class 0, nodes 1 and 2 tied in class 1, each later node alone."""
+    return np.concatenate([[0, 1, 1], np.arange(2, n - 1)])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pairlrt import beta_model as bm
 from pairlrt.core import NullHypothesis, UndirectedGraph
 
-from conftest import random_existing_graph
+from conftest import random_existing_graph, tied_class_map
 from oracles import fd_gradient, fd_hessian, graph_loglik, maximize_graph
 
 EDGE_01 = UndirectedGraph.from_edges(3, [(0, 1)])
@@ -39,6 +39,19 @@ def test_score_matches_fd_gradient(rng):
         want = fd_gradient(lambda b: bm.log_likelihood(b, g), beta)
         assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
 
+        # node 0 fixed, a tied block and free nodes: the class score is the
+        # gradient of the log-likelihood in the free class values
+        classes = tied_class_map(n)
+        values = beta[np.unique(classes, return_index=True)[1]]
+        mult = np.bincount(classes)
+        class_score = np.bincount(classes, weights=g.degrees) - mult * bm.expected_degrees(values, classes)
+
+        def loglik_classes(x):
+            return bm.log_likelihood(np.concatenate([values[:1], x])[classes], g)
+
+        assert bm.log_likelihood(values, g, classes) == pytest.approx(loglik_classes(values[1:]), abs=1e-10)
+        assert np.allclose(class_score[1:], fd_gradient(loglik_classes, values[1:]), rtol=1e-5, atol=1e-5)
+
 
 def test_fisher_matches_fd_hessian(rng):
     for _ in range(5):
@@ -47,6 +60,12 @@ def test_fisher_matches_fd_hessian(rng):
         g = bm.simulate_graph(beta, rng)
         V = bm.fisher_info(beta)
         H = fd_hessian(lambda b: bm.log_likelihood(b, g), beta)
+        assert np.abs(V + H).max() <= 1e-4
+
+        classes = tied_class_map(n)
+        values = beta[np.unique(classes, return_index=True)[1]]
+        V = bm.fisher_info(values, classes=classes)[1:, 1:]
+        H = fd_hessian(lambda x: bm.log_likelihood(np.concatenate([values[:1], x])[classes], g), values[1:])
         assert np.abs(V + H).max() <= 1e-4
 
 

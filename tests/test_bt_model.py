@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pairlrt import bt_model as btm
 from pairlrt.core import ComparisonTable, NullHypothesis
 
-from conftest import random_connected_table
+from conftest import random_connected_table, tied_class_map
 from oracles import comparison_loglik, fd_gradient, fd_hessian, maximize_comparison
 
 CYCLE3 = ComparisonTable(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
@@ -48,6 +48,18 @@ def test_score_matches_fd_gradient(rng):
         want = fd_gradient(loglik_free, beta[1:])
         assert np.allclose(got, want, rtol=1e-6, atol=1e-6)
 
+        # the reference fixed, a tied block and free subjects: the class score
+        # is the gradient of the log-likelihood in the free class values
+        classes = tied_class_map(n)
+        values = beta[np.unique(classes, return_index=True)[1]]
+        class_score = np.bincount(classes, weights=table.degrees) - btm.bt_expected_wins(values, table, classes)
+
+        def loglik_classes(x):
+            return btm.bt_log_likelihood(np.concatenate([[0.0], x])[classes], table)
+
+        assert btm.bt_log_likelihood(values, table, classes) == pytest.approx(loglik_classes(values[1:]), abs=1e-10)
+        assert np.allclose(class_score[1:], fd_gradient(loglik_classes, values[1:]), rtol=1e-6, atol=1e-6)
+
 
 def test_fisher_matches_fd_hessian(rng):
     for _ in range(5):
@@ -61,6 +73,12 @@ def test_fisher_matches_fd_hessian(rng):
             return btm.bt_log_likelihood(np.concatenate([[0.0], x]), table)
 
         H = fd_hessian(loglik_free, beta[1:])
+        assert np.abs(V + H).max() <= 1e-4
+
+        classes = tied_class_map(n)
+        values = beta[np.unique(classes, return_index=True)[1]]
+        V = btm.bt_fisher_info(values, table, classes)[1:, 1:]
+        H = fd_hessian(lambda x: btm.bt_log_likelihood(np.concatenate([[0.0], x])[classes], table), values[1:])
         assert np.abs(V + H).max() <= 1e-4
 
 

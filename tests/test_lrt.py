@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from pairlrt import beta_model as bm
 from pairlrt import bt_model as btm
 from pairlrt import lrt
-from pairlrt.core import NonexistentMLEError, NullHypothesis, UndirectedGraph
+from pairlrt.core import Fit, NonexistentMLEError, NullHypothesis, UndirectedGraph
 
 from conftest import random_connected_table, random_existing_graph
 
@@ -78,14 +77,14 @@ def test_reference_to_dict():
 
 
 def test_lrt_statistic_clamps_and_guards():
-    good = bm.BetaFit(np.zeros(3), -1.0, 1, True, True, 0.0)
-    lower = bm.BetaFit(np.zeros(3), -1.0 - 2e-11, 1, True, True, 0.0)
+    good = Fit(np.zeros(3), -1.0, 1, True, True, 0.0)
+    lower = Fit(np.zeros(3), -1.0 - 2e-11, 1, True, True, 0.0)
     assert 0 < lrt.lrt_statistic(good, lower) < 1e-9
     assert lrt.lrt_statistic(lower, good) == 0.0  # tiny negative clamps
-    bad = bm.BetaFit(np.zeros(3), -0.5, 1, True, True, 0.0)
+    bad = Fit(np.zeros(3), -0.5, 1, True, True, 0.0)
     with pytest.raises(RuntimeError):
         lrt.lrt_statistic(good, bad)  # full below null by a real margin
-    missing = bm.BetaFit(np.zeros(3), float("nan"), 0, False, False, float("inf"))
+    missing = Fit(np.zeros(3), float("nan"), 0, False, False, float("inf"))
     with pytest.raises(NonexistentMLEError):
         lrt.lrt_statistic(missing, good)
     with pytest.raises(NonexistentMLEError):
@@ -164,8 +163,14 @@ def test_bootstrap_pvalue_matches_run_test(rng):
     _, table = random_connected_table(rng, 7, k=3)
     null = NullHypothesis.specified(2, [0.0])
     report = lrt.run_test(table, null, "fixed", bootstrap_reps=99, rng=np.random.default_rng(3))
-    p = lrt.bootstrap_pvalue(table, null, B=99, rng=np.random.default_rng(3))
-    assert p == pytest.approx(report.p_value, abs=1e-15)
+    _, restr = lrt.fit_pair(table, null)
+    p, used = lrt.bootstrap_tail(table, null, report.stat, restr.beta_hat, 99, np.random.default_rng(3), 1e-8)
+    assert p == report.p_value and used == report.diagnostics["bootstrap_used"]
+    # a bootstrap keeping fewer than half its draws has no p-value
+    _, small = random_connected_table(rng, 3, k=2)
+    extreme = NullHypothesis.specified(3, [8.0, -8.0])
+    p, used = lrt.bootstrap_tail(small, extreme, 0.0, np.array([0.0, 8.0, -8.0]), 60, np.random.default_rng(0), 1e-8)
+    assert np.isnan(p) and used < 30
 
 
 def test_p_value_monotone_in_statistic():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pairlrt import bt_model as btm
 from pairlrt import lrt
 from pairlrt import montecarlo as mc
 from pairlrt.core import NullHypothesis
@@ -212,6 +213,11 @@ def test_bootstrap_replicate_runs_end_to_end():
     assert set(rep.rejection_rate) == {0.05, 0.10}
     assert 0.0 < rep.pvalues[0] <= 1.0
     assert rep.bootstrap_short == 0
+
+    # the same stream, after the simulation draw, gives run_test's p-value
+    rng = mc.replicate_rng(s.seed, 0)
+    table = btm.simulate_comparisons(s.true_beta, s.k, rng)
+    assert rep.pvalues[0] == lrt.run_test(table, s.null, "fixed", rng=rng).p_value
 
 
 def test_short_bootstrap_left_out_of_rates(monkeypatch):
