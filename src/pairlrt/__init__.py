@@ -1,141 +1,3 @@
 """Likelihood-ratio tests for degree and paired-comparison models."""
 
-from .core import (
-    ComparisonTable,
-    DataFormatError,
-    Fit,
-    NonexistentMLEError,
-    NullHypothesis,
-    ParameterVector,
-    UndirectedGraph,
-    load_comparisons,
-    load_edge_list,
-    load_vector,
-)
-from .beta_model import (
-    ModelDiagnostics,
-    bn_cn,
-    edge_probabilities,
-    fisher_info,
-    fit_mle,
-    fit_restricted_homogeneous,
-    fit_restricted_specified,
-    log_likelihood,
-    simulate_graph,
-)
-from .bt_model import (
-    bt_fisher_info,
-    bt_fit_mle,
-    bt_fit_restricted,
-    bt_log_likelihood,
-    simulate_comparisons,
-    strongly_connected,
-    win_probabilities,
-)
-from .fisher_approx import (
-    ApproxReport,
-    HomogeneousInfo,
-    build_homogeneous_info,
-    check_homogeneous_bound,
-    check_inverse_bound,
-    diag_approx,
-    inverse_entry_window,
-    inverse_error_bound,
-    tied_inverse_error_bound,
-)
-from .lrt import (
-    Bootstrap,
-    ChiSquare,
-    NormalizedGaussian,
-    TestReport,
-    chi_square_cdf,
-    chi_square_quantile,
-    chi_square_sf,
-    lrt_statistic,
-    reference_distribution,
-    run_test,
-)
-from .moments_oracle import (
-    LRTDistribution,
-    MomentReport,
-    cubic_sum_variance,
-    enumerate_exact_moments,
-    mixed_sum_variance_bound,
-    quadratic_sum_variance,
-)
-from .montecarlo import (
-    MCReport,
-    PRESETS,
-    Scenario,
-    build_scenario,
-    qq_data,
-    replicate_rng,
-    run_power,
-    run_scenario,
-    run_type1,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ApproxReport",
-    "Bootstrap",
-    "ChiSquare",
-    "ComparisonTable",
-    "DataFormatError",
-    "Fit",
-    "HomogeneousInfo",
-    "LRTDistribution",
-    "MCReport",
-    "ModelDiagnostics",
-    "MomentReport",
-    "NonexistentMLEError",
-    "NormalizedGaussian",
-    "NullHypothesis",
-    "PRESETS",
-    "ParameterVector",
-    "Scenario",
-    "TestReport",
-    "UndirectedGraph",
-    "bn_cn",
-    "bt_fisher_info",
-    "bt_fit_mle",
-    "bt_fit_restricted",
-    "bt_log_likelihood",
-    "build_homogeneous_info",
-    "build_scenario",
-    "check_homogeneous_bound",
-    "check_inverse_bound",
-    "chi_square_cdf",
-    "chi_square_quantile",
-    "chi_square_sf",
-    "cubic_sum_variance",
-    "diag_approx",
-    "edge_probabilities",
-    "enumerate_exact_moments",
-    "fisher_info",
-    "fit_mle",
-    "fit_restricted_homogeneous",
-    "fit_restricted_specified",
-    "inverse_entry_window",
-    "inverse_error_bound",
-    "load_comparisons",
-    "load_edge_list",
-    "load_vector",
-    "log_likelihood",
-    "lrt_statistic",
-    "mixed_sum_variance_bound",
-    "qq_data",
-    "quadratic_sum_variance",
-    "reference_distribution",
-    "replicate_rng",
-    "run_power",
-    "run_scenario",
-    "run_test",
-    "run_type1",
-    "simulate_comparisons",
-    "simulate_graph",
-    "strongly_connected",
-    "tied_inverse_error_bound",
-    "win_probabilities",
-]

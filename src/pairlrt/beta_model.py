@@ -33,15 +33,6 @@ def edge_probabilities(beta) -> np.ndarray:
     return p
 
 
-def interaction_variances(beta) -> np.ndarray:
-    """Matrix of per-pair Bernoulli variances p_ij (1 - p_ij), zero diagonal."""
-    b = as_model_params(beta, "beta")
-    pi = _pair_logits(b)
-    w = expit(pi) * expit(-pi)
-    np.fill_diagonal(w, 0.0)
-    return w
-
-
 def log_likelihood(beta, g: UndirectedGraph, classes=None) -> float:
     """Log-likelihood of the graph g, which enters only through its degree sequence.
 
@@ -81,7 +72,7 @@ def score(beta, g: UndirectedGraph) -> np.ndarray:
     return g.degrees - expected_degrees(b)
 
 
-def fisher_info(beta, n: Optional[int] = None, classes=None) -> np.ndarray:
+def fisher_info(beta, classes=None) -> np.ndarray:
     """Covariance matrix of the degree sequence.
 
     Off-diagonal entries are the pair variances; each diagonal entry is the
@@ -90,8 +81,6 @@ def fisher_info(beta, n: Optional[int] = None, classes=None) -> np.ndarray:
     totals, the information in one parameter per class.
     """
     b = as_model_params(beta, "beta")
-    if n is not None and n != b.size:
-        raise ValueError(f"n={n} does not match parameter length {b.size}")
     w = np.ones(b.size) if classes is None else np.bincount(classes, minlength=b.size).astype(float)
     pi = _pair_logits(b)
     v = expit(pi) * expit(-pi)
@@ -117,8 +106,7 @@ def bn_cn(beta) -> ModelDiagnostics:
     """Reciprocal pair-variance extremes b_n >= c_n >= 4.
 
     For a pair with logit x the reciprocal variance is (1+e^x)^2/e^x, which
-    equals 2 + 2 cosh(x) and grows with |x|.  The paired-comparison analogue
-    uses parameter differences; see bt_model.bt_bn_cn.
+    equals 2 + 2 cosh(x) and grows with |x|.
     """
     b = as_model_params(beta, "beta")
     n = b.size

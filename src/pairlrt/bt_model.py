@@ -86,16 +86,6 @@ def bt_fisher_info(beta, table: ComparisonTable, classes=None) -> np.ndarray:
     return full[1:, 1:] if classes is None else full
 
 
-def bt_bn_cn(beta) -> tuple[float, float]:
-    """Reciprocal variance extremes over pairs, driven by |b_i - b_j|."""
-    b = as_model_params(beta, "bt")
-    if b.size < 2:
-        raise ValueError("need at least two parameters")
-    iu = np.triu_indices(b.size, k=1)
-    x = np.abs(_pair_diffs(b)[iu])
-    return 2.0 + 2.0 * math.cosh(float(x.max())), 2.0 + 2.0 * math.cosh(float(x.min()))
-
-
 def strongly_connected(table: ComparisonTable) -> bool:
     """True when the directed graph with an arc i -> j for each win is strongly connected."""
     adj = csr_matrix((table.wins > 0).astype(np.int8))
@@ -188,20 +178,15 @@ def simulate_comparisons(beta, k, rng: np.random.Generator) -> ComparisonTable:
     n = b.size
     if n < 3:
         raise ValueError("need at least three subjects")
-    if np.isscalar(k):
-        kk = int(k)
-        if kk < 0:
-            raise ValueError("comparison count must be nonnegative")
-        totals = np.full((n, n), kk, dtype=np.int64)
-        np.fill_diagonal(totals, 0)
-    else:
-        totals = np.asarray(k)
-        if totals.shape != (n, n):
-            raise ValueError("totals matrix shape must match the parameter length")
-        if not np.array_equal(totals, totals.T) or np.any(totals < 0):
-            raise ValueError("totals must be symmetric and nonnegative")
-        totals = totals.astype(np.int64)
-        np.fill_diagonal(totals, 0)
+    totals = np.full((n, n), k) if np.isscalar(k) else np.asarray(k)
+    if totals.shape != (n, n):
+        raise ValueError("totals matrix shape must match the parameter length")
+    if not np.array_equal(totals, totals.T) or np.any(totals < 0):
+        raise ValueError("comparison counts must be symmetric and nonnegative")
+    if not np.all(np.isfinite(totals) & (totals == np.round(totals))):
+        raise ValueError("comparison counts must be whole numbers")
+    totals = totals.astype(np.int64)
+    np.fill_diagonal(totals, 0)
     iu = np.triu_indices(n, k=1)
     p = expit(_pair_diffs(b)[iu])
     upper = rng.binomial(totals[iu], p)

@@ -113,6 +113,11 @@ def _load_scenario(
     overrides: dict,
 ) -> montecarlo.Scenario:
     if scenario_path:
+        if preset:
+            raise ValueError("give either --scenario <file> or --preset <name>, not both")
+        for key in ("model", "n", "r", "L", "c", "k"):
+            if overrides.get(key) is not None:
+                raise ValueError(f"--{key} cannot change a --scenario file; edit the file instead")
         with open(scenario_path) as fh:
             d = json.load(fh)
         for key in ("seed", "reps", "alphas"):

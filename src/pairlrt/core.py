@@ -168,41 +168,12 @@ class ComparisonTable:
         return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class ParameterVector:
-    """A parameter vector tagged with the model it belongs to.
+def as_model_params(beta, model: str) -> np.ndarray:
+    """Return ``beta`` as a validated plain array for ``model``.
 
     For the paired-comparison model the first entry is the reference subject
     and must be exactly zero.
     """
-
-    beta: np.ndarray
-    model: str
-
-    def __post_init__(self) -> None:
-        if self.model not in ("beta", "bt"):
-            raise ValueError(f"unknown model tag {self.model!r}")
-        b = np.asarray(self.beta, dtype=float)
-        if b.ndim != 1:
-            raise ValueError("parameter vector must be one-dimensional")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("parameters must be finite")
-        if self.model == "bt" and b.size and b[0] != 0.0:
-            raise ValueError("reference subject parameter must be 0")
-        b.setflags(write=False)
-        object.__setattr__(self, "beta", b)
-
-    @property
-    def n(self) -> int:
-        return self.beta.size
-
-
-def as_model_params(beta, model: str) -> np.ndarray:
-    """Return a validated plain array for ``model`` from an array or ParameterVector."""
-    if isinstance(beta, ParameterVector):
-        if beta.model != model:
-            raise ValueError(f"parameter vector is tagged {beta.model!r}, expected {model!r}")
-        return beta.beta
     b = np.asarray(beta, dtype=float)
     if b.ndim != 1:
         raise ValueError("parameter vector must be one-dimensional")
@@ -496,7 +467,3 @@ def load_vector(source: TextSource) -> np.ndarray:
         raise DataFormatError("empty input")
     return np.asarray(values, dtype=float)
 
-
-def degrees(data: Union[UndirectedGraph, ComparisonTable]) -> np.ndarray:
-    """Degree sequence of a graph, or win totals of a comparison table."""
-    return data.degrees

@@ -17,14 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
-from .beta_model import bn_cn, fisher_info, interaction_variances
+from .beta_model import bn_cn, fisher_info
 from .core import as_model_params
-
-
-def _mu_prime(x: np.ndarray | float) -> np.ndarray | float:
-    return expit(x) * expit(-x)
 
 
 def inverse_error_bound(b_n: float, c_n: float, n: int) -> float:
@@ -80,31 +75,6 @@ class ApproxReport:
         return out
 
 
-@dataclass(frozen=True)
-class HomogeneousInfo:
-    """Reduced information matrix for a leading block tied to a common value.
-
-    The first coordinate aggregates the tied block; the rest are the free
-    tail.  S_tilde holds the reciprocal diagonal used as the inverse
-    approximant.
-    """
-
-    tilde_v11: float
-    tilde_v1j: np.ndarray
-    V22: np.ndarray
-    S_tilde: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        m = 1 + self.V22.shape[0]
-        out = np.empty((m, m))
-        out[0, 0] = self.tilde_v11
-        out[0, 1:] = self.tilde_v1j
-        out[1:, 0] = self.tilde_v1j
-        out[1:, 1:] = self.V22
-        return out
-
-
 def diag_approx(V: np.ndarray, r: int = 0) -> np.ndarray:
     """Reciprocal diagonal of the trailing block of V starting at index r."""
     V = np.asarray(V, dtype=float)
@@ -146,6 +116,26 @@ def _safe_inverse(V: np.ndarray) -> tuple[Optional[np.ndarray], Optional[float]]
     return inv, None
 
 
+def _approx_report(b: np.ndarray, matrices: list, bound_of) -> ApproxReport:
+    """Worst error of the reciprocal-diagonal approximant over ``matrices``.
+
+    bound_of(b_n, c_n, n) gives the certified bound; linf_inverse is the
+    largest entry of the first matrix's inverse.
+    """
+    n = b.size
+    diag = bn_cn(b)
+    bound = bound_of(diag.b_n, diag.c_n, n)
+    _, hi = inverse_entry_window(diag.b_n, diag.c_n, n)
+    invs = []
+    for M in matrices:
+        inv, cond = _safe_inverse(M)
+        if inv is None:
+            return ApproxReport(float("inf"), bound, False, float("inf"), hi, condition=cond)
+        invs.append(inv)
+    err = max(float(np.abs(inv - np.diag(diag_approx(M))).max()) for M, inv in zip(matrices, invs))
+    return ApproxReport(err, bound, err <= bound, float(np.abs(invs[0]).max()), hi)
+
+
 def check_inverse_bound(beta, r: int = 0) -> ApproxReport:
     """Compare the inverses of V and its trailing block against their
     reciprocal-diagonal approximants.
@@ -154,59 +144,31 @@ def check_inverse_bound(beta, r: int = 0) -> ApproxReport:
     of the full and trailing-block comparisons.
     """
     b = as_model_params(beta, "beta")
-    n = b.size
-    diag = bn_cn(b)
-    bound = inverse_error_bound(diag.b_n, diag.c_n, n)
-    lo, hi = inverse_entry_window(diag.b_n, diag.c_n, n)
+    if not 0 <= r < b.size:
+        raise ValueError(f"block offset must satisfy 0 <= r < {b.size}")
     V = fisher_info(b)
-    inv_full, cond = _safe_inverse(V)
-    if inv_full is None:
-        return ApproxReport(float("inf"), bound, False, float("inf"), hi, condition=cond)
-    errors = [float(np.abs(inv_full - np.diag(diag_approx(V, 0))).max())]
-    if r > 0:
-        inv_block, cond = _safe_inverse(V[r:, r:])
-        if inv_block is None:
-            return ApproxReport(float("inf"), bound, False, float("inf"), hi, condition=cond)
-        errors.append(float(np.abs(inv_block - np.diag(diag_approx(V, r))).max()))
-    err = max(errors)
-    linf = float(np.abs(inv_full).max())
-    return ApproxReport(err, bound, err <= bound, linf, hi)
+    return _approx_report(b, [V, V[r:, r:]] if r > 0 else [V], inverse_error_bound)
 
 
-def build_homogeneous_info(beta, r: int) -> HomogeneousInfo:
-    """Assemble the reduced information matrix when the first r parameters are tied."""
+def build_homogeneous_info(beta, r: int) -> np.ndarray:
+    """Reduced information matrix when the first r parameters are tied.
+
+    It is the class-map information with the tied block as one class and
+    each later node its own, (1 + n - r)-square: the first coordinate is the
+    block summed, the rest are the free tail.
+    """
     b = as_model_params(beta, "beta")
     n = b.size
     if not 1 <= r <= n:
         raise ValueError(f"r must be in [1, {n}]")
     if not np.all(np.abs(b[:r] - b[0]) <= 1e-12):
         raise ValueError("leading block is not tied")
-    gamma = float(b[0])
-    tail = b[r:]
-    tilde_v1j = r * _mu_prime(gamma + tail)
-    tilde_v11 = 2.0 * r * (r - 1) * float(_mu_prime(2.0 * gamma)) + float(tilde_v1j.sum())
-    if r < n:
-        V22 = fisher_info(b)[r:, r:]
-        s_tail = 1.0 / np.diag(V22)
-    else:
-        V22 = np.zeros((0, 0))
-        s_tail = np.zeros(0)
-    S_tilde = np.concatenate(([1.0 / tilde_v11], s_tail))
-    return HomogeneousInfo(tilde_v11=tilde_v11, tilde_v1j=tilde_v1j, V22=V22, S_tilde=S_tilde)
+    classes = np.concatenate([np.zeros(r, dtype=int), np.arange(1, n - r + 1)])
+    return fisher_info(np.concatenate([b[:1], b[r:]]), classes=classes)
 
 
 def check_homogeneous_bound(beta, r: int) -> ApproxReport:
     """Error of the reciprocal-diagonal approximant for the tied-block reduction."""
     b = as_model_params(beta, "beta")
-    n = b.size
-    info = build_homogeneous_info(b, r)
-    diag = bn_cn(b)
-    bound = tied_inverse_error_bound(diag.b_n, diag.c_n, n)
-    _, hi = inverse_entry_window(diag.b_n, diag.c_n, n)
-    M = info.matrix
-    inv, cond = _safe_inverse(M)
-    if inv is None:
-        return ApproxReport(float("inf"), bound, False, float("inf"), hi, condition=cond)
-    err = float(np.abs(inv - np.diag(info.S_tilde)).max())
-    linf = float(np.abs(inv).max())
-    return ApproxReport(err, bound, err <= bound, linf, hi)
+    M = build_homogeneous_info(b, r)
+    return _approx_report(b, [M], tied_inverse_error_bound)

@@ -117,16 +117,12 @@ def reference_distribution(model: str, null: NullHypothesis, regime: str) -> Ref
         raise ValueError("null with r=0 constrains nothing; there is no test")
     if regime == "growing":
         return NormalizedGaussian()
-    if model == "beta":
-        df = null.r if null.kind == "specified" else null.r - 1
-        if df < 1:
-            raise ValueError("homogeneous null needs r >= 2 to constrain anything")
-        return ChiSquare(df)
-    if null.kind == "homogeneous":
-        if null.r <= 2:
-            raise ValueError("comparison-model homogeneous test needs r > 2")
-        return ChiSquare(null.r - 2)
-    return Bootstrap()
+    if model == "bt" and null.kind == "specified":
+        return Bootstrap()
+    df = constraint_count(model, null)
+    if df < 1:
+        raise ValueError(f"homogeneous null with r={null.r} constrains nothing in model {model!r}")
+    return ChiSquare(df)
 
 
 def fit_pair(data: Union[UndirectedGraph, ComparisonTable], null: NullHypothesis, tol: float = 1e-8) -> tuple:
@@ -239,6 +235,28 @@ def bootstrap_tail(
     return (1.0 + exceed) / (len(stats) + 1.0), len(stats)
 
 
+def p_value(
+    reference: Reference,
+    stat: float,
+    data: Union[UndirectedGraph, ComparisonTable],
+    null: NullHypothesis,
+    beta_null: np.ndarray,
+    rng: np.random.Generator,
+    tol: float,
+) -> tuple[float, Optional[int]]:
+    """p-value of stat under reference, and the number of usable bootstrap replicates.
+
+    The growing regime reads the chi-square(r) surrogate.  A bootstrap draws
+    from the restricted fit beta_null (see bootstrap_tail); without one the
+    replicate count is None.
+    """
+    if isinstance(reference, NormalizedGaussian):
+        return chi_square_sf(stat, null.r), None
+    if isinstance(reference, ChiSquare):
+        return chi_square_sf(stat, reference.df), None
+    return bootstrap_tail(data, null, stat, beta_null, reference.B, rng, tol)
+
+
 def run_test(
     data: Union[UndirectedGraph, ComparisonTable],
     null: NullHypothesis,
@@ -269,14 +287,20 @@ def run_test(
     warnings: list = []
     diagnostics: dict = {}
     normalized_stat: Optional[float] = None
-    r = null.r
+    if isinstance(reference, Bootstrap):
+        warnings.append(
+            "no asymptotic reference for a fixed specified null in the comparison model; "
+            "using a parametric bootstrap"
+        )
+        reference = Bootstrap(bootstrap_reps)
+        if rng is None:
+            rng = np.random.default_rng(0)
+    p, used = p_value(reference, stat, data, null, restricted.beta_hat, rng, tol)
     if regime == "growing":
+        r = null.r
         normalized_stat = _normalized(stat, float(r))
-        p_normal = normal_cdf(-normalized_stat)
-        p_surrogate = chi_square_sf(stat, r)
-        p_value = p_surrogate
-        diagnostics["p_value_normal"] = p_normal
-        diagnostics["p_value_chi_square"] = p_surrogate
+        diagnostics["p_value_normal"] = normal_cdf(-normalized_stat)
+        diagnostics["p_value_chi_square"] = p
         diagnostics["surrogate_df"] = r
         k = constraint_count(model, null)
         if k != r and k >= 1:
@@ -288,18 +312,8 @@ def run_test(
             warnings.append(
                 f"growing-regime approximation is doubtful: r={r} is below (log n)^2={math.log(data.n) ** 2:.1f}"
             )
-    elif isinstance(reference, ChiSquare):
-        p_value = chi_square_sf(stat, reference.df)
-    else:
-        warnings.append(
-            "no asymptotic reference for a fixed specified null in the comparison model; "
-            "using a parametric bootstrap"
-        )
-        if rng is None:
-            rng = np.random.default_rng(0)
-        reference = Bootstrap(bootstrap_reps)
-        p_value, used = bootstrap_tail(data, null, stat, restricted.beta_hat, bootstrap_reps, rng, tol)
-        if math.isnan(p_value):
+    elif used is not None:
+        if math.isnan(p):
             raise RuntimeError(
                 f"only {used} of {bootstrap_reps} bootstrap replicates had existing maximizers"
             )
@@ -313,7 +327,7 @@ def run_test(
         stat=stat,
         reference=reference,
         normalized_stat=normalized_stat,
-        p_value=p_value,
+        p_value=p,
         exists_full=True,
         exists_null=True,
         warnings=warnings,

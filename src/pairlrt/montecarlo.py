@@ -101,7 +101,7 @@ class Scenario:
     def from_dict(cls, d: dict) -> "Scenario":
         k = d.get("k")
         if isinstance(k, list):
-            k = np.asarray(k, dtype=np.int64)
+            k = np.asarray(k)
         return cls(
             name=d.get("name", "custom"),
             model=d["model"],
@@ -223,7 +223,6 @@ class MCReport:
     reps_used: int
     stats: np.ndarray
     pvalues: Optional[np.ndarray] = None
-    qq: Optional[np.ndarray] = None
     bootstrap_short: int = 0
 
     def to_dict(self) -> dict:
@@ -266,12 +265,7 @@ def _one_replicate(scenario: Scenario, index: int, stats_only: bool):
     if stats_only:
         return index, stat, float("nan")
     reference = lrt.reference_distribution(scenario.model, null, scenario.regime)
-    if scenario.regime == "growing":
-        p = lrt.chi_square_sf(stat, null.r)
-    elif isinstance(reference, lrt.ChiSquare):
-        p = lrt.chi_square_sf(stat, reference.df)
-    else:
-        p, _ = lrt.bootstrap_tail(data, null, stat, restr.beta_hat, reference.B, rng, bt_model.TOL_SCORE)
+    p, _ = lrt.p_value(reference, stat, data, null, restr.beta_hat, rng, bt_model.TOL_SCORE)
     return index, stat, p
 
 

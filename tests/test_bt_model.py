@@ -212,6 +212,19 @@ def test_simulate_wins_partition(rng):
     assert np.all(table.wins >= 0)
 
 
+def test_simulate_rejects_fractional_counts(rng):
+    beta = np.array([0.0, 0.5, -0.5, 0.2])
+    with pytest.raises(ValueError, match="whole numbers"):
+        btm.simulate_comparisons(beta, 2.7, rng)
+    k = np.full((4, 4), 2.0)
+    k[1, 2] = k[2, 1] = 2.5
+    with pytest.raises(ValueError, match="whole numbers"):
+        btm.simulate_comparisons(beta, k, rng)
+    # integral floats are whole counts
+    assert btm.simulate_comparisons(beta, 2.0, rng).totals[0, 1] == 2
+    assert btm.simulate_comparisons(beta, np.full((4, 4), 2.0), rng).totals[0, 1] == 2
+
+
 def test_simulate_mean_wins(rng):
     beta = np.zeros(100)
     tot = [btm.simulate_comparisons(beta, 1, rng).degrees[0] for _ in range(500)]

@@ -169,6 +169,20 @@ def test_power_custom_alpha_and_scenario_file(runner, tmp_path):
     assert list(payload["rejection_rate"]) == ["0.02"]
 
 
+@pytest.mark.parametrize("verb", ["power", "simulate"])
+@pytest.mark.parametrize(
+    "option",
+    [["--model", "bt"], ["--n", "40"], ["--r", "4"], ["--L", "2.0"], ["--c", "0.5"], ["--k", "2"], ["--preset", "H02"]],
+)
+def test_scenario_file_rejects_design_options(runner, tmp_path, verb, option):
+    scenario = mc.build_scenario("H04", n=12, r=3, reps=4, seed=11)
+    sfile = tmp_path / "scenario.json"
+    sfile.write_text(json.dumps(scenario.to_dict()))
+    res = runner.invoke(main, [verb, "--scenario", str(sfile), *option])
+    assert res.exit_code == 2
+    assert option[0] in res.stderr
+
+
 def test_power_requires_some_design(runner):
     res = runner.invoke(main, ["power", "--reps", "5"])
     assert res.exit_code == 2

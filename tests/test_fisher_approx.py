@@ -60,6 +60,9 @@ def test_bound_independent_of_block_offset():
     rep1 = fa.check_inverse_bound(beta, 1)
     assert rep0.bound == rep1.bound
     assert rep0.linf_bound == rep1.linf_bound
+    for r in (-1, 12):
+        with pytest.raises(ValueError, match="block offset"):
+            fa.check_inverse_bound(beta, r)
 
 
 def test_window_and_bounds_on_grids():
@@ -83,11 +86,11 @@ def test_matrix_class_membership():
 
 
 def test_homogeneous_info_frozen_values():
-    info = fa.build_homogeneous_info(np.zeros(4), 2)
-    assert info.tilde_v11 == pytest.approx(2.0, abs=1e-14)
-    info2 = fa.build_homogeneous_info(np.zeros(100), 50)
-    assert info2.tilde_v11 == pytest.approx(1850.0, abs=1e-10)
-    assert info2.S_tilde[0] == pytest.approx(1 / 1850.0)
+    M = fa.build_homogeneous_info(np.zeros(4), 2)
+    assert M[0, 0] == pytest.approx(2.0, abs=1e-14)
+    M2 = fa.build_homogeneous_info(np.zeros(100), 50)
+    assert M2[0, 0] == pytest.approx(1850.0, abs=1e-10)
+    assert fa.diag_approx(M2)[0] == pytest.approx(1 / 1850.0)
     with pytest.raises(ValueError):
         fa.build_homogeneous_info(np.array([0.0, 0.1, 0.2, 0.3]), 2)
 
@@ -98,7 +101,7 @@ def test_homogeneous_info_is_reduced_hessian(rng):
 
     n, r = 7, 3
     beta = np.concatenate([np.full(r, 0.4), rng.uniform(-1, 1, n - r)])
-    info = fa.build_homogeneous_info(beta, r)
+    M = fa.build_homogeneous_info(beta, r)
     g = UndirectedGraph.from_edges(n, [(0, 1), (2, 5), (4, 6)])
 
     def reduced_loglik(x):
@@ -106,7 +109,7 @@ def test_homogeneous_info_is_reduced_hessian(rng):
 
     x0 = np.concatenate([[0.4], beta[r:]])
     H = fd_hessian(reduced_loglik, x0)
-    assert np.abs(info.matrix + H).max() <= 1e-4
+    assert np.abs(M + H).max() <= 1e-4
 
 
 def test_check_homogeneous_bound():
@@ -117,11 +120,11 @@ def test_check_homogeneous_bound():
     # bound has no r dependence
     rep5 = fa.check_homogeneous_bound(beta, 5)
     assert rep.bound == rep5.bound
-    # leading diagonal of the tied inverse is near 1/tilde_v11
-    info = fa.build_homogeneous_info(beta, 3)
-    lead = np.linalg.inv(info.matrix)[0, 0]
-    assert abs(lead - 1 / info.tilde_v11) <= rep.bound
-    assert lead < 1 / np.diag(info.V22).min()
+    # leading diagonal of the tied inverse is near 1/M[0, 0]
+    M = fa.build_homogeneous_info(beta, 3)
+    lead = np.linalg.inv(M)[0, 0]
+    assert abs(lead - 1 / M[0, 0]) <= rep.bound
+    assert lead < 1 / np.diag(M[1:, 1:]).min()
 
 
 def test_reconstruction_guard():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pairlrt import beta_model as bm
 from pairlrt import bt_model as btm
 from pairlrt import lrt
 from pairlrt import montecarlo as mc
@@ -106,6 +107,14 @@ def test_scenario_roundtrip_json():
     assert s2.to_dict() == s.to_dict()
 
 
+def test_scenario_json_rejects_fractional_counts():
+    s = mc.build_scenario("H03", model="bt", n=4, values=[0.0, 0.0], k=2, reps=1)
+    for k in (2.7, np.where(np.eye(4) == 1, 0.0, 2.5).tolist()):
+        d = json.loads(json.dumps({**s.to_dict(), "k": k}))
+        with pytest.raises(ValueError, match="whole numbers"):
+            mc.run_type1(mc.Scenario.from_dict(d))
+
+
 def test_run_type1_guards_null():
     s = mc.build_scenario("PowerBeta", n=20, r=4, c=0.8, reps=5)
     with pytest.raises(ValueError, match="null"):
@@ -206,9 +215,20 @@ def test_linear_profile():
         mc.linear_profile(1, 2.0)
 
 
-def test_bootstrap_replicate_runs_end_to_end():
-    # comparison-model specified nulls in the fixed regime are bootstrap-calibrated
-    s = mc.build_scenario("H03", model="bt", n=8, values=[0.0, 0.0], k=2, reps=1)
+@pytest.mark.parametrize(
+    "preset, params",
+    [
+        # comparison-model specified nulls in the fixed regime are bootstrap-calibrated
+        ("H03", dict(model="bt", n=8, values=[0.0, 0.0], k=2)),
+        # graph-model homogeneous null, fixed regime: chi-square with r - 1 df
+        ("H04", dict(n=30, r=5)),
+        # growing regime: the chi-square(r) surrogate
+        ("H02", dict(n=30)),
+    ],
+    ids=["bootstrap", "fixed", "growing"],
+)
+def test_bootstrap_replicate_runs_end_to_end(preset, params):
+    s = mc.build_scenario(preset, reps=1, **params)
     rep = mc.run_type1(s)
     assert set(rep.rejection_rate) == {0.05, 0.10}
     assert 0.0 < rep.pvalues[0] <= 1.0
@@ -216,8 +236,11 @@ def test_bootstrap_replicate_runs_end_to_end():
 
     # the same stream, after the simulation draw, gives run_test's p-value
     rng = mc.replicate_rng(s.seed, 0)
-    table = btm.simulate_comparisons(s.true_beta, s.k, rng)
-    assert rep.pvalues[0] == lrt.run_test(table, s.null, "fixed", rng=rng).p_value
+    if s.model == "bt":
+        data = btm.simulate_comparisons(s.true_beta, s.k, rng)
+    else:
+        data = bm.simulate_graph(s.true_beta, rng)
+    assert rep.pvalues[0] == lrt.run_test(data, s.null, s.regime, rng=rng).p_value
 
 
 def test_short_bootstrap_left_out_of_rates(monkeypatch):
