@@ -16,9 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from .core import Fit, NullHypothesis, UndirectedGraph, as_model_params, newton_ascent, nonexistent_fit
-
-TOL_SCORE = 1e-8
+from .core import TOL_SCORE, Fit, NullHypothesis, UndirectedGraph, as_model_params, newton_ascent, nonexistent_fit
 
 
 def _pair_logits(beta: np.ndarray) -> np.ndarray:

@@ -16,9 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.special import expit
 
-from .core import ComparisonTable, Fit, NullHypothesis, as_model_params, newton_ascent, nonexistent_fit
-
-TOL_SCORE = 1e-8
+from .core import TOL_SCORE, ComparisonTable, Fit, NullHypothesis, as_model_params, newton_ascent, nonexistent_fit
 
 
 def _pair_diffs(beta: np.ndarray) -> np.ndarray:
@@ -124,19 +122,16 @@ def _fit_classes(table: ComparisonTable, classes: np.ndarray, fixed: np.ndarray,
     return Fit(beta, ll, iters, converged, True, gnorm)
 
 
-def bt_fit_mle(table: ComparisonTable, *, tol: float = TOL_SCORE, init=None) -> Fit:
+def bt_fit_mle(table: ComparisonTable, *, tol: float = TOL_SCORE) -> Fit:
     """Fit the n-1 free merit parameters.
 
     Existence is decided up front by strong connectivity.  Newton steps
-    start from ``init`` (zero by default) on every subject but the reference.
+    start from zero on every subject but the reference.
     """
     n = table.n
     if not strongly_connected(table):
         return nonexistent_fit(np.zeros(n))
-    theta = np.zeros(n - 1) if init is None else as_model_params(init, "bt")[1:]
-    if theta.size != n - 1:
-        raise ValueError(f"init length {theta.size + 1} does not match n={n}")
-    return _fit_classes(table, np.arange(n), np.zeros(1), theta, tol)
+    return _fit_classes(table, np.arange(n), np.zeros(1), np.zeros(n - 1), tol)
 
 
 def bt_fit_restricted(table: ComparisonTable, null: NullHypothesis, *, tol: float = TOL_SCORE) -> Fit:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import beta_model, bt_model, fisher_approx, lrt, moments_oracle, montecarlo
 from .core import (
+    TOL_SCORE,
     ComparisonTable,
     DataFormatError,
     NonexistentMLEError,
@@ -107,27 +108,21 @@ def _load_data(model: str, path: str):
     return load_edge_list(text) if model == "beta" else load_comparisons(text)
 
 
-def _load_scenario(
-    scenario_path: Optional[str],
-    preset: Optional[str],
-    overrides: dict,
-) -> montecarlo.Scenario:
+def _load_scenario(scenario_path: Optional[str], preset: Optional[str], **overrides) -> montecarlo.Scenario:
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     if scenario_path:
         if preset:
             raise ValueError("give either --scenario <file> or --preset <name>, not both")
         for key in ("model", "n", "r", "L", "c", "k"):
-            if overrides.get(key) is not None:
+            if key in overrides:
                 raise ValueError(f"--{key} cannot change a --scenario file; edit the file instead")
         with open(scenario_path) as fh:
             d = json.load(fh)
-        for key in ("seed", "reps", "alphas"):
-            if overrides.get(key) is not None:
-                d[key] = overrides[key]
+        d.update(overrides)  # only seed, reps and alphas are left
         return montecarlo.Scenario.from_dict(d)
     if not preset:
         raise ValueError("give either --scenario <file> or --preset <name>")
-    kwargs = {k: v for k, v in overrides.items() if v is not None}
-    return montecarlo.build_scenario(preset, **kwargs)
+    return montecarlo.build_scenario(preset, **overrides)
 
 
 _scenario_options = [
@@ -159,7 +154,7 @@ def main() -> None:
 @click.option("--model", type=click.Choice(["beta", "bt"]), required=True)
 @click.option("--input", "input_path", required=True, help="Data file, or - for stdin.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@click.option("--tol", type=float, default=TOL_SCORE, show_default=True)
 @_guard
 def fit(model: str, input_path: str, out: Optional[str], tol: float) -> None:
     """Maximum-likelihood fit; reports parameters and approximate standard errors."""
@@ -223,17 +218,10 @@ def test(
 @click.option("--index", type=int, default=0, show_default=True, help="Replicate index to draw.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
-def simulate(scenario_path, preset, model, n, r, L, c, k, reps, seed, index, out) -> None:
+def simulate(index, out, **design) -> None:
     """Draw one dataset from a scenario's generating parameters."""
-    scenario = _load_scenario(
-        scenario_path, preset,
-        {"model": model, "n": n, "r": r, "L": L, "c": c, "k": k, "reps": reps, "seed": seed},
-    )
-    rng = montecarlo.replicate_rng(scenario.seed, index)
-    if scenario.model == "beta":
-        data = beta_model.simulate_graph(scenario.true_beta, rng)
-    else:
-        data = bt_model.simulate_comparisons(scenario.true_beta, scenario.k, rng)
+    scenario = _load_scenario(**design)
+    data = montecarlo.simulate(scenario, montecarlo.replicate_rng(scenario.seed, index))
     click.echo(f"simulated {scenario.model} dataset, n={scenario.n}, replicate {index}", err=True)
     _emit_text(data.to_text(), out)
 
@@ -245,13 +233,9 @@ def simulate(scenario_path, preset, model, n, r, L, c, k, reps, seed, index, out
 @click.option("--stats-csv", type=click.Path(dir_okay=False), default=None, help="Dump replicate statistics.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
-def power(scenario_path, preset, model, n, r, L, c, k, reps, seed, alphas, workers, stats_csv, out) -> None:
+def power(alphas, workers, stats_csv, out, **design) -> None:
     """Monte Carlo rejection rates (Type I error for null-true scenarios, power otherwise)."""
-    scenario = _load_scenario(
-        scenario_path, preset,
-        {"model": model, "n": n, "r": r, "L": L, "c": c, "k": k, "reps": reps, "seed": seed,
-         "alphas": tuple(alphas) or None},
-    )
+    scenario = _load_scenario(alphas=tuple(alphas) or None, **design)
     if scenario.kind == "type1":
         report = montecarlo.run_type1(scenario, workers=workers)
     else:
@@ -272,12 +256,9 @@ def power(scenario_path, preset, model, n, r, L, c, k, reps, seed, alphas, worke
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
-def qq(scenario_path, preset, model, n, r, L, c, k, reps, seed, reference, workers, out) -> None:
+def qq(reference, workers, out, **design) -> None:
     """Quantile pairs of the statistic against a reference law, as CSV."""
-    scenario = _load_scenario(
-        scenario_path, preset,
-        {"model": model, "n": n, "r": r, "L": L, "c": c, "k": k, "reps": reps, "seed": seed},
-    )
+    scenario = _load_scenario(**design)
     ref = None
     if reference:
         if reference.startswith("chi2:"):

@@ -10,15 +10,14 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
 MIN_NODES = 3
 MAX_NEWTON = 100
 DIVERGENCE_CAP = 40.0
-
-TextSource = Union[str, IO[str], Iterable[str]]
+TOL_SCORE = 1e-8
 
 
 class DataFormatError(ValueError):
@@ -34,13 +33,9 @@ class NonexistentMLEError(RuntimeError):
         self.exists_null = exists_null
 
 
-def _content_lines(source: TextSource) -> Iterator[tuple[int, str]]:
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
     """Yield (line_number, payload) pairs with comments and blanks stripped."""
-    if isinstance(source, str):
-        lines: Iterable[str] = io.StringIO(source)
-    else:
-        lines = source
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
             yield lineno, body
@@ -364,12 +359,12 @@ def _plain_edges(text: str) -> Optional[tuple[Optional[int], np.ndarray]]:
     return (declared, rows) if valid else None
 
 
-def _scan_edge_list(source: TextSource) -> tuple[Optional[int], list[tuple[int, int]]]:
+def _scan_edge_list(text: str) -> tuple[Optional[int], list[tuple[int, int]]]:
     """(declared n, edges) line by line; raises at the first malformed line."""
     declared: Optional[int] = None
     edges: list[tuple[int, int]] = []
     saw_content = False
-    for lineno, body in _content_lines(source):
+    for lineno, body in _content_lines(text):
         if body.startswith("n=") and not saw_content:
             declared = _parse_header(body, lineno)
             saw_content = True
@@ -394,24 +389,24 @@ def _scan_edge_list(source: TextSource) -> tuple[Optional[int], list[tuple[int, 
     return declared, edges
 
 
-def load_edge_list(source: TextSource) -> UndirectedGraph:
+def load_edge_list(text: str) -> UndirectedGraph:
     """Parse an undirected edge list.
 
     Lines hold two ids separated by whitespace or a comma.  Duplicate edges
     collapse to one.  Rejects self-loops, ids outside a declared n, and empty
-    input.  A string whose edge lines hold plain digits only (no comments or
-    commas after the header) is read in one numpy pass; any other input is
+    input.  A text whose edge lines hold plain digits only (no comments or
+    commas after the header) is read in one numpy pass; any other text is
     scanned line by line.
     """
-    plain = _plain_edges(source) if isinstance(source, str) else None
-    declared, edges = plain if plain is not None else _scan_edge_list(source)
+    plain = _plain_edges(text)
+    declared, edges = plain if plain is not None else _scan_edge_list(text)
     n = declared if declared is not None else int(np.max(edges, initial=-1)) + 1
     if n < MIN_NODES:
         raise DataFormatError(f"need at least {MIN_NODES} nodes, inferred n={n}")
     return UndirectedGraph.from_edges(n, edges)
 
 
-def load_comparisons(source: TextSource) -> ComparisonTable:
+def load_comparisons(text: str) -> ComparisonTable:
     """Parse comparison records ``i,j,w`` meaning subject i beat subject j w times.
 
     Repeated (i, j) records accumulate.
@@ -420,7 +415,7 @@ def load_comparisons(source: TextSource) -> ComparisonTable:
     records: list[tuple[int, int, int]] = []
     max_id = -1
     saw_content = False
-    for lineno, body in _content_lines(source):
+    for lineno, body in _content_lines(text):
         if body.startswith("n=") and not saw_content:
             declared = _parse_header(body, lineno)
             saw_content = True
@@ -455,10 +450,10 @@ def load_comparisons(source: TextSource) -> ComparisonTable:
     return ComparisonTable(wins)
 
 
-def load_vector(source: TextSource) -> np.ndarray:
+def load_vector(text: str) -> np.ndarray:
     """Parse one float per line, with the usual comment and blank handling."""
     values: list[float] = []
-    for lineno, body in _content_lines(source):
+    for lineno, body in _content_lines(text):
         try:
             values.append(float(body))
         except ValueError:

@@ -26,6 +26,7 @@ from scipy.special import chdtri, gammainc, gammaincc, ndtr, ndtri
 
 from . import beta_model, bt_model
 from .core import (
+    TOL_SCORE,
     ComparisonTable,
     NonexistentMLEError,
     NullHypothesis,
@@ -125,7 +126,7 @@ def reference_distribution(model: str, null: NullHypothesis, regime: str) -> Ref
     return ChiSquare(df)
 
 
-def fit_pair(data: Union[UndirectedGraph, ComparisonTable], null: NullHypothesis, tol: float = 1e-8) -> tuple:
+def fit_pair(data: Union[UndirectedGraph, ComparisonTable], null: NullHypothesis, tol: float = TOL_SCORE) -> tuple:
     """The (full, restricted) maximum-likelihood fits of the data's model under null."""
     if isinstance(data, ComparisonTable):
         return bt_model.bt_fit_mle(data, tol=tol), bt_model.bt_fit_restricted(data, null, tol=tol)
@@ -264,7 +265,7 @@ def run_test(
     *,
     bootstrap_reps: int = DEFAULT_BOOTSTRAP_B,
     rng: Optional[np.random.Generator] = None,
-    tol: float = 1e-8,
+    tol: float = TOL_SCORE,
 ) -> TestReport:
     """Fit the full and restricted models and assemble the test report.
 

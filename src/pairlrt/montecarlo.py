@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from . import beta_model, bt_model, lrt
-from .core import NonexistentMLEError, NullHypothesis
+from .core import TOL_SCORE, NonexistentMLEError, NullHypothesis
 
 PRESETS = ("H01", "H02", "H03", "H04", "PowerBeta", "PowerBT", "NBASmall")
 DEFAULT_ALPHAS = (0.05, 0.10)
@@ -141,6 +142,7 @@ def build_scenario(preset: str, **params) -> Scenario:
     Common parameters: n, reps, seed, alphas, model (graph designs accept
     model="bt" with k).  Design-specific: L (profile height) for H01/H02/H04,
     explicit `values` plus L for H03, and (r, c) for the power presets.
+    PowerBeta is always a graph design and PowerBT/NBASmall comparison designs.
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {PRESETS}")
@@ -152,65 +154,40 @@ def build_scenario(preset: str, **params) -> Scenario:
     k = params.pop("k", None)
     if model == "bt" and k is None:
         k = 3 if preset == "NBASmall" else 1
+    regime, kind = "fixed", "type1"
 
     if preset in ("H01", "H02"):
-        L = float(params.pop("L", 0.0))
-        true = linear_profile(n, L)
+        regime = "growing"
+        true = linear_profile(n, float(params.pop("L", 0.0)))
         if preset == "H01":
-            if model == "beta":
-                null = NullHypothesis.specified(n, true)
-            else:
-                null = NullHypothesis.specified(n, true[1:])
-            regime = "growing"
+            null = NullHypothesis.specified(n, true if model == "beta" else true[1:])
         else:
             r = int(params.pop("r", n // 2))
-            true = true.copy()
             true[:r] = 0.0
             null = NullHypothesis.homogeneous(r)
-            regime = "growing"
-        scenario = Scenario(
-            name=preset, model=model, n=n, null=null, true_beta=true,
-            regime=regime, kind="type1", reps=reps, alphas=alphas, seed=seed, k=k,
-        )
     elif preset == "H03":
         values = np.asarray(params.pop("values"), dtype=float)
-        L = float(params.pop("L", 0.0))
-        if model == "beta":
-            r = values.size
-            head = values
-            null = NullHypothesis.specified(r, values)
-        else:
-            r = values.size + 1
-            head = np.concatenate([[0.0], values])
-            null = NullHypothesis.specified(r, values)
-        true = np.concatenate([head, _tail_profile(n, r, L)])
-        scenario = Scenario(
-            name=preset, model=model, n=n, null=null, true_beta=true,
-            regime="fixed", kind="type1", reps=reps, alphas=alphas, seed=seed, k=k,
-        )
+        head = values if model == "beta" else np.concatenate([[0.0], values])
+        null = NullHypothesis.specified(head.size, values)
+        true = np.concatenate([head, _tail_profile(n, head.size, float(params.pop("L", 0.0)))])
     elif preset == "H04":
         r = int(params.pop("r", 5))
-        L = float(params.pop("L", 0.0))
-        true = np.concatenate([np.zeros(r), _tail_profile(n, r, L)])
-        scenario = Scenario(
-            name=preset, model=model, n=n, null=NullHypothesis.homogeneous(r), true_beta=true,
-            regime="fixed", kind="type1", reps=reps, alphas=alphas, seed=seed, k=k,
-        )
+        null = NullHypothesis.homogeneous(r)
+        true = np.concatenate([np.zeros(r), _tail_profile(n, r, float(params.pop("L", 0.0)))])
     else:
         r = int(params.pop("r", 10 if preset == "NBASmall" else 5))
-        c = float(params.pop("c", 0.0))
-        true = _power_profile(n, r, c)
+        null = NullHypothesis.homogeneous(r)
+        true = _power_profile(n, r, float(params.pop("c", 0.0)))
+        kind = "power"
         if preset == "PowerBeta":
-            scenario = Scenario(
-                name=preset, model="beta", n=n, null=NullHypothesis.homogeneous(r), true_beta=true,
-                regime="fixed", kind="power", reps=reps, alphas=alphas, seed=seed,
-            )
+            model, k = "beta", None
         else:
+            model = "bt"
             true = true - true[0]
-            scenario = Scenario(
-                name=preset, model="bt", n=n, null=NullHypothesis.homogeneous(r), true_beta=true,
-                regime="fixed", kind="power", reps=reps, alphas=alphas, seed=seed, k=k,
-            )
+    scenario = Scenario(
+        name=preset, model=model, n=n, null=null, true_beta=true,
+        regime=regime, kind=kind, reps=reps, alphas=alphas, seed=seed, k=k,
+    )
     if params:
         raise ValueError(f"unused scenario parameters: {sorted(params)}")
     return scenario
@@ -247,7 +224,8 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, index)))
 
 
-def _simulate(scenario: Scenario, rng: np.random.Generator):
+def simulate(scenario: Scenario, rng: np.random.Generator):
+    """One dataset drawn from the scenario's generating parameters."""
     if scenario.model == "beta":
         return beta_model.simulate_graph(scenario.true_beta, rng)
     return bt_model.simulate_comparisons(scenario.true_beta, scenario.k, rng)
@@ -255,7 +233,7 @@ def _simulate(scenario: Scenario, rng: np.random.Generator):
 
 def _one_replicate(scenario: Scenario, index: int, stats_only: bool):
     rng = replicate_rng(scenario.seed, index)
-    data = _simulate(scenario, rng)
+    data = simulate(scenario, rng)
     null = scenario.null
     try:
         full, restr = lrt.fit_pair(data, null)
@@ -265,7 +243,7 @@ def _one_replicate(scenario: Scenario, index: int, stats_only: bool):
     if stats_only:
         return index, stat, float("nan")
     reference = lrt.reference_distribution(scenario.model, null, scenario.regime)
-    p, _ = lrt.p_value(reference, stat, data, null, restr.beta_hat, rng, bt_model.TOL_SCORE)
+    p, _ = lrt.p_value(reference, stat, data, null, restr.beta_hat, rng, TOL_SCORE)
     return index, stat, p
 
 
@@ -275,22 +253,24 @@ def _replicate_batch(args):
 
 
 def run_scenario(scenario: Scenario, *, workers: int = 1, stats_only: bool = False) -> MCReport:
-    """Run every replicate and aggregate; deterministic for fixed (scenario, seed)."""
+    """Run every replicate and aggregate; deterministic for fixed (scenario, seed).
+
+    The replicates run in index-ordered batches, in this process when
+    workers <= 1 and in a process pool otherwise; both read the batches
+    back in index order, so every result and every abort is the same for
+    any worker count.
+    """
     reps = scenario.reps
     stats = np.full(reps, np.nan)
     pvals = np.full(reps, np.nan)
-    if workers <= 1:
-        for i in range(reps):
-            _, stats[i], pvals[i] = _one_replicate(scenario, i, stats_only)
-            if i == 99 and reps > 200 and not np.any(np.isfinite(stats[:100])):
+    chunks = np.array_split(np.arange(reps), max(workers, 1) * 4)
+    jobs = [(scenario, chunk.tolist(), stats_only) for chunk in chunks if chunk.size]
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for batch in (pool.map if pool else map)(_replicate_batch, jobs):
+            for i, s, p in batch:
+                stats[i], pvals[i] = s, p
+            if batch[-1][0] >= 99 and reps > 200 and not np.any(np.isfinite(stats[:100])):
                 raise RuntimeError("first 100 replicates all lack a maximizer; aborting")
-    else:
-        chunks = np.array_split(np.arange(reps), max(workers * 4, 1))
-        jobs = [(scenario, chunk.tolist(), stats_only) for chunk in chunks if chunk.size]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(_replicate_batch, jobs):
-                for i, s, p in batch:
-                    stats[i], pvals[i] = s, p
     exists = np.isfinite(stats)
     used = int(exists.sum())
     nonexist = reps - used

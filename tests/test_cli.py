@@ -135,6 +135,15 @@ def test_simulate_is_deterministic(runner, tmp_path):
     assert other.read_bytes() != a.read_bytes()
 
 
+def test_simulate_comparison_preset_matches_library(runner):
+    res = runner.invoke(main, ["simulate", "--preset", "PowerBT", "--n", "12", "--r", "4",
+                               "--c", "0.8", "--k", "3", "--seed", "4", "--index", "2"])
+    assert res.exit_code == 0, res.output
+    scenario = mc.build_scenario("PowerBT", n=12, r=4, c=0.8, k=3, seed=4)
+    table = btm.simulate_comparisons(scenario.true_beta, 3, mc.replicate_rng(4, 2))
+    assert res.stdout == table.to_text()
+
+
 def test_power_verb_matches_library(runner, tmp_path):
     out = tmp_path / "report.json"
     csv = tmp_path / "stats.csv"

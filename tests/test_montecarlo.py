@@ -175,6 +175,13 @@ def test_nonexistence_tally_and_abort():
         mc.run_scenario(hopeless, stats_only=True)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_abort_rule_ignores_worker_count(workers):
+    hopeless = mc.build_scenario("H01", n=12, L=3.0, reps=240, seed=3)
+    with pytest.raises(RuntimeError, match="first 100 replicates all lack a maximizer"):
+        mc.run_scenario(hopeless, workers=workers, stats_only=True)
+
+
 def test_quantile_pairs_chi_square():
     stats = np.array([lrt.chi_square_quantile(q, 2) for q in (np.arange(1, 41) - 0.5) / 40])
     pairs = mc.quantile_pairs(stats, lrt.ChiSquare(2))
