@@ -224,8 +224,5 @@ def simulate_graph(beta, rng: np.random.Generator) -> UndirectedGraph:
         raise ValueError("need at least three nodes")
     iu = np.triu_indices(n, k=1)
     p = expit(_pair_logits(b)[iu])
-    draws = rng.random(p.size) < p
-    adj = np.zeros((n, n), dtype=np.int8)
-    adj[iu] = draws
-    adj += adj.T
-    return UndirectedGraph(adj)
+    drawn = np.flatnonzero(rng.random(p.size) < p)
+    return UndirectedGraph.from_edges(n, np.column_stack((iu[0][drawn], iu[1][drawn])))

@@ -46,6 +46,8 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         value = int(token)
     except ValueError:
         raise DataFormatError(f"line {lineno}: {what} {token!r} is not an integer") from None
+    if not -(2**63) <= value < 2**63:
+        raise DataFormatError(f"line {lineno}: {what} {token!r} is beyond the 64-bit integer range")
     return value
 
 
@@ -58,63 +60,66 @@ def _parse_header(body: str, lineno: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class UndirectedGraph:
-    """Simple undirected graph held as a dense symmetric 0/1 matrix."""
+    """Simple undirected graph on nodes 0..n-1, held as its edge set.
 
-    adj: np.ndarray
+    ``edges`` lists each edge once as a row (i, j) with i < j, rows sorted,
+    and ``degrees`` counts each node's edges; both are read-only.  Build one
+    with ``from_edges``, which validates and deduplicates the pairs.
+    """
+
+    n: int
+    edges: np.ndarray
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.adj)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("adjacency matrix must be square")
-        if a.shape[0] < MIN_NODES:
-            raise ValueError(f"need at least {MIN_NODES} nodes, got {a.shape[0]}")
-        if not ((a == 0) | (a == 1)).all():
-            raise ValueError("adjacency entries must be 0 or 1")
-        a = a.astype(np.int8)
-        if np.any(np.diag(a) != 0):
-            raise ValueError("self-loops are not allowed")
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency matrix must be symmetric")
-        a.setflags(write=False)
-        object.__setattr__(self, "adj", a)
-        object.__setattr__(self, "degrees", a.sum(axis=1, dtype=np.int64))
-
-    @property
-    def n(self) -> int:
-        return self.adj.shape[0]
+        self.edges.setflags(write=False)
+        d = np.bincount(self.edges.ravel(), minlength=self.n)
+        d.setflags(write=False)
+        object.__setattr__(self, "degrees", d)
 
     @property
     def edge_count(self) -> int:
-        return int(self.degrees.sum()) // 2
+        return self.edges.shape[0]
+
+    @property
+    def adj(self) -> np.ndarray:
+        """The dense symmetric 0/1 adjacency matrix, built on each call."""
+        a = np.zeros((self.n, self.n), dtype=np.int8)
+        a[self.edges[:, 0], self.edges[:, 1]] = 1
+        return a + a.T
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "UndirectedGraph":
         """Graph on n nodes from (i, j) pairs of integer ids; duplicate edges collapse."""
+        if n < MIN_NODES:
+            raise ValueError(f"need at least {MIN_NODES} nodes, got {n}")
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if e.shape == (0,):
             e = np.zeros((0, 2), dtype=np.int64)
         if e.ndim != 2 or e.shape[1] != 2 or not np.issubdtype(e.dtype, np.integer):
             raise ValueError("edges must be (i, j) pairs of integer node ids")
-        bad = (e < 0).any(axis=1) | (e >= n).any(axis=1) | (e[:, 0] == e[:, 1])
+        pairs = e.astype(np.int64, copy=False)  # unsigned ids of 2**63 and up turn negative
+        lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+        bad = (lo < 0) | (hi >= n) | (lo == hi)
         if bad.any():
             i, j = e[np.argmax(bad)].tolist()
             if i == j and 0 <= i < n:
                 raise ValueError(f"self-loop at node {i}")
             raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-        adj = np.zeros((n, n), dtype=np.int8)
-        adj[e[:, 0], e[:, 1]] = 1
-        adj[e[:, 1], e[:, 0]] = 1
-        return cls(adj)
-
-    def edges(self) -> list[tuple[int, int]]:
-        iu = np.triu_indices(self.n, k=1)
-        mask = self.adj[iu] == 1
-        return list(zip(iu[0][mask].tolist(), iu[1][mask].tolist()))
+        # one key i*n + j per pair with i < j; unless the keys already rise,
+        # a sort and a neighbour mask put them in order and drop repeats,
+        # much faster than np.unique
+        keys = lo * n + hi
+        if np.any(keys[1:] <= keys[:-1]):
+            keys = np.sort(keys)
+            first = np.ones(keys.size, dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            lo, hi = np.divmod(keys[first], n)
+        return cls(n, np.column_stack((lo, hi)))
 
     def to_text(self) -> str:
         out = [f"n={self.n}"]
-        out.extend(f"{i} {j}" for i, j in self.edges())
+        out.extend(f"{i} {j}" for i, j in self.edges.tolist())
         return "\n".join(out) + "\n"
 
 
@@ -327,7 +332,7 @@ class NullHypothesis:
 
 # An edge-list body of ASCII digits, spaces, tabs and newlines only, with at
 # least one digit.  np.loadtxt splits such a body into the same lines and
-# tokens as the line scan and reads each token as int() does, so the two
+# tokens as _scan_records and reads each token as int() does, so the two
 # parsers agree on it; anything else goes to the scan.
 _PLAIN_BODY = re.compile(r"[0-9 \t\n]*[0-9][0-9 \t\n]*")
 
@@ -359,34 +364,58 @@ def _plain_edges(text: str) -> Optional[tuple[Optional[int], np.ndarray]]:
     return (declared, rows) if valid else None
 
 
-def _scan_edge_list(text: str) -> tuple[Optional[int], list[tuple[int, int]]]:
-    """(declared n, edges) line by line; raises at the first malformed line."""
+# per file format: what the first two fields identify, and how a message
+# describes a whole record; a third field, if any, is a win count
+_RECORDS = {
+    "edges": ("node", "two node ids", 2),
+    "comparisons": ("subject", "'i,j,w'", 3),
+}
+
+
+def _scan_records(text: str, kind: str) -> tuple[Optional[int], np.ndarray]:
+    """(declared n, int64 rows) of an edge list or comparison text, line by line.
+
+    Each content line after the optional header is one record of
+    nonnegative integers split by whitespace or commas, whose first two
+    fields are distinct ids below the declared n.  Raises at the first
+    malformed line, naming it.
+    """
+    noun, layout, width = _RECORDS[kind]
+    labels = (f"{noun} id", f"{noun} id", "win count")[:width]
     declared: Optional[int] = None
-    edges: list[tuple[int, int]] = []
-    saw_content = False
-    for lineno, body in _content_lines(text):
-        if body.startswith("n=") and not saw_content:
-            declared = _parse_header(body, lineno)
-            saw_content = True
-            continue
-        saw_content = True
+    rows: list[list[int]] = []
+    count = 0
+    for count, (lineno, body) in enumerate(_content_lines(text), start=1):
         if body.startswith("n="):
-            raise DataFormatError(f"line {lineno}: n= header must be the first content line")
+            if count > 1:
+                raise DataFormatError(f"line {lineno}: n= header must be the first content line")
+            declared = _parse_header(body, lineno)
+            continue
         toks = body.replace(",", " ").split()
-        if len(toks) != 2:
-            raise DataFormatError(f"line {lineno}: expected two node ids, got {body!r}")
-        i = _parse_int(toks[0], lineno, "node id")
-        j = _parse_int(toks[1], lineno, "node id")
+        if len(toks) != width:
+            raise DataFormatError(f"line {lineno}: expected {layout}, got {body!r}")
+        row = [_parse_int(tok, lineno, label) for tok, label in zip(toks, labels)]
+        i, j = row[:2]
         if i < 0 or j < 0:
-            raise DataFormatError(f"line {lineno}: node ids must be nonnegative")
+            raise DataFormatError(f"line {lineno}: {noun} ids must be nonnegative")
+        if row[-1] < 0:
+            raise DataFormatError(f"line {lineno}: {labels[-1]} must be nonnegative")
         if i == j:
-            raise DataFormatError(f"line {lineno}: self-loop at node {i}")
+            raise DataFormatError(f"line {lineno}: self-loop at {noun} {i}")
         if declared is not None and (i >= declared or j >= declared):
-            raise DataFormatError(f"line {lineno}: node id exceeds declared n={declared}")
-        edges.append((i, j))
-    if not saw_content:
+            raise DataFormatError(f"line {lineno}: {noun} id exceeds declared n={declared}")
+        rows.append(row)
+    if count == 0:
         raise DataFormatError("empty input")
-    return declared, edges
+    return declared, np.array(rows, dtype=np.int64).reshape(-1, width)
+
+
+def _node_count(declared: Optional[int], ids: np.ndarray, noun: str) -> int:
+    """The declared n, or one plus the largest id; at least MIN_NODES."""
+    n = declared if declared is not None else int(ids.max(initial=-1)) + 1
+    if n < MIN_NODES:
+        raise DataFormatError(f"need at least {MIN_NODES} {noun}s, inferred n={n}")
+    return n
 
 
 def load_edge_list(text: str) -> UndirectedGraph:
@@ -399,54 +428,20 @@ def load_edge_list(text: str) -> UndirectedGraph:
     scanned line by line.
     """
     plain = _plain_edges(text)
-    declared, edges = plain if plain is not None else _scan_edge_list(text)
-    n = declared if declared is not None else int(np.max(edges, initial=-1)) + 1
-    if n < MIN_NODES:
-        raise DataFormatError(f"need at least {MIN_NODES} nodes, inferred n={n}")
-    return UndirectedGraph.from_edges(n, edges)
+    declared, rows = plain if plain is not None else _scan_records(text, "edges")
+    return UndirectedGraph.from_edges(_node_count(declared, rows, "node"), rows)
 
 
 def load_comparisons(text: str) -> ComparisonTable:
     """Parse comparison records ``i,j,w`` meaning subject i beat subject j w times.
 
-    Repeated (i, j) records accumulate.
+    Repeated (i, j) records accumulate.  Without a header, n is one plus the
+    largest subject id.
     """
-    declared: Optional[int] = None
-    records: list[tuple[int, int, int]] = []
-    max_id = -1
-    saw_content = False
-    for lineno, body in _content_lines(text):
-        if body.startswith("n=") and not saw_content:
-            declared = _parse_header(body, lineno)
-            saw_content = True
-            continue
-        saw_content = True
-        if body.startswith("n="):
-            raise DataFormatError(f"line {lineno}: n= header must be the first content line")
-        toks = [t.strip() for t in body.replace(",", " ").split()]
-        if len(toks) != 3:
-            raise DataFormatError(f"line {lineno}: expected 'i,j,w', got {body!r}")
-        i = _parse_int(toks[0], lineno, "subject id")
-        j = _parse_int(toks[1], lineno, "subject id")
-        w = _parse_int(toks[2], lineno, "win count")
-        if i < 0 or j < 0:
-            raise DataFormatError(f"line {lineno}: subject ids must be nonnegative")
-        if i == j:
-            raise DataFormatError(f"line {lineno}: subject {i} cannot play itself")
-        if w < 0:
-            raise DataFormatError(f"line {lineno}: win count must be nonnegative")
-        if declared is not None and (i >= declared or j >= declared):
-            raise DataFormatError(f"line {lineno}: subject id exceeds declared n={declared}")
-        records.append((i, j, w))
-        max_id = max(max_id, i, j)
-    if not saw_content:
-        raise DataFormatError("empty input")
-    n = declared if declared is not None else max_id + 1
-    if n < MIN_NODES:
-        raise DataFormatError(f"need at least {MIN_NODES} subjects, inferred n={n}")
+    declared, rows = _scan_records(text, "comparisons")
+    n = _node_count(declared, rows[:, :2], "subject")
     wins = np.zeros((n, n), dtype=np.int64)
-    for i, j, w in records:
-        wins[i, j] += w
+    np.add.at(wins, (rows[:, 0], rows[:, 1]), rows[:, 2])
     return ComparisonTable(wins)
 
 

@@ -29,18 +29,6 @@ def inverse_error_bound(b_n: float, c_n: float, n: int) -> float:
     return 2.0 * b_n**2 / (c_n * (n - 1.0) ** 2) * (n * b_n / (2.0 * (n - 2.0) * c_n) + 0.5)
 
 
-def tied_inverse_error_bound(b_n: float, c_n: float, n: int) -> float:
-    """Entrywise bound on |Vtilde^-1 - Stilde| for the tied-block reduction.
-
-    The trailing block of the reduced inverse shares its error behaviour with
-    the untied trailing-block comparison (the tie only adds a rank-one
-    correction of smaller order), so the same envelope applies; a smaller
-    constant is not attainable, since the trailing diagonal error alone
-    reaches 2/((n-1)(n-2)) at the centred parameter point.
-    """
-    return inverse_error_bound(b_n, c_n, n)
-
-
 def inverse_entry_window(b_n: float, c_n: float, n: int) -> tuple[float, float]:
     """Lower and upper limits for the largest entry of V^-1."""
     return c_n / (2.0 * (n - 1.0)), 3.0 * b_n / (2.0 * n - 1.0)
@@ -171,4 +159,9 @@ def check_homogeneous_bound(beta, r: int) -> ApproxReport:
     """Error of the reciprocal-diagonal approximant for the tied-block reduction."""
     b = as_model_params(beta, "beta")
     M = build_homogeneous_info(b, r)
-    return _approx_report(b, [M], tied_inverse_error_bound)
+    # The trailing block of the reduced inverse shares its error behaviour
+    # with the untied trailing-block comparison (the tie only adds a rank-one
+    # correction of smaller order), so the untied envelope applies; a smaller
+    # constant is not attainable, since the trailing diagonal error alone
+    # reaches 2/((n-1)(n-2)) at the centred parameter point.
+    return _approx_report(b, [M], inverse_error_bound)

@@ -251,11 +251,10 @@ def enumerate_exact_moments(
     stats = []
     stat_probs = []
     nonexist = 0.0
+    pairs = np.column_stack(iu)
     for g in range(bits.shape[0]):
-        adj = np.zeros((n, n), dtype=np.int8)
-        adj[iu] = bits[g].astype(np.int8)
-        adj += adj.T
-        full, restr = lrt.fit_pair(UndirectedGraph(adj), null, tol=1e-11)
+        graph = UndirectedGraph.from_edges(n, pairs[bits[g] == 1])
+        full, restr = lrt.fit_pair(graph, null, tol=1e-11)
         if not (full.exists and restr.exists):
             nonexist += probs[g]
             continue

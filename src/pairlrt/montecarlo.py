@@ -257,8 +257,8 @@ def run_scenario(scenario: Scenario, *, workers: int = 1, stats_only: bool = Fal
 
     The replicates run in index-ordered batches, in this process when
     workers <= 1 and in a process pool otherwise; both read the batches
-    back in index order, so every result and every abort is the same for
-    any worker count.
+    back in index order, so every result is the same for any worker count.
+    Raises when most replicates lack a maximizer.
     """
     reps = scenario.reps
     stats = np.full(reps, np.nan)
@@ -269,8 +269,6 @@ def run_scenario(scenario: Scenario, *, workers: int = 1, stats_only: bool = Fal
         for batch in (pool.map if pool else map)(_replicate_batch, jobs):
             for i, s, p in batch:
                 stats[i], pvals[i] = s, p
-            if batch[-1][0] >= 99 and reps > 200 and not np.any(np.isfinite(stats[:100])):
-                raise RuntimeError("first 100 replicates all lack a maximizer; aborting")
     exists = np.isfinite(stats)
     used = int(exists.sum())
     nonexist = reps - used

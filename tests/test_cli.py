@@ -20,10 +20,7 @@ def runner():
 
 @pytest.fixture
 def cycle_graph(tmp_path):
-    adj = np.zeros((6, 6), dtype=np.int8)
-    for i in range(6):
-        adj[i, (i + 1) % 6] = adj[(i + 1) % 6, i] = 1
-    g = UndirectedGraph(adj)
+    g = UndirectedGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     path = tmp_path / "cycle.txt"
     path.write_text(g.to_text())
     return g, str(path)
@@ -77,6 +74,25 @@ def test_fit_exit_code_malformed(runner, tmp_path):
     res = runner.invoke(main, ["fit", "--model", "beta", "--input", str(path)])
     assert res.exit_code == 4
     assert "data format error" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args, text, line",
+    [
+        (["fit", "--model", "beta"], "0 1\n1 2\n2 99999999999999999999\n", "line 3"),
+        (
+            ["test", "--model", "bt", "--null", "homogeneous:3", "--regime", "fixed"],
+            "n=3\n0,1,99999999999999999999\n1,2,1\n2,0,1\n",
+            "line 2",
+        ),
+    ],
+)
+def test_integers_beyond_int64_are_format_errors(runner, tmp_path, args, text, line):
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    res = runner.invoke(main, [*args, "--input", str(path)])
+    assert res.exit_code == 4
+    assert "data format error" in res.stderr and line in res.stderr
 
 
 def test_test_verb_matches_run_test(runner, cycle_graph):

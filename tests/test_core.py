@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from pairlrt.core import (
     NullHypothesis,
     UndirectedGraph,
     _plain_edges,
-    _scan_edge_list,
+    _scan_records,
     as_model_params,
     load_comparisons,
     load_edge_list,
@@ -28,6 +30,8 @@ def test_edge_list_basic():
 def test_edge_list_duplicates_collapse():
     g = load_edge_list("n=3\n0 1\n1 0\n0 1\n")
     assert g.edge_count == 1
+    g = load_edge_list("n=4\n3 1\n2,0\n1 3\n0 2\n1 0\n3 1 # again\n")
+    assert g.to_text() == "n=4\n0 1\n0 2\n1 3\n"
 
 
 def test_edge_list_round_trip():
@@ -51,6 +55,7 @@ def test_edge_list_round_trip():
         ("n=3\n-0.4 1\n", "not an integer"),
         ("n=5\n1 2\r3 4\n", "two node ids"),
         ("n=3\n0 1\n,\n", "two node ids"),
+        ("0 1\n1 2\n2 99999999999999999999\n", "line 3: node id '99999999999999999999' is beyond"),
     ],
 )
 def test_edge_list_errors(text, fragment):
@@ -64,11 +69,13 @@ def _assert_parsers_agree(text):
         plain = _plain_edges(text)
     except DataFormatError as err:  # a bad header, which the scan rejects alike
         with pytest.raises(DataFormatError, match=str(err)):
-            _scan_edge_list(text)
+            _scan_records(text, "edges")
         return
     if plain is not None:
         declared, rows = plain
-        assert _scan_edge_list(text) == (declared, [tuple(row) for row in rows.tolist()])
+        scanned_declared, scanned = _scan_records(text, "edges")
+        assert scanned_declared == declared
+        assert scanned.dtype == rows.dtype and np.array_equal(scanned, rows)
 
 
 @pytest.mark.parametrize(
@@ -109,6 +116,24 @@ def test_from_edges_takes_integer_pairs_only():
         UndirectedGraph.from_edges(3, [(0, 1), (2, 2)])
     with pytest.raises(ValueError, match="out of range"):
         UndirectedGraph.from_edges(3, [(0, 3)])
+    with pytest.raises(ValueError, match="at least 3"):
+        UndirectedGraph.from_edges(2, [(0, 1)])
+
+
+@pytest.mark.parametrize("comment", ["", "# one comment sends the text to the line scan\n"])
+def test_edge_list_load_allocates_no_dense_matrix(comment):
+    # a dense int8 adjacency alone would take 95 MiB at n = 10,000
+    rows = np.random.default_rng(0).integers(0, 10_000, size=(50_000, 2))
+    rows = rows[rows[:, 0] != rows[:, 1]]
+    text = "n=10000\n" + comment + "".join(f"{i} {j}\n" for i, j in rows.tolist())
+    tracemalloc.start()
+    try:
+        g = load_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 10_000 and int(g.degrees.sum()) == 2 * g.edge_count
+    assert peak < 32 * 2**20
 
 
 def test_comparisons_cycle():
@@ -128,10 +153,13 @@ def test_comparisons_accumulate_and_header():
 
 @pytest.mark.parametrize(
     "text",
-    ["0,0,1\n1,2,1\n2,0,1", "0,1,-1\n1,2,1\n2,0,1", "0,1\n", "n=3\n0,1,1\n3,2,1\n"],
+    [
+        "0,0,1\n1,2,1\n2,0,1", "0,1,-1\n1,2,1\n2,0,1", "0,1\n", "n=3\n0,1,1\n3,2,1\n",
+        "n=3\n0,1,99999999999999999999\n1,2,1\n2,0,1\n",
+    ],
 )
 def test_comparisons_errors(text):
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError, match="line"):
         load_comparisons(text)
 
 
@@ -140,17 +168,6 @@ def test_load_vector():
     assert v.tolist() == [0.5, -1.0, 2.0]
     with pytest.raises(DataFormatError):
         load_vector("0.5\nabc\n")
-
-
-def test_graph_validation_rejects_bad_matrices():
-    asym = np.zeros((3, 3), dtype=np.int8)
-    asym[0, 1] = 1
-    with pytest.raises(ValueError):
-        UndirectedGraph(asym)
-    loop = np.zeros((3, 3), dtype=np.int8)
-    loop[0, 0] = 1
-    with pytest.raises(ValueError):
-        UndirectedGraph(loop)
 
 
 def test_table_validation():

@@ -116,7 +116,7 @@ def test_check_homogeneous_bound():
     beta = np.zeros(10)
     rep = fa.check_homogeneous_bound(beta, 3)
     assert rep.satisfied
-    assert rep.bound == pytest.approx(fa.tied_inverse_error_bound(4.0, 4.0, 10), abs=1e-15)
+    assert rep.bound == pytest.approx(fa.inverse_error_bound(4.0, 4.0, 10), abs=1e-15)
     # bound has no r dependence
     rep5 = fa.check_homogeneous_bound(beta, 5)
     assert rep.bound == rep5.bound
