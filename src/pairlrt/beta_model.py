@@ -16,7 +16,16 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from .core import TOL_SCORE, Fit, NullHypothesis, UndirectedGraph, as_model_params, newton_ascent, nonexistent_fit
+from .core import (
+    TOL_SCORE,
+    Fit,
+    NullHypothesis,
+    UndirectedGraph,
+    as_model_params,
+    newton_ascent,
+    nonexistent_fit,
+    pair_indices,
+)
 
 
 def _pair_logits(beta: np.ndarray) -> np.ndarray:
@@ -154,13 +163,15 @@ def _fit_classes(g: UndirectedGraph, r: int, pinned: Optional[np.ndarray], *, to
     per = mult[fixed.size:].copy()
     if tied:
         per[0] = 1.0
+    # a batch of one: the evaluators see the single row of values
     values, _, _, iters = newton_ascent(
-        lambda b: log_likelihood(b, g, classes),
-        lambda b: totals - mult * expected_degrees(b, classes),
-        lambda b: fisher_info(b, classes=classes),
-        np.zeros(per.size), fixed, per, tol,
+        lambda b, _: np.array([log_likelihood(b[0], g, classes)]),
+        lambda b, _: (totals - mult * expected_degrees(b[0], classes))[None],
+        lambda b, _: fisher_info(b[0], classes=classes)[None],
+        np.zeros((1, per.size)), fixed, per, tol,
     )
-    beta = values[classes]
+    beta = values[0, classes]
+    iters = int(iters[0])
     score_n = d - expected_degrees(beta)
     reduced = np.concatenate([[score_n[:r].sum()] if tied else [], score_n[r:]])
     gnorm = float(np.abs(reduced).max())
@@ -222,7 +233,7 @@ def simulate_graph(beta, rng: np.random.Generator) -> UndirectedGraph:
     n = b.size
     if n < 3:
         raise ValueError("need at least three nodes")
-    iu = np.triu_indices(n, k=1)
-    p = expit(_pair_logits(b)[iu])
+    i, j = pair_indices(n)
+    p = expit(b[i] + b[j])
     drawn = np.flatnonzero(rng.random(p.size) < p)
-    return UndirectedGraph.from_edges(n, np.column_stack((iu[0][drawn], iu[1][drawn])))
+    return UndirectedGraph.from_edges(n, np.column_stack((i[drawn], j[drawn])))

@@ -10,17 +10,25 @@ graph is strongly connected.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.special import expit
 
-from .core import TOL_SCORE, ComparisonTable, Fit, NullHypothesis, as_model_params, newton_ascent, nonexistent_fit
+from .core import (
+    TOL_SCORE,
+    ComparisonTable,
+    Fit,
+    NullHypothesis,
+    as_model_params,
+    newton_ascent,
+    nonexistent_fit,
+    pair_indices,
+)
 
 
 def _pair_diffs(beta: np.ndarray) -> np.ndarray:
-    return beta[:, None] - beta[None, :]
+    return beta[..., :, None] - beta[..., None, :]
 
 
 def win_probabilities(beta) -> np.ndarray:
@@ -31,33 +39,78 @@ def win_probabilities(beta) -> np.ndarray:
     return p
 
 
-def _class_totals(table: ComparisonTable, classes, size: int) -> np.ndarray:
-    """Comparison counts between each ordered pair of classes, those within a class on the diagonal."""
-    if classes is None:
-        if size != table.n:
-            raise ValueError(f"parameter length {size} does not match n={table.n}")
-        return table.totals
-    pair = classes[:, None] * size + classes
-    return np.bincount(pair.ravel(), weights=table.totals.ravel(), minlength=size * size).reshape(size, size)
+class Tallies(NamedTuple):
+    """Win totals (..., c) and comparison counts (..., c, c) of classes of subjects.
+
+    Comparisons within a class sit on the diagonal of ``totals``.  The
+    leading axes, if any, stack tables.  A ComparisonTable has the same two
+    fields, with one class per subject.
+    """
+
+    degrees: np.ndarray
+    totals: np.ndarray
 
 
-def bt_log_likelihood(beta, table: ComparisonTable, classes=None) -> float:
+def _sum_bins(x: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """Sum the last axis of x into ``size`` bins by ``index``, row by row."""
+    rows = x.reshape(-1, x.shape[-1])
+    keys = np.arange(rows.shape[0])[:, None] * size + index
+    out = np.bincount(keys.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * size)
+    return out.reshape(x.shape[:-1] + (size,))
+
+
+def class_tallies(wins: np.ndarray, classes: np.ndarray) -> Tallies:
+    """Tallies of a win matrix, or a stack of them, over the class index of each subject."""
+    w = np.asarray(wins)
+    n = w.shape[-1]
+    if np.array_equal(classes, np.arange(n)):
+        return Tallies(w.sum(axis=-1), w + np.swapaxes(w, -1, -2))
+    c = int(classes.max()) + 1
+    totals = (w + np.swapaxes(w, -1, -2)).reshape(w.shape[:-2] + (n * n,))
+    pair = (classes[:, None] * c + classes).ravel()
+    return Tallies(
+        _sum_bins(w.sum(axis=-1), classes, c),
+        _sum_bins(totals, pair, c * c).reshape(w.shape[:-2] + (c, c)),
+    )
+
+
+def _params(beta, table: Union[ComparisonTable, Tallies]) -> np.ndarray:
+    b = as_model_params(beta, "bt", stacked=True)
+    if b.shape[-1] != table.totals.shape[-1]:
+        raise ValueError(f"parameter length {b.shape[-1]} does not match n={table.totals.shape[-1]}")
+    return b
+
+
+def bt_log_likelihood(beta, table: Union[ComparisonTable, Tallies]):
     """Log-likelihood of the win counts.
 
-    With ``classes``, the class index of each subject, beta holds one value
-    per class, the reference's class first.
+    Beta holds one value per subject of a ComparisonTable, or one per class
+    of Tallies, the reference's class first.  With a stack of tallies and
+    one row of beta per table, the result holds one log-likelihood per row.
     """
-    b = as_model_params(beta, "bt")
-    k = _class_totals(table, classes, b.size)
-    wins = table.degrees if classes is None else np.bincount(classes, weights=table.degrees, minlength=b.size)
-    # each comparison appears under both orders of its pair, hence the half
-    return float(b @ wins - 0.5 * np.sum(k * np.logaddexp(b[:, None], b[None, :])))
+    b = _params(beta, table)
+    c = b.shape[-1]
+    i, j = pair_indices(c)
+    # np.take lays a stack's pairs out row by row (an index gather would lay
+    # them out column by column), so each table's sum below adds its terms in
+    # the same order alone or in a stack
+    bi, bj = np.take(b, i, axis=-1), np.take(b, j, axis=-1)
+    pairs = np.take(table.totals.reshape(table.totals.shape[:-2] + (c * c,)), i * c + j, axis=-1)
+    # each comparison of a pair i < j adds log(e^b_i + e^b_j), one exp per pair;
+    # the diagonal counts each comparison within a class twice, and each adds b_i + log 2
+    lse = np.maximum(bi, bj) + np.log1p(np.exp(-np.abs(bi - bj)))
+    within = 0.5 * np.diagonal(table.totals, axis1=-2, axis2=-1)
+    wins = (b[..., None, :] @ (table.degrees - within)[..., :, None])[..., 0, 0]
+    return wins - (pairs * lse).sum(axis=-1) - math.log(2.0) * within.sum(axis=-1)
 
 
-def bt_expected_wins(beta, table: ComparisonTable, classes=None) -> np.ndarray:
-    """Expected wins of each subject; with ``classes`` (see bt_log_likelihood), each class's total."""
-    b = as_model_params(beta, "bt")
-    return (_class_totals(table, classes, b.size) * expit(_pair_diffs(b))).sum(axis=1)
+def bt_expected_wins(beta, table: Union[ComparisonTable, Tallies]) -> np.ndarray:
+    """Expected wins of each subject, or each class's total (see bt_log_likelihood)."""
+    b = _params(beta, table)
+    p = _pair_diffs(b)
+    expit(p, out=p)
+    p *= table.totals
+    return p.sum(axis=-1)
 
 
 def bt_score(beta, table: ComparisonTable) -> np.ndarray:
@@ -66,60 +119,99 @@ def bt_score(beta, table: ComparisonTable) -> np.ndarray:
     return (table.degrees - bt_expected_wins(b, table))[1:]
 
 
-def bt_fisher_info(beta, table: ComparisonTable, classes=None) -> np.ndarray:
-    """Information matrix for the free coordinates.
+def bt_fisher_info(beta, table: Union[ComparisonTable, Tallies]) -> np.ndarray:
+    """Information matrix over every subject or class (see bt_log_likelihood).
 
     Off-diagonal (i, j) holds -k_ij v_ij; the diagonal sums k_ij v_ij over
-    every opponent including the reference subject.  With ``classes`` (see
-    bt_log_likelihood) it is the information in one value per class, for
-    every class: k sums the comparisons between two classes, and those
-    within a class carry no information.
+    every opponent.  k counts the comparisons between two classes, and those
+    within a class carry no information.  The free coordinates of a table
+    are the block past the reference's row and column.
     """
-    b = as_model_params(beta, "bt")
-    d = _pair_diffs(b)
-    w = _class_totals(table, classes, b.size) * expit(d) * expit(-d)
-    np.fill_diagonal(w, 0.0)
-    full = -w
-    np.fill_diagonal(full, w.sum(axis=1))
-    return full[1:, 1:] if classes is None else full
+    b = _params(beta, table)
+    p = expit(_pair_diffs(b))
+    w = table.totals * p
+    # expit(-d) is p transposed, since b_j - b_i is exactly -(b_i - b_j)
+    w *= np.swapaxes(p, -1, -2)
+    diag = np.arange(b.shape[-1])
+    w[..., diag, diag] = 0.0
+    row = w.sum(axis=-1)
+    w *= -1.0
+    w[..., diag, diag] = row
+    return w
 
 
-def strongly_connected(table: ComparisonTable) -> bool:
-    """True when the directed graph with an arc i -> j for each win is strongly connected."""
-    adj = csr_matrix((table.wins > 0).astype(np.int8))
-    ncomp, _ = connected_components(adj, directed=True, connection="strong")
-    return int(ncomp) == 1
+def strongly_connected(wins):
+    """True when the directed graph with an arc i -> j for each win is strongly connected.
+
+    ``wins`` is a ComparisonTable, a win matrix, or a stack of win matrices,
+    which gives one answer per matrix.  The graph is strongly connected when
+    the reference reaches every subject and every subject reaches it: both
+    sets grow along the arcs, one batched product a step, until no table's
+    sets change.
+    """
+    w = wins.wins if isinstance(wins, ComparisonTable) else np.asarray(wins)
+    arcs = (w > 0).astype(np.float32)
+    ways = np.stack([arcs, np.swapaxes(arcs, -1, -2)], axis=-3)
+    seen = np.zeros(ways.shape[:-1], dtype=np.float32)
+    seen[..., 0] = 1.0
+    for _ in range(w.shape[-1] - 1):
+        grown = np.minimum(seen + (seen[..., None, :] @ ways)[..., 0, :], 1.0)
+        if np.array_equal(grown, seen):
+            break
+        seen = grown
+    every = seen.all(axis=(-2, -1))
+    return bool(every) if every.ndim == 0 else every
 
 
-def _bt_saturated(beta: np.ndarray, table: ComparisonTable, tol: float) -> bool:
+def _bt_saturated(beta: np.ndarray, wins: np.ndarray, tol: float) -> np.ndarray:
     # a compared pair whose merit difference reaches -log(tol) leaves a win
     # residual the score test cannot tell from zero; a tied block escaping
     # jointly stalls there without tripping the coordinate cap
-    iu = np.triu_indices(beta.size, k=1)
-    active = table.totals[iu] > 0
-    if not np.any(active):
-        return False
-    return bool(np.abs(_pair_diffs(beta)[iu][active]).max() >= -math.log(tol))
+    i, j = pair_indices(beta.shape[-1])
+    compared = (wins[..., i, j] + wins[..., j, i]) > 0
+    gap = np.where(compared, np.abs(beta[..., i] - beta[..., j]), -np.inf)
+    return gap.max(axis=-1) >= -math.log(tol)
 
 
-def _fit_classes(table: ComparisonTable, classes: np.ndarray, fixed: np.ndarray, theta: np.ndarray, tol: float) -> Fit:
-    """Newton ascent from ``theta`` over the classes after the ``fixed`` ones.
+def _fit_classes(wins: np.ndarray, classes: np.ndarray, fixed: np.ndarray, tol: float) -> list[Fit]:
+    """Newton ascent from zero over the classes after the ``fixed`` ones, for each table of a stack.
 
     Each free subject is its own class and a tied block is one class, so the
     reduced coordinates are the free subjects one by one and the block summed.
     """
-    wins = np.bincount(classes, weights=table.degrees)
+    if not len(wins):
+        return []
+    counts = class_tallies(wins, classes)
+    m = counts.degrees.shape[-1] - fixed.size
+
+    def at(rows):
+        # rows are sorted batch rows, so as many rows as tables means all of them
+        return counts if rows.size == len(wins) else Tallies(counts.degrees[rows], counts.totals[rows])
+
+    def score(b, rows):
+        live = at(rows)
+        return live.degrees - bt_expected_wins(b, live)
+
     values, ll, gnorm, iters = newton_ascent(
-        lambda b: bt_log_likelihood(b, table, classes),
-        lambda b: wins - bt_expected_wins(b, table, classes),
-        lambda b: bt_fisher_info(b, table, classes),
-        theta, fixed, np.ones(theta.size), tol,
+        lambda b, rows: bt_log_likelihood(b, at(rows)),
+        score,
+        lambda b, rows: bt_fisher_info(b, at(rows)),
+        np.zeros((len(wins), m)), fixed, np.ones(m), tol,
     )
-    beta = values[classes]
+    beta = values[:, classes]
     converged = gnorm <= tol
-    if converged and _bt_saturated(beta, table, tol):
-        return nonexistent_fit(beta, iters)
-    return Fit(beta, ll, iters, converged, True, gnorm)
+    lost = converged & _bt_saturated(beta, wins, tol) if converged.any() else converged
+    return [
+        nonexistent_fit(beta[t], int(iters[t])) if lost[t]
+        else Fit(beta[t], float(ll[t]), int(iters[t]), bool(converged[t]), True, float(gnorm[t]))
+        for t in range(len(wins))
+    ]
+
+
+def _fill(kept: np.ndarray, fits: list, missing: np.ndarray) -> list[Fit]:
+    """Per table of a stack: its fit where kept, else a nonexistent fit at ``missing``."""
+    fitted = iter(fits)
+    return [next(fitted) if keep else nonexistent_fit(missing) for keep in kept]
 
 
 def bt_fit_mle(table: ComparisonTable, *, tol: float = TOL_SCORE) -> Fit:
@@ -128,10 +220,14 @@ def bt_fit_mle(table: ComparisonTable, *, tol: float = TOL_SCORE) -> Fit:
     Existence is decided up front by strong connectivity.  Newton steps
     start from zero on every subject but the reference.
     """
-    n = table.n
-    if not strongly_connected(table):
-        return nonexistent_fit(np.zeros(n))
-    return _fit_classes(table, np.arange(n), np.zeros(1), np.zeros(n - 1), tol)
+    return bt_fit_mle_batch(table.wins[None], tol=tol)[0]
+
+
+def bt_fit_mle_batch(wins: np.ndarray, *, tol: float = TOL_SCORE) -> list[Fit]:
+    """bt_fit_mle of each win matrix of a (k, n, n) stack, fitted together."""
+    n = wins.shape[-1]
+    exists = strongly_connected(wins)
+    return _fill(exists, _fit_classes(wins[exists], np.arange(n), np.zeros(1), tol), np.zeros(n))
 
 
 def bt_fit_restricted(table: ComparisonTable, null: NullHypothesis, *, tol: float = TOL_SCORE) -> Fit:
@@ -141,34 +237,43 @@ def bt_fit_restricted(table: ComparisonTable, null: NullHypothesis, *, tol: floa
     homogeneous nulls tie subjects 2..r to one common unknown level, while
     the reference stays at zero.
     """
-    null.validate_for("bt", table.n)
-    n = table.n
+    return bt_fit_restricted_batch(table.wins[None], null, tol=tol)[0]
+
+
+def bt_fit_restricted_batch(wins: np.ndarray, null: NullHypothesis, *, tol: float = TOL_SCORE) -> list[Fit]:
+    """bt_fit_restricted of each win matrix of a (k, n, n) stack, fitted together."""
+    n = wins.shape[-1]
+    null.validate_for("bt", n)
     r = null.r
-    d = table.degrees
-    k_row = table.totals.sum(axis=1)
-    free_boundary = np.any(d[r:] == 0) or np.any(d[r:] == k_row[r:])
+    d = wins.sum(axis=-1)
+    k_row = d + wins.sum(axis=-2)
+    free_boundary = ((d[:, r:] == 0) | (d[:, r:] == k_row[:, r:])).any(axis=1)
     if null.kind == "specified":
         base = np.concatenate([[0.0], null.values, np.zeros(n - r)])
         if r == n:
-            return Fit(base, bt_log_likelihood(base, table), 0, True, True, 0.0)
-        if free_boundary:
-            return nonexistent_fit(base)
+            ll = bt_log_likelihood(np.tile(base, (len(wins), 1)), class_tallies(wins, np.arange(n)))
+            return [Fit(base.copy(), float(value), 0, True, True, 0.0) for value in ll]
         # the reference and the pinned subjects are fixed classes, every other subject its own
-        return _fit_classes(table, np.arange(n), base[:r], np.zeros(n - r), tol)
+        kept = ~free_boundary
+        return _fill(kept, _fit_classes(wins[kept], np.arange(n), base[:r], tol), base)
     # Cross-block win totals decide existence for the block's shared level.
     tied = np.arange(1, r)
     outside = np.concatenate(([0], np.arange(r, n)))
-    cross_total = int(table.totals[np.ix_(tied, outside)].sum())
-    cross_wins = int(table.wins[np.ix_(tied, outside)].sum())
-    if free_boundary or (cross_total > 0 and cross_wins in (0, cross_total)):
-        return nonexistent_fit(np.zeros(n))
+    cross_wins = wins[:, tied][:, :, outside].sum(axis=(1, 2))
+    cross_total = cross_wins + wins[:, outside][:, :, tied].sum(axis=(1, 2))
+    kept = ~free_boundary & ~((cross_total > 0) & ((cross_wins == 0) | (cross_wins == cross_total)))
     # class 0 is the reference, class 1 the tied block, then one class per tail subject
     classes = np.concatenate([[0], np.ones(r - 1, dtype=int), np.arange(2, n - r + 2)])
-    return _fit_classes(table, classes, np.zeros(1), np.zeros(n - r + 1), tol)
+    return _fill(kept, _fit_classes(wins[kept], classes, np.zeros(1), tol), np.zeros(n))
 
 
-def simulate_comparisons(beta, k, rng: np.random.Generator) -> ComparisonTable:
-    """Draw win counts for every pair with totals k (a scalar or a symmetric matrix)."""
+def simulate_comparisons(beta, k, rng):
+    """Draw win counts for every pair with totals k (a scalar or a symmetric matrix).
+
+    ``rng`` is one Generator, which gives a ComparisonTable, or a sequence
+    of them, which gives a (len(rng), n, n) stack of win matrices, the i-th
+    drawn from rng[i] exactly as one table from it.
+    """
     b = as_model_params(beta, "bt")
     n = b.size
     if n < 3:
@@ -180,12 +285,12 @@ def simulate_comparisons(beta, k, rng: np.random.Generator) -> ComparisonTable:
         raise ValueError("comparison counts must be symmetric and nonnegative")
     if not np.all(np.isfinite(totals) & (totals == np.round(totals))):
         raise ValueError("comparison counts must be whole numbers")
-    totals = totals.astype(np.int64)
-    np.fill_diagonal(totals, 0)
-    iu = np.triu_indices(n, k=1)
-    p = expit(_pair_diffs(b)[iu])
-    upper = rng.binomial(totals[iu], p)
-    wins = np.zeros((n, n), dtype=np.int64)
-    wins[iu] = upper
-    wins.T[iu] = totals[iu] - upper
-    return ComparisonTable(wins)
+    i, j = pair_indices(n)
+    pair_totals = totals[i, j].astype(np.int64)
+    p = expit(b[i] - b[j])
+    one = isinstance(rng, np.random.Generator)
+    upper = np.array([g.binomial(pair_totals, p) for g in ([rng] if one else rng)])
+    wins = np.zeros((len(upper), n, n), dtype=np.int64)
+    wins[:, i, j] = upper
+    wins[:, j, i] = pair_totals - upper
+    return ComparisonTable(wins[0]) if one else wins

@@ -167,7 +167,7 @@ def fit(model: str, input_path: str, out: Optional[str], tol: float) -> None:
     else:
         result = bt_model.bt_fit_mle(data, tol=tol)
         if result.exists:
-            free = np.diag(bt_model.bt_fisher_info(result.beta_hat, data))
+            free = np.diag(bt_model.bt_fisher_info(result.beta_hat, data))[1:]
             se = np.concatenate([[0.0], np.sqrt(1.0 / free)])
     if not result.exists:
         raise NonexistentMLEError("degenerate data; see existence conditions for the model")
@@ -186,7 +186,7 @@ def fit(model: str, input_path: str, out: Optional[str], tol: float) -> None:
 @click.option("--input", "input_path", required=True)
 @click.option("--null", "null_spec", required=True, help="specified:<file> or homogeneous:<r>.")
 @click.option("--regime", type=click.Choice(list(lrt.REGIMES)), required=True)
-@click.option("--bootstrap-b", type=int, default=lrt.DEFAULT_BOOTSTRAP_B, show_default=True)
+@click.option("--bootstrap-b", type=click.IntRange(min=1), default=lrt.DEFAULT_BOOTSTRAP_B, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True, help="Bootstrap seed.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard

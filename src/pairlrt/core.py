@@ -7,6 +7,7 @@ count, otherwise it is inferred as one plus the largest id seen.
 
 from __future__ import annotations
 
+import functools
 import io
 import re
 from dataclasses import dataclass, field
@@ -168,18 +169,19 @@ class ComparisonTable:
         return "\n".join(out) + "\n"
 
 
-def as_model_params(beta, model: str) -> np.ndarray:
+def as_model_params(beta, model: str, *, stacked: bool = False) -> np.ndarray:
     """Return ``beta`` as a validated plain array for ``model``.
 
     For the paired-comparison model the first entry is the reference subject
-    and must be exactly zero.
+    and must be exactly zero.  With ``stacked``, beta may also be a stack of
+    parameter vectors, one per row.
     """
     b = np.asarray(beta, dtype=float)
-    if b.ndim != 1:
+    if b.ndim != 1 and not (stacked and b.ndim == 2):
         raise ValueError("parameter vector must be one-dimensional")
     if not np.all(np.isfinite(b)):
         raise ValueError("parameters must be finite")
-    if model == "bt" and b.size and b[0] != 0.0:
+    if model == "bt" and b.shape[-1] and np.any(b[..., 0] != 0.0):
         raise ValueError("reference subject parameter must be 0")
     return b
 
@@ -211,52 +213,121 @@ class Fit:
         }
 
 
+@functools.lru_cache(maxsize=8)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the pairs i < j of n nodes, in row-major order; cached per n."""
+    iu = np.triu_indices(n, k=1)
+    for a in iu:
+        a.setflags(write=False)
+    return iu
+
+
 def nonexistent_fit(beta: np.ndarray, iterations: int = 0) -> Fit:
     """The report of a fit whose maximizer does not exist; beta is the last iterate."""
     return Fit(beta.copy(), float("nan"), iterations, False, False, float("inf"))
 
 
+_HALVINGS = 0.5 ** np.arange(30)
+
+
 def newton_ascent(loglik, score, info, theta: np.ndarray, fixed: np.ndarray, per: np.ndarray, tol: float):
-    """Damped Newton ascent over the fitted classes of a node-to-class map.
+    """Damped Newton ascent over the fitted classes of a node-to-class map, for a batch of fits.
 
-    The class values are ``fixed`` followed by the fitted ``theta``.  loglik,
-    score and info take the values of every class and return the
-    log-likelihood, its gradient and the information matrix over every
-    class; the ascent reads the fitted entries.  The gradient norm is the
-    max of |score / per| over the fitted classes, so ``per`` scales each
-    class score to the coordinate it reports.  A step halves until it stays
-    inside the divergence cap and raises the log-likelihood or lowers the
-    gradient norm; the ascent stops when the norm is within tol, the
-    information is singular, no step is accepted, or after MAX_NEWTON steps.
-    Returns the values of every class, their log-likelihood, the gradient
-    norm and the number of Newton steps.
+    Row i of ``theta`` holds member i's fitted class values, and every member
+    shares the ``fixed`` class values, which come first.  loglik, score and
+    info take ``(values, rows)``: the values of every class of the batch
+    members ``rows``, one row each.  They return each member's
+    log-likelihood, gradient and information matrix over every class; the
+    ascent reads the fitted entries.  A member's gradient norm is the max of
+    |score / per| over its fitted classes, so ``per`` scales each class
+    score to the coordinate it reports.  Every member steps on its own: its
+    step halves until it stays inside the divergence cap and raises the
+    log-likelihood or lowers the gradient norm, and it stops when its norm
+    is within tol, its information is singular, no step is accepted, or
+    after MAX_NEWTON steps.  Returns per member the values of every class,
+    their log-likelihood, the gradient norm and the number of Newton steps.
     """
+    k, m = theta.shape
     f = fixed.size
+    values = np.empty((k, f + m))
+    values[:, :f] = fixed
+    values[:, f:] = theta
+    loglik_out, gnorm_out, iters_out = np.empty(k), np.empty(k), np.zeros(k, dtype=int)
 
-    def evaluate(th):
-        b = np.concatenate([fixed, th])
-        s = score(b)[f:]
-        return loglik(b), s, float(np.abs(s / per).max())
+    def evaluate(b, rows):
+        s = score(b, rows)[:, f:]
+        return loglik(b, rows), s, np.abs(s / per).max(axis=1)
 
-    ll, s, gnorm = evaluate(theta)
-    iters = 0
-    while gnorm > tol and iters < MAX_NEWTON:
-        H = info(np.concatenate([fixed, theta]))[f:, f:]
+    # the members still stepping: batch rows, values, log-likelihoods, fitted scores, norms
+    live = [np.arange(k), values.copy()]
+    live += evaluate(live[1], live[0])
+
+    def settle(stop, steps):
+        """Record the members in ``stop`` as final; return the rest, or None when none is left."""
+        rows, b, ll, _, g = live
+        if stop.all():
+            values[rows], loglik_out[rows], gnorm_out[rows], iters_out[rows] = b, ll, g, steps
+            return None
+        out = rows[stop]
+        values[out], loglik_out[out], gnorm_out[out], iters_out[out] = b[stop], ll[stop], g[stop], steps
+        return [x[~stop] for x in live]
+
+    steps = 0
+    while live is not None:
+        rows, b, ll, s, g = live
+        if steps == MAX_NEWTON or not g.min() > tol:
+            live = settle(~(g > tol) if steps < MAX_NEWTON else np.ones(rows.size, dtype=bool), steps)
+            continue
         try:
-            delta = np.linalg.solve(H, s)
+            delta = np.linalg.solve(info(b, rows)[:, f:, f:], s[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            break
-        iters += 1
-        for step in 0.5 ** np.arange(30):
-            cand = theta + step * delta
-            if np.abs(cand).max() <= DIVERGENCE_CAP:
-                cand_ll, cand_s, cand_gnorm = evaluate(cand)
-                if cand_ll > ll or cand_gnorm < gnorm:
-                    theta, ll, s, gnorm = cand, cand_ll, cand_s, cand_gnorm
-                    break
+            delta, solvable = _solve_each(info(b, rows)[:, f:, f:], s)
+            if not solvable.all():
+                live = settle(~solvable, steps)
+                continue
+        steps += 1
+        # the full step for every member at once, the common case
+        cand = b.copy()
+        cand[:, f:] += delta
+        if np.abs(cand[:, f:]).max() <= DIVERGENCE_CAP:
+            cand_ll, cand_s, cand_g = evaluate(cand, rows)
+            if ((cand_ll > ll) | (cand_g < g)).all():
+                live[1:] = cand, cand_ll, cand_s, cand_g
+                continue
+        # otherwise each member halves its own step, from the full one
+        todo = np.arange(rows.size)
+        for step in _HALVINGS:
+            cand = b[todo]
+            cand[:, f:] += step * delta[todo]
+            inside = np.abs(cand[:, f:]).max(axis=1) <= DIVERGENCE_CAP
+            tried = todo[inside]
+            if tried.size:
+                cand = cand[inside]
+                cand_ll, cand_s, cand_g = evaluate(cand, rows[tried])
+                up = (cand_ll > ll[tried]) | (cand_g < g[tried])
+                won = tried[up]
+                b[won], ll[won], s[won], g[won] = cand[up], cand_ll[up], cand_s[up], cand_g[up]
+                inside[inside] = up
+            todo = todo[~inside]
+            if not todo.size:
+                break
         else:
-            break
-    return np.concatenate([fixed, theta]), ll, gnorm, iters
+            stalled = np.zeros(rows.size, dtype=bool)
+            stalled[todo] = True
+            live = settle(stalled, steps)
+    return values, loglik_out, gnorm_out, iters_out
+
+
+def _solve_each(H: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps of a batch one member at a time, and which members' information is invertible."""
+    delta = np.zeros_like(s)
+    solvable = np.ones(len(H), dtype=bool)
+    for i in range(len(H)):
+        try:
+            delta[i] = np.linalg.solve(H[i], s[i])
+        except np.linalg.LinAlgError:
+            solvable[i] = False
+    return delta, solvable
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,11 @@ from .core import (
 
 REGIMES = ("fixed", "growing")
 DEFAULT_BOOTSTRAP_B = 999
+# Bootstrap tables fitted together.  A chunk's memory is fixed whatever B is.
+# At 30 subjects, chunks of 32, 48 and 64 ran equally fast and chunks of 96
+# a fifth slower; at 32 a 999-table bootstrap peaks at 1.9 MiB of traced
+# memory, against 57 MiB for all 999 tables in one batch.
+BOOTSTRAP_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -199,18 +204,22 @@ def bootstrap_distribution(
     rng: np.random.Generator,
     tol: float,
 ) -> tuple[list, int]:
-    """Simulate B tables from the restricted fit; return existing statistics and B."""
-    totals = table.totals
+    """Simulate B tables from the restricted fit; return existing statistics and B.
+
+    Table i is drawn from the i-th child of rng (successive spawns continue
+    one sequence of children).  The tables are drawn and fitted
+    BOOTSTRAP_CHUNK at a time, each chunk through one batched Newton ascent
+    per model, and the statistics keep the children's order.
+    """
     stats = []
-    for child in rng.spawn(B):
-        boot = bt_model.simulate_comparisons(beta_null, totals, child)
-        full_b = bt_model.bt_fit_mle(boot, tol=tol)
-        if not full_b.exists:
-            continue
-        restr_b = bt_model.bt_fit_restricted(boot, null, tol=tol)
-        if not restr_b.exists:
-            continue
-        stats.append(lrt_statistic(full_b, restr_b))
+    for start in range(0, B, BOOTSTRAP_CHUNK):
+        children = rng.spawn(min(BOOTSTRAP_CHUNK, B - start))
+        wins = bt_model.simulate_comparisons(beta_null, table.totals, children)
+        full = bt_model.bt_fit_mle_batch(wins, tol=tol)
+        exists = np.array([f.exists for f in full])
+        restricted = bt_model.bt_fit_restricted_batch(wins[exists], null, tol=tol)
+        full = [f for f in full if f.exists]
+        stats += [lrt_statistic(f, r) for f, r in zip(full, restricted) if r.exists]
     return stats, B
 
 
@@ -227,8 +236,11 @@ def bootstrap_tail(
 
     The p-value is (1 + #{bootstrap stat >= stat}) over (#usable + 1).
     Replicates whose maximizer fails to exist are dropped; when more than
-    half of them are lost there is no p-value, and it is NaN.
+    half of them are lost there is no p-value, and it is NaN.  B must be at
+    least 1.
     """
+    if B < 1:
+        raise ValueError(f"bootstrap needs at least one replicate, got B={B}")
     stats, total = bootstrap_distribution(table, null, beta_null, B, rng, tol)
     if len(stats) < total / 2:
         return float("nan"), len(stats)

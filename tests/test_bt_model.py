@@ -20,6 +20,8 @@ def test_loglik_simple_values():
     wins = np.triu(k3)  # upper subject wins everything; totals still 3 per pair
     t = ComparisonTable(wins)
     assert btm.bt_log_likelihood(np.zeros(4), t) == pytest.approx(-18 * np.log(2), abs=1e-13)
+    with pytest.raises(ValueError, match="does not match n=3"):
+        btm.bt_log_likelihood(np.zeros(4), CYCLE3)
 
 
 def test_loglik_frozen_value():
@@ -52,12 +54,13 @@ def test_score_matches_fd_gradient(rng):
         # is the gradient of the log-likelihood in the free class values
         classes = tied_class_map(n)
         values = beta[np.unique(classes, return_index=True)[1]]
-        class_score = np.bincount(classes, weights=table.degrees) - btm.bt_expected_wins(values, table, classes)
+        tallies = btm.class_tallies(table.wins, classes)
+        class_score = tallies.degrees - btm.bt_expected_wins(values, tallies)
 
         def loglik_classes(x):
             return btm.bt_log_likelihood(np.concatenate([[0.0], x])[classes], table)
 
-        assert btm.bt_log_likelihood(values, table, classes) == pytest.approx(loglik_classes(values[1:]), abs=1e-10)
+        assert btm.bt_log_likelihood(values, tallies) == pytest.approx(loglik_classes(values[1:]), abs=1e-10)
         assert np.allclose(class_score[1:], fd_gradient(loglik_classes, values[1:]), rtol=1e-6, atol=1e-6)
 
 
@@ -67,7 +70,7 @@ def test_fisher_matches_fd_hessian(rng):
         beta = rng.uniform(-1, 1, n)
         beta[0] = 0.0
         table = btm.simulate_comparisons(beta, 2, rng)
-        V = btm.bt_fisher_info(beta, table)
+        V = btm.bt_fisher_info(beta, table)[1:, 1:]
 
         def loglik_free(x):
             return btm.bt_log_likelihood(np.concatenate([[0.0], x]), table)
@@ -77,7 +80,7 @@ def test_fisher_matches_fd_hessian(rng):
 
         classes = tied_class_map(n)
         values = beta[np.unique(classes, return_index=True)[1]]
-        V = btm.bt_fisher_info(values, table, classes)[1:, 1:]
+        V = btm.bt_fisher_info(values, btm.class_tallies(table.wins, classes))[1:, 1:]
         H = fd_hessian(lambda x: btm.bt_log_likelihood(np.concatenate([[0.0], x])[classes], table), values[1:])
         assert np.abs(V + H).max() <= 1e-4
 
@@ -86,7 +89,7 @@ def test_fisher_diagonal_values():
     k3 = np.full((30, 30), 3)
     np.fill_diagonal(k3, 0)
     t = ComparisonTable(np.triu(k3))
-    V = btm.bt_fisher_info(np.zeros(30), t)
+    V = btm.bt_fisher_info(np.zeros(30), t)[1:, 1:]
     assert V[0, 0] == pytest.approx(29 * 3 / 4)
     assert V[0, 1] == pytest.approx(-3 / 4)
 
@@ -103,6 +106,66 @@ def test_strong_connectivity_cases():
     assert not btm.strongly_connected(ComparisonTable(w))
     w[3, 2] = 1
     assert btm.strongly_connected(ComparisonTable(w))
+
+
+def test_strong_connectivity_of_a_stack(rng):
+    from scipy.sparse.csgraph import connected_components
+
+    # sparse draws: about half the tables are not strongly connected
+    wins = btm.simulate_comparisons(rng.uniform(-2, 2, 6) * [0, 1, 1, 1, 1, 1], 1, rng.spawn(60))
+    got = btm.strongly_connected(wins)
+    alone = [btm.strongly_connected(w) for w in wins]
+    oracle = [connected_components(w > 0, directed=True, connection="strong")[0] == 1 for w in wins]
+    assert got.tolist() == alone == oracle
+    assert 0 < got.sum() < len(wins)
+
+
+def _assert_same_fit(got, solo, tol=1e-12):
+    assert (got.exists, got.converged, got.iterations) == (solo.exists, solo.converged, solo.iterations)
+    assert np.abs(got.beta_hat - solo.beta_hat).max() <= tol
+    if solo.exists:
+        assert abs(got.loglik - solo.loglik) <= tol * max(1.0, abs(solo.loglik))
+        assert abs(got.gradient_norm - solo.gradient_norm) <= tol
+
+
+def test_batch_members_stop_on_their_own():
+    # equal merits with subject 1 pinned 17.5 up: ordinary tables, tables with no full
+    # maximizer, and tables whose restricted fit saturates, fitted in one stack
+    n = 5
+    totals = np.full((n, n), 2)
+    np.fill_diagonal(totals, 0)
+    wins = btm.simulate_comparisons(np.zeros(n), totals, np.random.default_rng(3).spawn(60))
+    null = NullHypothesis.specified(2, [17.5])
+    tables = [ComparisonTable(w) for w in wins]
+    full = btm.bt_fit_mle_batch(wins)
+    restricted = btm.bt_fit_restricted_batch(wins, null)
+    for got, table in zip(full, tables):
+        _assert_same_fit(got, btm.bt_fit_mle(table))
+    for got, table in zip(restricted, tables):
+        _assert_same_fit(got, btm.bt_fit_restricted(table, null))
+    kinds = {(f.exists, r.exists) for f, r in zip(full, restricted)}
+    assert {(False, False), (True, False), (True, True)} <= kinds
+
+    # at a tolerance the arithmetic cannot reach, members stall after different numbers of steps
+    stalled = btm.bt_fit_mle_batch(wins, tol=1e-300)
+    for got, table in zip(stalled, tables):
+        _assert_same_fit(got, btm.bt_fit_mle(table, tol=1e-300))
+    assert any(f.exists and not f.converged for f in stalled)
+    assert len({f.iterations for f in stalled if f.exists}) > 1
+
+    # a tied block that only meets itself has singular information: that member stops
+    # before its first step, and the others go on
+    lone = np.zeros((n, n), dtype=int)
+    lone[1, 2] = lone[2, 1] = 1
+    for i, j in [(0, 3), (3, 4), (0, 4)]:
+        lone[i, j], lone[j, i] = 2, 1
+    stack = np.concatenate([wins[:8], lone[None], wins[8:16]])
+    tied = NullHypothesis.homogeneous(3)
+    fits = btm.bt_fit_restricted_batch(stack, tied)
+    for got, w in zip(fits, stack):
+        _assert_same_fit(got, btm.bt_fit_restricted(ComparisonTable(w), tied))
+    assert fits[8].exists and not fits[8].converged and fits[8].iterations == 0
+    assert all(f.converged for f in fits[:8] + fits[9:] if f.exists)
 
 
 def test_fit_cycle_symmetry():

@@ -12,6 +12,8 @@ from pairlrt import montecarlo as mc
 from pairlrt.cli import main
 from pairlrt.core import ComparisonTable, NullHypothesis, UndirectedGraph, load_edge_list
 
+from conftest import random_connected_table
+
 
 @pytest.fixture
 def runner():
@@ -121,6 +123,20 @@ def test_test_verb_specified_null_from_file(runner, cycle_graph, tmp_path):
     assert res.exit_code == 0, res.output
     payload = json.loads(res.stdout)
     assert payload["reference"] == {"type": "chi_square", "df": 2}
+
+
+@pytest.mark.parametrize("B", ["0", "-3"])
+def test_bootstrap_size_must_be_positive(runner, tmp_path, B):
+    _, table = random_connected_table(np.random.default_rng(4), 6, k=3)
+    path = tmp_path / "season.txt"
+    path.write_text(table.to_text())
+    values = tmp_path / "null.txt"
+    values.write_text("0.0\n")
+    base = ["test", "--model", "bt", "--input", str(path), "--null", f"specified:{values}", "--regime", "fixed"]
+    assert runner.invoke(main, base + ["--bootstrap-b", "5"]).exit_code == 0
+    res = runner.invoke(main, base + ["--bootstrap-b", B])
+    assert res.exit_code == 2
+    assert "--bootstrap-b" in res.stderr and "Traceback" not in res.output
 
 
 def test_test_verb_rejects_bad_null(runner, cycle_graph):

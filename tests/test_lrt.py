@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pairlrt import bt_model as btm
 from pairlrt import lrt
-from pairlrt.core import Fit, NonexistentMLEError, NullHypothesis, UndirectedGraph
+from pairlrt.core import ComparisonTable, Fit, NonexistentMLEError, NullHypothesis, UndirectedGraph
 
 from conftest import random_connected_table, random_existing_graph
 
@@ -171,6 +172,81 @@ def test_bootstrap_pvalue_matches_run_test(rng):
     extreme = NullHypothesis.specified(3, [8.0, -8.0])
     p, used = lrt.bootstrap_tail(small, extreme, 0.0, np.array([0.0, 8.0, -8.0]), 60, np.random.default_rng(0), 1e-8)
     assert np.isnan(p) and used < 30
+
+
+def test_bootstrap_tail_needs_a_replicate(rng):
+    _, table = random_connected_table(rng, 5, k=3)
+    null = NullHypothesis.specified(2, [0.0])
+    for B in (0, -3):
+        with pytest.raises(ValueError, match="at least one replicate"):
+            lrt.bootstrap_tail(table, null, 1.0, np.zeros(5), B, np.random.default_rng(0), 1e-8)
+
+
+def _season_design():
+    # the benchmark's comparison season: n 30, three comparisons a pair, null on the first 5
+    n, r = 30, 5
+    head = n // 3
+    beta = np.concatenate([np.zeros(head), 0.2 * np.arange(1, n - head + 1) * np.log(n) / n])
+    null = NullHypothesis.specified(r, beta[1:r])
+    table = btm.simulate_comparisons(beta, 3, np.random.default_rng(7))
+    return table.totals, null, btm.bt_fit_restricted(table, null).beta_hat
+
+
+def _pinned_far_design(n, k):
+    # equal merits, with subject 1 pinned 17.5 above the reference: some draws are not
+    # strongly connected, and some restricted fits run a free subject out to saturation
+    totals = np.full((n, n), k)
+    np.fill_diagonal(totals, 0)
+    return totals, NullHypothesis.specified(2, [17.5]), np.zeros(n)
+
+
+BOOTSTRAP_DESIGNS = {
+    "season": (_season_design, 150),
+    "no-full-maximizer": (lambda: _pinned_far_design(5, 1), 200),
+    "restricted-saturates": (lambda: _pinned_far_design(5, 2), 200),
+}
+
+
+@pytest.mark.parametrize("design", sorted(BOOTSTRAP_DESIGNS))
+def test_bootstrap_matches_fitting_each_table_alone(design):
+    make, B = BOOTSTRAP_DESIGNS[design]
+    totals, null, beta_null = make()
+    table = ComparisonTable(np.triu(totals))
+    # the per-table reference: one draw, two fits and a statistic per child, in order
+    want, lost_full, lost_null = [], 0, 0
+    for child in np.random.default_rng(11).spawn(B):
+        boot = btm.simulate_comparisons(beta_null, totals, child)
+        full = btm.bt_fit_mle(boot)
+        if not full.exists:
+            lost_full += 1
+            continue
+        restricted = btm.bt_fit_restricted(boot, null)
+        if not restricted.exists:
+            lost_null += 1
+            continue
+        want.append(lrt.lrt_statistic(full, restricted))
+    got, total = lrt.bootstrap_distribution(table, null, beta_null, B, np.random.default_rng(11), 1e-8)
+    assert total == B and len(got) == len(want)
+    assert np.abs(np.array(got) - np.array(want)).max() <= 1e-8
+    # more than two chunks, and each design reaches the case it is named for
+    assert B > 2 * lrt.BOOTSTRAP_CHUNK
+    if design == "no-full-maximizer":
+        assert lost_full > 0
+    if design == "restricted-saturates":
+        assert lost_null > 0
+
+
+def test_bootstrap_memory_stays_bounded():
+    totals, null, beta_null = _season_design()
+    table = ComparisonTable(np.triu(totals))
+    tracemalloc.start()
+    try:
+        stats, _ = lrt.bootstrap_distribution(table, null, beta_null, 999, np.random.default_rng(1), 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # fitting all 999 tables in one batch peaks near 57 MiB
+    assert len(stats) > 900 and peak < 8 * 2**20
 
 
 def test_p_value_monotone_in_statistic():
