@@ -63,8 +63,6 @@ def class_tallies(wins: np.ndarray, classes: np.ndarray) -> Tallies:
     """Tallies of a win matrix, or a stack of them, over the class index of each subject."""
     w = np.asarray(wins)
     n = w.shape[-1]
-    if np.array_equal(classes, np.arange(n)):
-        return Tallies(w.sum(axis=-1), w + np.swapaxes(w, -1, -2))
     c = int(classes.max()) + 1
     totals = (w + np.swapaxes(w, -1, -2)).reshape(w.shape[:-2] + (n * n,))
     pair = (classes[:, None] * c + classes).ravel()
@@ -185,8 +183,7 @@ def _fit_classes(wins: np.ndarray, classes: np.ndarray, fixed: np.ndarray, tol: 
     m = counts.degrees.shape[-1] - fixed.size
 
     def at(rows):
-        # rows are sorted batch rows, so as many rows as tables means all of them
-        return counts if rows.size == len(wins) else Tallies(counts.degrees[rows], counts.totals[rows])
+        return Tallies(counts.degrees[rows], counts.totals[rows])
 
     def score(b, rows):
         live = at(rows)
@@ -200,7 +197,7 @@ def _fit_classes(wins: np.ndarray, classes: np.ndarray, fixed: np.ndarray, tol: 
     )
     beta = values[:, classes]
     converged = gnorm <= tol
-    lost = converged & _bt_saturated(beta, wins, tol) if converged.any() else converged
+    lost = converged & _bt_saturated(beta, wins, tol)
     return [
         nonexistent_fit(beta[t], int(iters[t])) if lost[t]
         else Fit(beta[t], float(ll[t]), int(iters[t]), bool(converged[t]), True, float(gnorm[t]))

@@ -213,13 +213,24 @@ class Fit:
         }
 
 
-@functools.lru_cache(maxsize=8)
+# sizes up to this keep their pair indices (at most 2 MiB a size, 4 sizes);
+# a larger n rebuilds them, O(n^2) like any use of them
+_CACHED_PAIRS_N = 512
+
+
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column indices of the pairs i < j of n nodes, in row-major order; cached per n."""
+    """Read-only row and column indices of the pairs i < j of n nodes, in row-major order."""
+    return _cached_pair_indices(n) if n <= _CACHED_PAIRS_N else _build_pair_indices(n)
+
+
+def _build_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     iu = np.triu_indices(n, k=1)
     for a in iu:
         a.setflags(write=False)
     return iu
+
+
+_cached_pair_indices = functools.lru_cache(maxsize=4)(_build_pair_indices)
 
 
 def nonexistent_fit(beta: np.ndarray, iterations: int = 0) -> Fit:
@@ -263,17 +274,14 @@ def newton_ascent(loglik, score, info, theta: np.ndarray, fixed: np.ndarray, per
     live += evaluate(live[1], live[0])
 
     def settle(stop, steps):
-        """Record the members in ``stop`` as final; return the rest, or None when none is left."""
+        """Record the members in ``stop`` as final; return the rest."""
         rows, b, ll, _, g = live
-        if stop.all():
-            values[rows], loglik_out[rows], gnorm_out[rows], iters_out[rows] = b, ll, g, steps
-            return None
         out = rows[stop]
         values[out], loglik_out[out], gnorm_out[out], iters_out[out] = b[stop], ll[stop], g[stop], steps
         return [x[~stop] for x in live]
 
     steps = 0
-    while live is not None:
+    while live[0].size:
         rows, b, ll, s, g = live
         if steps == MAX_NEWTON or not g.min() > tol:
             live = settle(~(g > tol) if steps < MAX_NEWTON else np.ones(rows.size, dtype=bool), steps)
@@ -286,15 +294,7 @@ def newton_ascent(loglik, score, info, theta: np.ndarray, fixed: np.ndarray, per
                 live = settle(~solvable, steps)
                 continue
         steps += 1
-        # the full step for every member at once, the common case
-        cand = b.copy()
-        cand[:, f:] += delta
-        if np.abs(cand[:, f:]).max() <= DIVERGENCE_CAP:
-            cand_ll, cand_s, cand_g = evaluate(cand, rows)
-            if ((cand_ll > ll) | (cand_g < g)).all():
-                live[1:] = cand, cand_ll, cand_s, cand_g
-                continue
-        # otherwise each member halves its own step, from the full one
+        # each member halves its own step, from the full one
         todo = np.arange(rows.size)
         for step in _HALVINGS:
             cand = b[todo]
