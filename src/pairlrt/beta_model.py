@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.special import expit
@@ -19,17 +19,24 @@ from scipy.special import expit
 from .core import (
     TOL_SCORE,
     Fit,
+    Fits,
     NullHypothesis,
     UndirectedGraph,
     as_model_params,
     newton_ascent,
     nonexistent_fit,
     pair_indices,
+    sum_bins,
 )
 
 
 def _pair_logits(beta: np.ndarray) -> np.ndarray:
-    return beta[:, None] + beta[None, :]
+    return beta[..., :, None] + beta[..., None, :]
+
+
+def _others(x: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Per class, the sum of x over one node's pairs: every other node of every class."""
+    return (x @ mult[..., None])[..., 0] - np.diagonal(x, axis1=-2, axis2=-1)
 
 
 def edge_probabilities(beta) -> np.ndarray:
@@ -40,34 +47,63 @@ def edge_probabilities(beta) -> np.ndarray:
     return p
 
 
-def log_likelihood(beta, g: UndirectedGraph, classes=None) -> float:
-    """Log-likelihood of the graph g, which enters only through its degree sequence.
+class Tallies(NamedTuple):
+    """Node counts ``mult`` and degree totals ``totals`` (..., c) of classes of nodes.
 
-    With ``classes``, the class index of each node, beta holds one value per
-    class.  Without it, nodes of equal parameter form the classes: their pair
-    terms are identical, so every evaluation runs over the m distinct values
-    in O(m^2).
+    The leading axes, if any, stack graphs.
     """
-    b = as_model_params(beta, "beta")
-    if classes is None:
-        if b.size != g.n:
-            raise ValueError(f"parameter length {b.size} does not match n={g.n}")
+
+    mult: np.ndarray
+    totals: np.ndarray
+
+
+def class_tallies(degrees, classes: np.ndarray) -> Tallies:
+    """Tallies of a degree sequence over the class index of each node.
+
+    A (k, n) stack of degree sequences takes one (k, n) map, a row per
+    sequence, and gives (k, c) tallies.
+    """
+    d = np.asarray(degrees, dtype=float)
+    c = int(classes.max()) + 1
+    return Tallies(sum_bins(np.ones(d.shape), classes, c), sum_bins(d, classes, c))
+
+
+def log_likelihood(beta, data: Union[UndirectedGraph, Tallies]):
+    """Log-likelihood of a graph, which enters only through its degree sequence.
+
+    With a graph, beta holds one value per node, and nodes of equal value
+    form the classes: their pair terms are identical, so every evaluation
+    runs over the m distinct values in O(m^2).  With Tallies, beta holds one
+    value per class, and a stack of tallies with one row of beta each gives
+    one log-likelihood per row.
+    """
+    graph = isinstance(data, UndirectedGraph)
+    b = as_model_params(beta, "beta", stacked=not graph)
+    if graph:
+        if b.size != data.n:
+            raise ValueError(f"parameter length {b.size} does not match n={data.n}")
         b, classes = np.unique(b, return_inverse=True)
-    w = np.bincount(classes, minlength=b.size).astype(float)
-    totals = np.bincount(classes, weights=g.degrees, minlength=b.size)
+        data = class_tallies(data.degrees, classes)
+    mult, totals = data
     f = np.logaddexp(0.0, _pair_logits(b))
     # each unordered pair once: all ordered pairs of distinct nodes, halved
-    return float(b @ totals - 0.5 * (w @ f @ w - w @ np.diag(f)))
+    ll = (b * totals).sum(axis=-1) - 0.5 * (mult * _others(f, mult)).sum(axis=-1)
+    return float(ll) if graph else ll
 
 
-def expected_degrees(beta, classes=None) -> np.ndarray:
-    """Expected degree of each node; with ``classes`` (see log_likelihood), of one node per class."""
-    b = as_model_params(beta, "beta")
-    per_node = classes is None
+def expected_degrees(beta, mult: Optional[np.ndarray] = None) -> np.ndarray:
+    """Expected degree of each node.
+
+    With the class multiplicities ``mult``, beta holds one value per class
+    (see log_likelihood) and the result is one node's expected degree per
+    class, row by row for a stack.
+    """
+    per_node = mult is None
+    b = as_model_params(beta, "beta", stacked=not per_node)
     if per_node:
         b, classes = np.unique(b, return_inverse=True)
-    p = expit(_pair_logits(b))
-    e = p @ np.bincount(classes, minlength=b.size) - np.diag(p)
+        mult = np.bincount(classes).astype(float)
+    e = _others(expit(_pair_logits(b)), mult)
     return e[classes] if per_node else e
 
 
@@ -79,24 +115,26 @@ def score(beta, g: UndirectedGraph) -> np.ndarray:
     return g.degrees - expected_degrees(b)
 
 
-def fisher_info(beta, classes=None) -> np.ndarray:
+def fisher_info(beta, mult: Optional[np.ndarray] = None) -> np.ndarray:
     """Covariance matrix of the degree sequence.
 
     Off-diagonal entries are the pair variances; each diagonal entry is the
-    row sum of the others, so the result is diagonally balanced.  With
-    ``classes`` (see log_likelihood) it is the covariance of the class degree
-    totals, the information in one parameter per class.
+    row sum of the others, so the result is diagonally balanced.  With the
+    class multiplicities ``mult`` (see expected_degrees) it is the
+    covariance of the class degree totals, the information in one parameter
+    per class, row by row for a stack.
     """
-    b = as_model_params(beta, "beta")
-    w = np.ones(b.size) if classes is None else np.bincount(classes, minlength=b.size).astype(float)
+    b = as_model_params(beta, "beta", stacked=True)
+    w = np.ones(b.shape) if mult is None else mult
     pi = _pair_logits(b)
     v = expit(pi) * expit(-pi)
-    own = np.diag(v).copy()
+    own = np.diagonal(v, axis1=-2, axis2=-1).copy()
     # variance of one node's degree, then the covariances of the class totals
-    node = v @ w - own
-    v *= w[:, None]
-    v *= w
-    np.fill_diagonal(v, w * node + w * (w - 1.0) * own)
+    node = _others(v, w)
+    v *= w[..., :, None]
+    v *= w[..., None, :]
+    diag = np.arange(b.shape[-1])
+    v[..., diag, diag] = w * node + w * (w - 1.0) * own
     return v
 
 
@@ -136,104 +174,131 @@ def _saturated(beta: np.ndarray, tol: float) -> bool:
     return max(abs(s[0] + s[1]), abs(s[-1] + s[-2])) >= -math.log(tol)
 
 
-def _fit_classes(g: UndirectedGraph, r: int, pinned: Optional[np.ndarray], *, tol: float) -> Fit:
-    """Damped Newton ascent with one parameter per class of nodes.
+def _fit_classes(graphs: list, r: int, pinned: Optional[np.ndarray], tol: float) -> list[Fit]:
+    """Damped Newton ascent with one parameter per class of nodes, for each graph of a list.
 
     The first r nodes are pinned to ``pinned``, or tied to one unknown value
     when ``pinned`` is None; nodes r.. are free.  Free nodes of equal degree
     share the maximizer (the likelihood is strictly concave and unchanged by
     swapping them), so each degree forms one class, and a step solves an
-    m-by-m system over the m fitted classes.  The result is expanded to n
-    entries and certified once on the n-node functions, which group nodes of
-    equal value themselves.  Reduced coordinates are the free nodes one by
-    one and the tied block summed.
+    m-by-m system over the m fitted classes.  Graphs of equal size and class
+    count are fitted together in one batch, so no member is padded and each
+    member's arithmetic is that of its fit alone.  Reduced coordinates are
+    the free nodes one by one and the tied block summed.
     """
-    d = g.degrees
     tied = pinned is None and r > 0
-    degs, classes = np.unique(d[r:], return_inverse=True)
-    fixed = np.zeros(0)
-    if tied:
-        classes = np.concatenate([np.zeros(r, dtype=int), classes + 1])
-    elif r > 0:
+    fixed, head = np.zeros(0), np.zeros(r, dtype=int)
+    if r > 0 and not tied:
         fixed, head = np.unique(pinned, return_inverse=True)
-        classes = np.concatenate([head, classes + fixed.size])
-    mult = np.bincount(classes).astype(float)
-    totals = np.bincount(classes, weights=d)
-    # reduced score = class score over per: one node's share, or the whole tied block
-    per = mult[fixed.size:].copy()
-    if tied:
-        per[0] = 1.0
-    # a batch of one: the evaluators see the single row of values
-    values, _, _, iters = newton_ascent(
-        lambda b, _: np.array([log_likelihood(b[0], g, classes)]),
-        lambda b, _: (totals - mult * expected_degrees(b[0], classes))[None],
-        lambda b, _: fisher_info(b[0], classes=classes)[None],
-        np.zeros((1, per.size)), fixed, per, tol,
-    )
-    beta = values[0, classes]
-    iters = int(iters[0])
-    score_n = d - expected_degrees(beta)
-    reduced = np.concatenate([[score_n[:r].sum()] if tied else [], score_n[r:]])
-    gnorm = float(np.abs(reduced).max())
-    converged = gnorm <= tol
-    if converged and _saturated(beta, tol):
-        return nonexistent_fit(beta, iters)
-    return Fit(beta, log_likelihood(beta, g), iters, converged, True, gnorm)
+    first = 1 if tied else fixed.size
+    groups: dict = {}
+    for t, g in enumerate(graphs):
+        distinct, tail = np.unique(g.degrees[r:], return_inverse=True)
+        classes = np.concatenate([head, tail + first])
+        groups.setdefault((g.n, first + distinct.size), []).append((t, classes))
+    fits: list = [None] * len(graphs)
+    for members in groups.values():
+        rows = [t for t, _ in members]
+        classes = np.array([c for _, c in members])
+        mult, totals = class_tallies(np.array([graphs[t].degrees for t in rows]), classes)
+        # reduced score = class score over per: one node's share, or the whole tied block
+        per = mult[:, fixed.size:].copy()
+        if tied:
+            per[:, 0] = 1.0
+        values, ll, gnorm, iters = newton_ascent(
+            lambda b, live: log_likelihood(b, Tallies(mult[live], totals[live])),
+            lambda b, live: totals[live] - mult[live] * expected_degrees(b, mult[live]),
+            lambda b, live: fisher_info(b, mult[live]),
+            np.zeros(per.shape), fixed, per, tol,
+        )
+        beta = np.take_along_axis(values, classes, axis=1)
+        for i, t in enumerate(rows):
+            converged = bool(gnorm[i] <= tol)
+            if converged and _saturated(beta[i], tol):
+                fits[t] = nonexistent_fit(beta[i], int(iters[i]))
+            else:
+                fits[t] = Fit(beta[i], float(ll[i]), int(iters[i]), converged, True, float(gnorm[i]))
+    return fits
 
 
-def fit_mle(g: UndirectedGraph, *, tol: float = TOL_SCORE) -> Fit:
+def _as_list(g) -> list:
+    return [g] if isinstance(g, UndirectedGraph) else list(g)
+
+
+def _finish(g, graphs: list, ready: list, r: int, pinned: Optional[np.ndarray], tol: float):
+    """Fit the graphs whose entry of ``ready`` is None; one Fit for a graph, the Fits of a list."""
+    fitted = iter(_fit_classes([x for x, f in zip(graphs, ready) if f is None], r, pinned, tol))
+    fits = [next(fitted) if f is None else f for f in ready]
+    return fits[0] if isinstance(g, UndirectedGraph) else Fits(fits)
+
+
+def _boundary(d: np.ndarray, n: int) -> bool:
+    return bool(np.any((d == 0) | (d == n - 1)))
+
+
+def fit_mle(g, *, tol: float = TOL_SCORE):
     """Fit all n parameters by Newton steps over the degree classes.
 
-    A degree of 0 or n-1 means the maximizer does not exist and is reported
-    without iterating.
+    ``g`` is a graph, which gives one Fit, or a sequence of graphs, which
+    gives their Fits, fitted together.  A degree of 0 or n-1 means the
+    maximizer does not exist and is reported without iterating.
     """
-    d = g.degrees
-    n = g.n
-    if np.any(d == 0) or np.any(d == n - 1):
-        return nonexistent_fit(np.zeros(n))
-    return _fit_classes(g, 0, None, tol=tol)
+    graphs = _as_list(g)
+    ready = [nonexistent_fit(np.zeros(x.n)) if _boundary(x.degrees, x.n) else None for x in graphs]
+    return _finish(g, graphs, ready, 0, None, tol)
 
 
-def fit_restricted_specified(g: UndirectedGraph, null: NullHypothesis, *, tol: float = TOL_SCORE) -> Fit:
-    """Fit with the first r parameters pinned to the null values."""
+def fit_restricted_specified(g, null: NullHypothesis, *, tol: float = TOL_SCORE):
+    """Fit with the first r parameters pinned to the null values; ``g`` as in fit_mle."""
     if null.kind != "specified":
         raise ValueError("null must be of the specified kind")
-    null.validate_for("beta", g.n)
-    n = g.n
     r = null.r
     if r == 0:
         return fit_mle(g, tol=tol)
-    d = g.degrees
-    base = np.zeros(n)
-    base[:r] = null.values
-    if r == n:
-        return Fit(base, log_likelihood(base, g), 0, True, True, 0.0)
-    if np.any(d[r:] == 0) or np.any(d[r:] == n - 1):
-        return nonexistent_fit(base)
-    return _fit_classes(g, r, null.values, tol=tol)
+    graphs = _as_list(g)
+    ready: list = []
+    for x in graphs:
+        null.validate_for("beta", x.n)
+        base = np.zeros(x.n)
+        base[:r] = null.values
+        if r == x.n:
+            ready.append(Fit(base, log_likelihood(base, x), 0, True, True, 0.0))
+        else:
+            ready.append(nonexistent_fit(base) if _boundary(x.degrees[r:], x.n) else None)
+    return _finish(g, graphs, ready, r, null.values, tol)
 
 
-def fit_restricted_homogeneous(g: UndirectedGraph, r: int, *, tol: float = TOL_SCORE) -> Fit:
-    """Fit with the first r parameters tied to a common unknown value."""
-    if not 1 <= r <= g.n:
-        raise ValueError(f"r must be in [1, {g.n}], got {r}")
-    n = g.n
-    d = g.degrees
-    block = int(d[:r].sum())
-    if block == 0 or block == r * (n - 1):
-        return nonexistent_fit(np.zeros(n))
-    if np.any(d[r:] == 0) or np.any(d[r:] == n - 1):
-        return nonexistent_fit(np.zeros(n))
-    return _fit_classes(g, r, None, tol=tol)
+def fit_restricted_homogeneous(g, r: int, *, tol: float = TOL_SCORE):
+    """Fit with the first r parameters tied to a common unknown value; ``g`` as in fit_mle."""
+    graphs = _as_list(g)
+    ready: list = []
+    for x in graphs:
+        n = x.n
+        if not 1 <= r <= n:
+            raise ValueError(f"r must be in [1, {n}], got {r}")
+        block = int(x.degrees[:r].sum())
+        lost = block == 0 or block == r * (n - 1) or _boundary(x.degrees[r:], n)
+        ready.append(nonexistent_fit(np.zeros(n)) if lost else None)
+    return _finish(g, graphs, ready, r, None, tol)
 
 
-def simulate_graph(beta, rng: np.random.Generator) -> UndirectedGraph:
-    """Draw one graph with independent edges at probabilities expit(b_i + b_j)."""
+def simulate_graph(beta, rng):
+    """Draw a graph with independent edges at probabilities expit(b_i + b_j).
+
+    ``rng`` is one Generator, which gives an UndirectedGraph, or a sequence
+    of them, which gives a list of graphs, the i-th drawn from rng[i]
+    exactly as one graph from it.
+    """
     b = as_model_params(beta, "beta")
     n = b.size
     if n < 3:
         raise ValueError("need at least three nodes")
     i, j = pair_indices(n)
     p = expit(b[i] + b[j])
-    drawn = np.flatnonzero(rng.random(p.size) < p)
-    return UndirectedGraph.from_edges(n, np.column_stack((i[drawn], j[drawn])))
+    one = isinstance(rng, np.random.Generator)
+    graphs = []
+    for gen in [rng] if one else rng:
+        drawn = np.flatnonzero(gen.random(p.size) < p)
+        # the pairs i < j come distinct and in order, as from_edges leaves them
+        graphs.append(UndirectedGraph(n, np.column_stack((i[drawn], j[drawn]))))
+    return graphs[0] if one else graphs

@@ -19,11 +19,13 @@ from .core import (
     TOL_SCORE,
     ComparisonTable,
     Fit,
+    Fits,
     NullHypothesis,
     as_model_params,
     newton_ascent,
     nonexistent_fit,
     pair_indices,
+    sum_bins,
 )
 
 
@@ -51,14 +53,6 @@ class Tallies(NamedTuple):
     totals: np.ndarray
 
 
-def _sum_bins(x: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
-    """Sum the last axis of x into ``size`` bins by ``index``, row by row."""
-    rows = x.reshape(-1, x.shape[-1])
-    keys = np.arange(rows.shape[0])[:, None] * size + index
-    out = np.bincount(keys.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * size)
-    return out.reshape(x.shape[:-1] + (size,))
-
-
 def class_tallies(wins: np.ndarray, classes: np.ndarray) -> Tallies:
     """Tallies of a win matrix, or a stack of them, over the class index of each subject."""
     w = np.asarray(wins)
@@ -67,8 +61,8 @@ def class_tallies(wins: np.ndarray, classes: np.ndarray) -> Tallies:
     totals = (w + np.swapaxes(w, -1, -2)).reshape(w.shape[:-2] + (n * n,))
     pair = (classes[:, None] * c + classes).ravel()
     return Tallies(
-        _sum_bins(w.sum(axis=-1), classes, c),
-        _sum_bins(totals, pair, c * c).reshape(w.shape[:-2] + (c, c)),
+        sum_bins(w.sum(axis=-1), classes, c),
+        sum_bins(totals, pair, c * c).reshape(w.shape[:-2] + (c, c)),
     )
 
 
@@ -193,7 +187,7 @@ def _fit_classes(wins: np.ndarray, classes: np.ndarray, fixed: np.ndarray, tol: 
         lambda b, rows: bt_log_likelihood(b, at(rows)),
         score,
         lambda b, rows: bt_fisher_info(b, at(rows)),
-        np.zeros((len(wins), m)), fixed, np.ones(m), tol,
+        np.zeros((len(wins), m)), fixed, np.ones((len(wins), m)), tol,
     )
     beta = values[:, classes]
     converged = gnorm <= tol
@@ -205,40 +199,45 @@ def _fit_classes(wins: np.ndarray, classes: np.ndarray, fixed: np.ndarray, tol: 
     ]
 
 
-def _fill(kept: np.ndarray, fits: list, missing: np.ndarray) -> list[Fit]:
-    """Per table of a stack: its fit where kept, else a nonexistent fit at ``missing``."""
+def _stack(data: Union[ComparisonTable, np.ndarray]) -> np.ndarray:
+    """The (k, n, n) win matrices of a stack, or of one table as a stack of one."""
+    return data.wins[None] if isinstance(data, ComparisonTable) else np.asarray(data)
+
+
+def _result(data, fits: list):
+    """One Fit for a table, the Fits of a stack."""
+    return fits[0] if isinstance(data, ComparisonTable) else Fits(fits)
+
+
+def _fill(data, kept: np.ndarray, fits: list, missing: np.ndarray):
+    """_result of the stack's fits: its fit where kept, else a nonexistent fit at ``missing``."""
     fitted = iter(fits)
-    return [next(fitted) if keep else nonexistent_fit(missing) for keep in kept]
+    return _result(data, [next(fitted) if keep else nonexistent_fit(missing) for keep in kept])
 
 
-def bt_fit_mle(table: ComparisonTable, *, tol: float = TOL_SCORE) -> Fit:
-    """Fit the n-1 free merit parameters.
+def bt_fit_mle(data: Union[ComparisonTable, np.ndarray], *, tol: float = TOL_SCORE):
+    """Fit the n-1 free merit parameters of a table, or of each win matrix of a (k, n, n) stack.
 
     Existence is decided up front by strong connectivity.  Newton steps
-    start from zero on every subject but the reference.
+    start from zero on every subject but the reference; a stack's tables
+    are fitted together, and a table gives one Fit, a stack its Fits.
     """
-    return bt_fit_mle_batch(table.wins[None], tol=tol)[0]
-
-
-def bt_fit_mle_batch(wins: np.ndarray, *, tol: float = TOL_SCORE) -> list[Fit]:
-    """bt_fit_mle of each win matrix of a (k, n, n) stack, fitted together."""
+    wins = _stack(data)
     n = wins.shape[-1]
     exists = strongly_connected(wins)
-    return _fill(exists, _fit_classes(wins[exists], np.arange(n), np.zeros(1), tol), np.zeros(n))
+    return _fill(data, exists, _fit_classes(wins[exists], np.arange(n), np.zeros(1), tol), np.zeros(n))
 
 
-def bt_fit_restricted(table: ComparisonTable, null: NullHypothesis, *, tol: float = TOL_SCORE) -> Fit:
-    """Fit under a null constraint on subjects 1..r.
+def bt_fit_restricted(
+    data: Union[ComparisonTable, np.ndarray], null: NullHypothesis, *, tol: float = TOL_SCORE
+):
+    """Fit under a null constraint on subjects 1..r, for a table or a stack (see bt_fit_mle).
 
     Specified nulls pin subjects 2..r to given offsets from the reference;
     homogeneous nulls tie subjects 2..r to one common unknown level, while
     the reference stays at zero.
     """
-    return bt_fit_restricted_batch(table.wins[None], null, tol=tol)[0]
-
-
-def bt_fit_restricted_batch(wins: np.ndarray, null: NullHypothesis, *, tol: float = TOL_SCORE) -> list[Fit]:
-    """bt_fit_restricted of each win matrix of a (k, n, n) stack, fitted together."""
+    wins = _stack(data)
     n = wins.shape[-1]
     null.validate_for("bt", n)
     r = null.r
@@ -249,10 +248,10 @@ def bt_fit_restricted_batch(wins: np.ndarray, null: NullHypothesis, *, tol: floa
         base = np.concatenate([[0.0], null.values, np.zeros(n - r)])
         if r == n:
             ll = bt_log_likelihood(np.tile(base, (len(wins), 1)), class_tallies(wins, np.arange(n)))
-            return [Fit(base.copy(), float(value), 0, True, True, 0.0) for value in ll]
+            return _result(data, [Fit(base.copy(), float(value), 0, True, True, 0.0) for value in ll])
         # the reference and the pinned subjects are fixed classes, every other subject its own
         kept = ~free_boundary
-        return _fill(kept, _fit_classes(wins[kept], np.arange(n), base[:r], tol), base)
+        return _fill(data, kept, _fit_classes(wins[kept], np.arange(n), base[:r], tol), base)
     # Cross-block win totals decide existence for the block's shared level.
     tied = np.arange(1, r)
     outside = np.concatenate(([0], np.arange(r, n)))
@@ -261,7 +260,7 @@ def bt_fit_restricted_batch(wins: np.ndarray, null: NullHypothesis, *, tol: floa
     kept = ~free_boundary & ~((cross_total > 0) & ((cross_wins == 0) | (cross_wins == cross_total)))
     # class 0 is the reference, class 1 the tied block, then one class per tail subject
     classes = np.concatenate([[0], np.ones(r - 1, dtype=int), np.arange(2, n - r + 2)])
-    return _fill(kept, _fit_classes(wins[kept], classes, np.zeros(1), tol), np.zeros(n))
+    return _fill(data, kept, _fit_classes(wins[kept], classes, np.zeros(1), tol), np.zeros(n))
 
 
 def simulate_comparisons(beta, k, rng):

@@ -213,6 +213,27 @@ class Fit:
         }
 
 
+class Fits(list):
+    """The fits of a stack of datasets, one per dataset, in the stack's order."""
+
+    @property
+    def iterations(self) -> int:
+        """Newton steps of every member together."""
+        return sum(f.iterations for f in self)
+
+
+def sum_bins(x: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """Sum the last axis of x into ``size`` bins by ``index``, row by row.
+
+    ``index`` is one map for every row, or one map per row of the same shape
+    as x.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    keys = np.arange(rows.shape[0])[:, None] * size + index.reshape(-1, x.shape[-1])
+    out = np.bincount(keys.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * size)
+    return out.reshape(x.shape[:-1] + (size,))
+
+
 # sizes up to this keep their pair indices (at most 2 MiB a size, 4 sizes);
 # a larger n rebuilds them, O(n^2) like any use of them
 _CACHED_PAIRS_N = 512
@@ -250,12 +271,12 @@ def newton_ascent(loglik, score, info, theta: np.ndarray, fixed: np.ndarray, per
     members ``rows``, one row each.  They return each member's
     log-likelihood, gradient and information matrix over every class; the
     ascent reads the fitted entries.  A member's gradient norm is the max of
-    |score / per| over its fitted classes, so ``per`` scales each class
-    score to the coordinate it reports.  Every member steps on its own: its
-    step halves until it stays inside the divergence cap and raises the
-    log-likelihood or lowers the gradient norm, and it stops when its norm
-    is within tol, its information is singular, no step is accepted, or
-    after MAX_NEWTON steps.  Returns per member the values of every class,
+    |score / per| over its fitted classes, so ``per``, one row per member
+    like ``theta``, scales each class score to the coordinate it reports.
+    Every member steps on its own: its step halves until it stays inside the
+    divergence cap and raises the log-likelihood or lowers the gradient
+    norm, and it stops when its norm is within tol, its information is
+    singular, no step is accepted, or after MAX_NEWTON steps.  Returns per member the values of every class,
     their log-likelihood, the gradient norm and the number of Newton steps.
     """
     k, m = theta.shape
@@ -267,7 +288,7 @@ def newton_ascent(loglik, score, info, theta: np.ndarray, fixed: np.ndarray, per
 
     def evaluate(b, rows):
         s = score(b, rows)[:, f:]
-        return loglik(b, rows), s, np.abs(s / per).max(axis=1)
+        return loglik(b, rows), s, np.abs(s / per[rows]).max(axis=1)
 
     # the members still stepping: batch rows, values, log-likelihoods, fitted scores, norms
     live = [np.arange(k), values.copy()]

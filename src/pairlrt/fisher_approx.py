@@ -151,8 +151,8 @@ def build_homogeneous_info(beta, r: int) -> np.ndarray:
         raise ValueError(f"r must be in [1, {n}]")
     if not np.all(np.abs(b[:r] - b[0]) <= 1e-12):
         raise ValueError("leading block is not tied")
-    classes = np.concatenate([np.zeros(r, dtype=int), np.arange(1, n - r + 1)])
-    return fisher_info(np.concatenate([b[:1], b[r:]]), classes=classes)
+    mult = np.concatenate([[float(r)], np.ones(n - r)])
+    return fisher_info(np.concatenate([b[:1], b[r:]]), mult)
 
 
 def check_homogeneous_bound(beta, r: int) -> ApproxReport:

@@ -131,9 +131,14 @@ def reference_distribution(model: str, null: NullHypothesis, regime: str) -> Ref
     return ChiSquare(df)
 
 
-def fit_pair(data: Union[UndirectedGraph, ComparisonTable], null: NullHypothesis, tol: float = TOL_SCORE) -> tuple:
-    """The (full, restricted) maximum-likelihood fits of the data's model under null."""
-    if isinstance(data, ComparisonTable):
+def fit_pair(data, null: NullHypothesis, tol: float = TOL_SCORE) -> tuple:
+    """The (full, restricted) maximum-likelihood fits of the data's model under null.
+
+    ``data`` is a graph or a sequence of graphs, or a ComparisonTable or a
+    (k, n, n) stack of win matrices.  One dataset gives two Fits, a stack
+    two lists of them, each fitted together.
+    """
+    if isinstance(data, (ComparisonTable, np.ndarray)):
         return bt_model.bt_fit_mle(data, tol=tol), bt_model.bt_fit_restricted(data, null, tol=tol)
     full = beta_model.fit_mle(data, tol=tol)
     if null.kind == "specified":
@@ -215,9 +220,9 @@ def bootstrap_distribution(
     for start in range(0, B, BOOTSTRAP_CHUNK):
         children = rng.spawn(min(BOOTSTRAP_CHUNK, B - start))
         wins = bt_model.simulate_comparisons(beta_null, table.totals, children)
-        full = bt_model.bt_fit_mle_batch(wins, tol=tol)
+        full = bt_model.bt_fit_mle(wins, tol=tol)
         exists = np.array([f.exists for f in full])
-        restricted = bt_model.bt_fit_restricted_batch(wins[exists], null, tol=tol)
+        restricted = bt_model.bt_fit_restricted(wins[exists], null, tol=tol)
         full = [f for f in full if f.exists]
         stats += [lrt_statistic(f, r) for f, r in zip(full, restricted) if r.exists]
     return stats, B

@@ -6,10 +6,17 @@ streams come from mixing (master seed, replicate index) through numpy's
 SeedSequence, so replicate t is the same draw whether the run uses one
 worker or eight, and extending a run leaves earlier replicates unchanged.
 
+A job draws its replicates a chunk at a time and fits each chunk's
+datasets together, the graphs batched by class count.  A member's fit is
+bitwise its fit alone, so no result depends on which replicates share a
+chunk, a job or a worker.
+
 Replicates whose maximizer does not exist are tallied separately and left
 out of every rejection denominator; the run aborts if they are the majority.
-A replicate whose bootstrap keeps fewer than half its draws has a statistic
-but no p-value; it is tallied too and left out of the rejection denominator.
+Replicates whose fit stops short of the score tolerance are tallied as
+unconverged and left out too.  A replicate whose bootstrap keeps fewer than
+half its draws has a statistic but no p-value; it is tallied too and left
+out of the rejection denominator.
 """
 
 from __future__ import annotations
@@ -23,7 +30,11 @@ from typing import Optional, Union
 import numpy as np
 
 from . import beta_model, bt_model, lrt
-from .core import TOL_SCORE, NonexistentMLEError, NullHypothesis
+from .core import TOL_SCORE, ComparisonTable, NullHypothesis
+
+# Replicates drawn and fitted together: as many as fit in this many n-by-n
+# cells, so a chunk's memory is fixed whatever the replicate count.
+CHUNK_CELLS = 2**20
 
 PRESETS = ("H01", "H02", "H03", "H04", "PowerBeta", "PowerBT", "NBASmall")
 DEFAULT_ALPHAS = (0.05, 0.10)
@@ -201,6 +212,7 @@ class MCReport:
     stats: np.ndarray
     pvalues: Optional[np.ndarray] = None
     bootstrap_short: int = 0
+    unconverged: int = 0
 
     def to_dict(self) -> dict:
         out = {
@@ -212,6 +224,7 @@ class MCReport:
             "nonexist_freq": self.nonexist_freq,
             "reps_used": self.reps_used,
             "bootstrap_short": self.bootstrap_short,
+            "unconverged": self.unconverged,
         }
         return out
 
@@ -224,54 +237,77 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, index)))
 
 
-def simulate(scenario: Scenario, rng: np.random.Generator):
-    """One dataset drawn from the scenario's generating parameters."""
+def simulate(scenario: Scenario, rng):
+    """One dataset drawn from the scenario's generating parameters.
+
+    A sequence of generators gives one dataset per generator: a list of
+    graphs, or a stack of win matrices.
+    """
     if scenario.model == "beta":
         return beta_model.simulate_graph(scenario.true_beta, rng)
     return bt_model.simulate_comparisons(scenario.true_beta, scenario.k, rng)
 
 
-def _one_replicate(scenario: Scenario, index: int, stats_only: bool):
-    rng = replicate_rng(scenario.seed, index)
-    data = simulate(scenario, rng)
-    null = scenario.null
-    try:
-        full, restr = lrt.fit_pair(data, null)
-        stat = lrt.lrt_statistic(full, restr)
-    except NonexistentMLEError:
-        return index, float("nan"), float("nan")
+def _outcome(scenario: Scenario, data, full, restr, rng, stats_only: bool) -> tuple:
+    """(statistic, p-value, unconverged) of one replicate, NaN where undefined."""
+    nan = float("nan")
+    if not (full.exists and restr.exists):
+        return nan, nan, False
+    if not (full.converged and restr.converged):
+        return nan, nan, True
+    stat = lrt.lrt_statistic(full, restr)
     if stats_only:
-        return index, stat, float("nan")
-    reference = lrt.reference_distribution(scenario.model, null, scenario.regime)
-    p, _ = lrt.p_value(reference, stat, data, null, restr.beta_hat, rng, TOL_SCORE)
-    return index, stat, p
+        return stat, nan, False
+    if scenario.model == "bt":
+        data = ComparisonTable(data)
+    reference = lrt.reference_distribution(scenario.model, scenario.null, scenario.regime)
+    p, _ = lrt.p_value(reference, stat, data, scenario.null, restr.beta_hat, rng, TOL_SCORE)
+    return stat, p, False
 
 
 def _replicate_batch(args):
+    """(index, statistic, p-value, unconverged) of each replicate of a job, in index order.
+
+    The replicates are drawn and fitted a chunk at a time, each chunk's
+    datasets through one fit_pair; replicate i draws from its own stream,
+    which then feeds its bootstrap, if any.
+    """
     scenario, indices, stats_only = args
-    return [_one_replicate(scenario, i, stats_only) for i in indices]
+    size = max(1, CHUNK_CELLS // scenario.n**2)
+    out = []
+    for start in range(0, len(indices), size):
+        chunk = indices[start:start + size]
+        rngs = [replicate_rng(scenario.seed, i) for i in chunk]
+        data = simulate(scenario, rngs)
+        full, restr = lrt.fit_pair(data, scenario.null)
+        for t, i in enumerate(chunk):
+            out.append((i,) + _outcome(scenario, data[t], full[t], restr[t], rngs[t], stats_only))
+    return out
 
 
 def run_scenario(scenario: Scenario, *, workers: int = 1, stats_only: bool = False) -> MCReport:
     """Run every replicate and aggregate; deterministic for fixed (scenario, seed).
 
-    The replicates run in index-ordered batches, in this process when
-    workers <= 1 and in a process pool otherwise; both read the batches
-    back in index order, so every result is the same for any worker count.
-    Raises when most replicates lack a maximizer.
+    With workers <= 1 the replicates run in this process as one job;
+    otherwise they are split into index-ordered jobs for a process pool,
+    read back in index order.  A fit's result does not depend on the fits
+    beside it, so every result is the same for any worker count.  Raises
+    when most replicates lack a maximizer.
     """
     reps = scenario.reps
     stats = np.full(reps, np.nan)
     pvals = np.full(reps, np.nan)
-    chunks = np.array_split(np.arange(reps), max(workers, 1) * 4)
-    jobs = [(scenario, chunk.tolist(), stats_only) for chunk in chunks if chunk.size]
+    unconverged = np.zeros(reps, dtype=bool)
+    parts = np.array_split(np.arange(reps), workers * 4) if workers > 1 else [np.arange(reps)]
+    jobs = [(scenario, part.tolist(), stats_only) for part in parts if part.size]
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for batch in (pool.map if pool else map)(_replicate_batch, jobs):
-            for i, s, p in batch:
-                stats[i], pvals[i] = s, p
+            for i, s, p, u in batch:
+                stats[i], pvals[i], unconverged[i] = s, p, u
     exists = np.isfinite(stats)
     used = int(exists.sum())
-    nonexist = reps - used
+    short_of_tol = int(unconverged.sum())
+    nonexist = reps - used - short_of_tol
     if nonexist > reps / 2:
         raise RuntimeError(
             f"maximizer missing in {nonexist} of {reps} replicates; the design is too extreme"
@@ -292,6 +328,7 @@ def run_scenario(scenario: Scenario, *, workers: int = 1, stats_only: bool = Fal
         stats=stats,
         pvalues=None if stats_only else pvals,
         bootstrap_short=short,
+        unconverged=short_of_tol,
     )
 
 

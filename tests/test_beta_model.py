@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairlrt import beta_model as bm
-from pairlrt.core import NullHypothesis, UndirectedGraph
+from pairlrt.core import Fits, NullHypothesis, UndirectedGraph
 
 from conftest import random_existing_graph, tied_class_map
 from oracles import fd_gradient, fd_hessian, graph_loglik, maximize_graph
@@ -43,13 +43,14 @@ def test_score_matches_fd_gradient(rng):
         # gradient of the log-likelihood in the free class values
         classes = tied_class_map(n)
         values = beta[np.unique(classes, return_index=True)[1]]
-        mult = np.bincount(classes)
-        class_score = np.bincount(classes, weights=g.degrees) - mult * bm.expected_degrees(values, classes)
+        mult, totals = bm.class_tallies(g.degrees, classes)
+        class_score = totals - mult * bm.expected_degrees(values, mult)
 
         def loglik_classes(x):
             return bm.log_likelihood(np.concatenate([values[:1], x])[classes], g)
 
-        assert bm.log_likelihood(values, g, classes) == pytest.approx(loglik_classes(values[1:]), abs=1e-10)
+        got = bm.log_likelihood(values, bm.Tallies(mult, totals))
+        assert got == pytest.approx(loglik_classes(values[1:]), abs=1e-10)
         assert np.allclose(class_score[1:], fd_gradient(loglik_classes, values[1:]), rtol=1e-5, atol=1e-5)
 
 
@@ -64,7 +65,7 @@ def test_fisher_matches_fd_hessian(rng):
 
         classes = tied_class_map(n)
         values = beta[np.unique(classes, return_index=True)[1]]
-        V = bm.fisher_info(values, classes=classes)[1:, 1:]
+        V = bm.fisher_info(values, np.bincount(classes).astype(float))[1:, 1:]
         H = fd_hessian(lambda x: bm.log_likelihood(np.concatenate([values[:1], x])[classes], g), values[1:])
         assert np.abs(V + H).max() <= 1e-4
 
@@ -306,3 +307,40 @@ def test_homogeneous_gradient_norm_sums_the_tied_block(rng):
     s = bm.score(tight.beta_hat, g)
     assert tight.gradient_norm == pytest.approx(max(abs(s[:r].sum()), np.abs(s[r:]).max()), rel=1e-9, abs=1e-15)
     assert tight.gradient_norm <= 1e-8
+
+
+def _assert_bitwise(got, solo):
+    assert (got.exists, got.converged, got.iterations) == (solo.exists, solo.converged, solo.iterations)
+    assert np.array_equal(got.beta_hat, solo.beta_hat)
+    assert np.array_equal([got.loglik, got.gradient_norm], [solo.loglik, solo.gradient_norm], equal_nan=True)
+
+
+FAR_PINS = NullHypothesis.specified(2, [9.0, -9.0])
+STACK_FITS = {
+    "full": bm.fit_mle,
+    "homogeneous": lambda g, **kw: bm.fit_restricted_homogeneous(g, 3, **kw),
+    "specified": lambda g, **kw: bm.fit_restricted_specified(g, FAR_PINS, **kw),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STACK_FITS))
+def test_stack_members_equal_their_solo_fits(kind):
+    # a steep profile on 8 nodes: members of several class counts, members with a
+    # degree of 0, and members whose fit saturates, fitted in one stack
+    fit = STACK_FITS[kind]
+    graphs = bm.simulate_graph(np.linspace(-1.5, 1.5, 8), np.random.default_rng(3).spawn(60))
+    fits = fit(graphs)
+    assert isinstance(fits, Fits) and fits.iterations == sum(f.iterations for f in fits)
+    for got, g in zip(fits, graphs):
+        _assert_bitwise(got, fit(g))
+    r = {"full": 0, "homogeneous": 3, "specified": 2}[kind]
+    assert len({np.unique(g.degrees[r:]).size for g, f in zip(graphs, fits) if f.exists}) > 1
+    assert any(g.degrees.min() == 0 for g in graphs)
+    assert any(not f.exists and f.iterations > 0 for f in fits)
+
+    # at a tolerance the arithmetic cannot reach, members stall after different numbers of steps
+    stalled = fit(graphs, tol=1e-300)
+    for got, g in zip(stalled, graphs):
+        _assert_bitwise(got, fit(g, tol=1e-300))
+    assert any(f.exists and not f.converged for f in stalled)
+    assert len({f.iterations for f in stalled if f.exists}) > 1

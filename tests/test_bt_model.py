@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairlrt import bt_model as btm
-from pairlrt.core import ComparisonTable, NullHypothesis
+from pairlrt.core import ComparisonTable, Fits, NullHypothesis
 
 from conftest import random_connected_table, tied_class_map
 from oracles import comparison_loglik, fd_gradient, fd_hessian, maximize_comparison
@@ -120,12 +120,10 @@ def test_strong_connectivity_of_a_stack(rng):
     assert 0 < got.sum() < len(wins)
 
 
-def _assert_same_fit(got, solo, tol=1e-12):
+def _assert_same_fit(got, solo):
     assert (got.exists, got.converged, got.iterations) == (solo.exists, solo.converged, solo.iterations)
-    assert np.abs(got.beta_hat - solo.beta_hat).max() <= tol
-    if solo.exists:
-        assert abs(got.loglik - solo.loglik) <= tol * max(1.0, abs(solo.loglik))
-        assert abs(got.gradient_norm - solo.gradient_norm) <= tol
+    assert np.array_equal(got.beta_hat, solo.beta_hat)
+    assert np.array_equal([got.loglik, got.gradient_norm], [solo.loglik, solo.gradient_norm], equal_nan=True)
 
 
 def test_batch_members_stop_on_their_own():
@@ -137,8 +135,9 @@ def test_batch_members_stop_on_their_own():
     wins = btm.simulate_comparisons(np.zeros(n), totals, np.random.default_rng(3).spawn(60))
     null = NullHypothesis.specified(2, [17.5])
     tables = [ComparisonTable(w) for w in wins]
-    full = btm.bt_fit_mle_batch(wins)
-    restricted = btm.bt_fit_restricted_batch(wins, null)
+    full = btm.bt_fit_mle(wins)
+    restricted = btm.bt_fit_restricted(wins, null)
+    assert isinstance(full, Fits) and full.iterations == sum(f.iterations for f in full)
     for got, table in zip(full, tables):
         _assert_same_fit(got, btm.bt_fit_mle(table))
     for got, table in zip(restricted, tables):
@@ -147,7 +146,7 @@ def test_batch_members_stop_on_their_own():
     assert {(False, False), (True, False), (True, True)} <= kinds
 
     # at a tolerance the arithmetic cannot reach, members stall after different numbers of steps
-    stalled = btm.bt_fit_mle_batch(wins, tol=1e-300)
+    stalled = btm.bt_fit_mle(wins, tol=1e-300)
     for got, table in zip(stalled, tables):
         _assert_same_fit(got, btm.bt_fit_mle(table, tol=1e-300))
     assert any(f.exists and not f.converged for f in stalled)
@@ -161,7 +160,7 @@ def test_batch_members_stop_on_their_own():
         lone[i, j], lone[j, i] = 2, 1
     stack = np.concatenate([wins[:8], lone[None], wins[8:16]])
     tied = NullHypothesis.homogeneous(3)
-    fits = btm.bt_fit_restricted_batch(stack, tied)
+    fits = btm.bt_fit_restricted(stack, tied)
     for got, w in zip(fits, stack):
         _assert_same_fit(got, btm.bt_fit_restricted(ComparisonTable(w), tied))
     assert fits[8].exists and not fits[8].converged and fits[8].iterations == 0

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pairlrt import beta_model as bm
 from pairlrt import bt_model as btm
-from pairlrt import lrt
+from pairlrt import core, lrt
 from pairlrt import montecarlo as mc
 from pairlrt.core import NullHypothesis
 
@@ -268,3 +269,69 @@ def test_short_bootstrap_left_out_of_rates(monkeypatch):
     # the replicate without a p-value is neither a rejection nor a non-rejection
     assert rep.rejection_rate == {0.05: 1.0, 0.10: 1.0}
     assert rep.to_dict()["bootstrap_short"] == 1
+
+
+# a graph-model and a comparison-model design, small enough to run many replicates
+SMALL_DESIGNS = {
+    "beta": dict(preset="H04", n=16, r=3),
+    "bt": dict(preset="H04", model="bt", n=10, r=4, k=2),
+}
+
+
+def _small(model, reps):
+    params = dict(SMALL_DESIGNS[model])
+    return mc.build_scenario(params.pop("preset"), reps=reps, seed=11, **params)
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    # chunks of 5 replicates at n = 16 and of 12 at n = 10
+    monkeypatch.setattr(mc, "CHUNK_CELLS", 5 * 16**2)
+
+
+@pytest.mark.parametrize("model", sorted(SMALL_DESIGNS))
+def test_chunked_runs_ignore_worker_count(model, small_chunks):
+    s = _small(model, 30)
+    one = mc.run_type1(s, workers=1)
+    three = mc.run_type1(s, workers=3)
+    assert np.array_equal(one.stats, three.stats, equal_nan=True)
+    assert np.array_equal(one.pvalues, three.pvalues, equal_nan=True)
+    assert one.to_dict() == three.to_dict()
+
+
+@pytest.mark.parametrize("model", sorted(SMALL_DESIGNS))
+def test_chunked_runs_extend_without_changing_the_prefix(model, small_chunks):
+    a = mc.run_scenario(_small(model, 13), stats_only=True).stats
+    b = mc.run_scenario(_small(model, 30), stats_only=True).stats
+    assert np.array_equal(a, b[:13], equal_nan=True)
+
+
+@pytest.mark.parametrize("model", sorted(SMALL_DESIGNS))
+def test_unconverged_replicates_are_tallied(model, monkeypatch):
+    # four Newton steps leave some fits short of the score tolerance
+    monkeypatch.setattr(core, "MAX_NEWTON", 4)
+    s = _small(model, 24)
+    rep = mc.run_type1(s)
+    assert 0 < rep.unconverged < 24 and rep.nonexist_freq == 0.0
+    assert rep.reps_used + rep.unconverged == 24
+    assert rep.to_dict()["unconverged"] == rep.unconverged
+    # an unconverged replicate is neither a rejection nor a non-rejection
+    tested = rep.pvalues[np.isfinite(rep.pvalues)]
+    assert tested.size == rep.reps_used
+    assert rep.rejection_rate == {a: float((tested <= a).mean()) for a in s.alphas}
+    two = mc.run_type1(s, workers=2)
+    assert np.array_equal(rep.stats, two.stats, equal_nan=True) and rep.to_dict() == two.to_dict()
+
+
+def test_a_chunk_holds_its_own_graphs_only():
+    # at n = 1000 a chunk is one replicate, whose edge list alone is about 4 MiB
+    def peak(reps):
+        s = mc.build_scenario("H04", n=1000, r=5, reps=reps, seed=1)
+        tracemalloc.start()
+        try:
+            assert mc.run_scenario(s, stats_only=True).reps_used == reps
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) < peak(2) + 2**20
