@@ -18,12 +18,12 @@ from scipy.special import expit
 
 from .core import (
     TOL_SCORE,
+    ClassModel,
     Fit,
-    Fits,
     NullHypothesis,
     UndirectedGraph,
     as_model_params,
-    newton_ascent,
+    fit_by_classes,
     nonexistent_fit,
     pair_indices,
     sum_bins,
@@ -165,71 +165,47 @@ def bn_cn(beta) -> ModelDiagnostics:
     return ModelDiagnostics(b_n=b_n, c_n=c_n, consistency_radius=radius)
 
 
-def _saturated(beta: np.ndarray, tol: float) -> bool:
+def _saturated(beta: np.ndarray, degrees: np.ndarray, tol: float) -> np.ndarray:
     # a pair logit at -log(tol) leaves a residual of about tol, which the
     # score test cannot tell from zero, so the point cannot be certified as
     # an interior maximizer; joint escape directions stall exactly there.
     # The extreme pair logits are the sums of the two smallest and two largest.
-    s = np.sort(beta)
-    return max(abs(s[0] + s[1]), abs(s[-1] + s[-2])) >= -math.log(tol)
+    s = np.sort(beta, axis=-1)
+    return np.maximum(np.abs(s[..., 0] + s[..., 1]), np.abs(s[..., -1] + s[..., -2])) >= -math.log(tol)
 
 
-def _fit_classes(graphs: list, r: int, pinned: Optional[np.ndarray], tol: float) -> list[Fit]:
-    """Damped Newton ascent with one parameter per class of nodes, for each graph of a list.
+def class_model() -> ClassModel:
+    """The graph model's functions for core.fit_by_classes, read anew on each call so wrappers take effect."""
+    return ClassModel(
+        class_tallies,
+        log_likelihood,
+        lambda b, t: t.totals - t.mult * expected_degrees(b, t.mult),
+        lambda b, t: fisher_info(b, t.mult),
+        _saturated,
+    )
 
-    The first r nodes are pinned to ``pinned``, or tied to one unknown value
-    when ``pinned`` is None; nodes r.. are free.  Free nodes of equal degree
-    share the maximizer (the likelihood is strictly concave and unchanged by
-    swapping them), so each degree forms one class, and a step solves an
-    m-by-m system over the m fitted classes.  Graphs of equal size and class
-    count are fitted together in one batch, so no member is padded and each
-    member's arithmetic is that of its fit alone.  Reduced coordinates are
-    the free nodes one by one and the tied block summed.
+
+def _by_degree(g, graphs: list, ready: list, r: int, pinned: Optional[np.ndarray], tol: float):
+    """Fit the graphs whose entry of ``ready`` is None with one parameter per class of nodes.
+
+    The first r nodes are pinned to ``pinned``, nodes of equal pinned value
+    sharing a fixed class, or tied to one unknown value when ``pinned`` is
+    None; nodes r.. are free.  Free nodes of equal degree share the
+    maximizer (the likelihood is strictly concave and unchanged by swapping
+    them), so each degree forms one class.  One Fit for a graph ``g``, the
+    Fits of a list.
     """
     tied = pinned is None and r > 0
     fixed, head = np.zeros(0), np.zeros(r, dtype=int)
     if r > 0 and not tied:
         fixed, head = np.unique(pinned, return_inverse=True)
-    first = 1 if tied else fixed.size
-    groups: dict = {}
-    for t, g in enumerate(graphs):
-        distinct, tail = np.unique(g.degrees[r:], return_inverse=True)
-        classes = np.concatenate([head, tail + first])
-        groups.setdefault((g.n, first + distinct.size), []).append((t, classes))
-    fits: list = [None] * len(graphs)
-    for members in groups.values():
-        rows = [t for t, _ in members]
-        classes = np.array([c for _, c in members])
-        mult, totals = class_tallies(np.array([graphs[t].degrees for t in rows]), classes)
-        # reduced score = class score over per: one node's share, or the whole tied block
-        per = mult[:, fixed.size:].copy()
-        if tied:
-            per[:, 0] = 1.0
-        values, ll, gnorm, iters = newton_ascent(
-            lambda b, live: log_likelihood(b, Tallies(mult[live], totals[live])),
-            lambda b, live: totals[live] - mult[live] * expected_degrees(b, mult[live]),
-            lambda b, live: fisher_info(b, mult[live]),
-            np.zeros(per.shape), fixed, per, tol,
-        )
-        beta = np.take_along_axis(values, classes, axis=1)
-        for i, t in enumerate(rows):
-            converged = bool(gnorm[i] <= tol)
-            if converged and _saturated(beta[i], tol):
-                fits[t] = nonexistent_fit(beta[i], int(iters[i]))
-            else:
-                fits[t] = Fit(beta[i], float(ll[i]), int(iters[i]), converged, True, float(gnorm[i]))
-    return fits
-
-
-def _as_list(g) -> list:
-    return [g] if isinstance(g, UndirectedGraph) else list(g)
-
-
-def _finish(g, graphs: list, ready: list, r: int, pinned: Optional[np.ndarray], tol: float):
-    """Fit the graphs whose entry of ``ready`` is None; one Fit for a graph, the Fits of a list."""
-    fitted = iter(_fit_classes([x for x, f in zip(graphs, ready) if f is None], r, pinned, tol))
-    fits = [next(fitted) if f is None else f for f in ready]
-    return fits[0] if isinstance(g, UndirectedGraph) else Fits(fits)
+    first = int(tied) + fixed.size
+    maps = [
+        np.concatenate([head, np.unique(x.degrees[r:], return_inverse=True)[1] + first]) if f is None else None
+        for x, f in zip(graphs, ready)
+    ]
+    fits = fit_by_classes(class_model(), [x.degrees for x in graphs], maps, fixed, tied, ready, tol)
+    return fits[0] if isinstance(g, UndirectedGraph) else fits
 
 
 def _boundary(d: np.ndarray, n: int) -> bool:
@@ -243,9 +219,9 @@ def fit_mle(g, *, tol: float = TOL_SCORE):
     gives their Fits, fitted together.  A degree of 0 or n-1 means the
     maximizer does not exist and is reported without iterating.
     """
-    graphs = _as_list(g)
+    graphs = [g] if isinstance(g, UndirectedGraph) else list(g)
     ready = [nonexistent_fit(np.zeros(x.n)) if _boundary(x.degrees, x.n) else None for x in graphs]
-    return _finish(g, graphs, ready, 0, None, tol)
+    return _by_degree(g, graphs, ready, 0, None, tol)
 
 
 def fit_restricted_specified(g, null: NullHypothesis, *, tol: float = TOL_SCORE):
@@ -255,7 +231,7 @@ def fit_restricted_specified(g, null: NullHypothesis, *, tol: float = TOL_SCORE)
     r = null.r
     if r == 0:
         return fit_mle(g, tol=tol)
-    graphs = _as_list(g)
+    graphs = [g] if isinstance(g, UndirectedGraph) else list(g)
     ready: list = []
     for x in graphs:
         null.validate_for("beta", x.n)
@@ -265,12 +241,12 @@ def fit_restricted_specified(g, null: NullHypothesis, *, tol: float = TOL_SCORE)
             ready.append(Fit(base, log_likelihood(base, x), 0, True, True, 0.0))
         else:
             ready.append(nonexistent_fit(base) if _boundary(x.degrees[r:], x.n) else None)
-    return _finish(g, graphs, ready, r, null.values, tol)
+    return _by_degree(g, graphs, ready, r, null.values, tol)
 
 
 def fit_restricted_homogeneous(g, r: int, *, tol: float = TOL_SCORE):
     """Fit with the first r parameters tied to a common unknown value; ``g`` as in fit_mle."""
-    graphs = _as_list(g)
+    graphs = [g] if isinstance(g, UndirectedGraph) else list(g)
     ready: list = []
     for x in graphs:
         n = x.n
@@ -279,7 +255,7 @@ def fit_restricted_homogeneous(g, r: int, *, tol: float = TOL_SCORE):
         block = int(x.degrees[:r].sum())
         lost = block == 0 or block == r * (n - 1) or _boundary(x.degrees[r:], n)
         ready.append(nonexistent_fit(np.zeros(n)) if lost else None)
-    return _finish(g, graphs, ready, r, None, tol)
+    return _by_degree(g, graphs, ready, r, None, tol)
 
 
 def simulate_graph(beta, rng):

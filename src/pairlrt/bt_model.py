@@ -17,12 +17,12 @@ from scipy.special import expit
 
 from .core import (
     TOL_SCORE,
+    ClassModel,
     ComparisonTable,
     Fit,
-    Fits,
     NullHypothesis,
     as_model_params,
-    newton_ascent,
+    fit_by_classes,
     nonexistent_fit,
     pair_indices,
     sum_bins,
@@ -31,14 +31,6 @@ from .core import (
 
 def _pair_diffs(beta: np.ndarray) -> np.ndarray:
     return beta[..., :, None] - beta[..., None, :]
-
-
-def win_probabilities(beta) -> np.ndarray:
-    """Matrix of single-comparison win probabilities expit(b_i - b_j), zero diagonal."""
-    b = as_model_params(beta, "bt")
-    p = expit(_pair_diffs(b))
-    np.fill_diagonal(p, 0.0)
-    return p
 
 
 class Tallies(NamedTuple):
@@ -54,16 +46,18 @@ class Tallies(NamedTuple):
 
 
 def class_tallies(wins: np.ndarray, classes: np.ndarray) -> Tallies:
-    """Tallies of a win matrix, or a stack of them, over the class index of each subject."""
+    """Tallies of a win matrix, or a stack of them, over the class index of each subject.
+
+    ``classes`` is one map for every matrix or one map per matrix.  The
+    comparison counts are summed into classes along columns, then along
+    rows, which is exact since they are integers.
+    """
     w = np.asarray(wins)
-    n = w.shape[-1]
     c = int(classes.max()) + 1
-    totals = (w + np.swapaxes(w, -1, -2)).reshape(w.shape[:-2] + (n * n,))
-    pair = (classes[:, None] * c + classes).ravel()
-    return Tallies(
-        sum_bins(w.sum(axis=-1), classes, c),
-        sum_bins(totals, pair, c * c).reshape(w.shape[:-2] + (c, c)),
-    )
+    cols = classes[..., None, :]
+    half = sum_bins(w + np.swapaxes(w, -1, -2), cols, c)
+    # half[i, a] sums subject i's comparisons with class a; the counts are symmetric
+    return Tallies(sum_bins(w.sum(axis=-1), classes, c), sum_bins(np.swapaxes(half, -1, -2), cols, c))
 
 
 def _params(beta, table: Union[ComparisonTable, Tallies]) -> np.ndarray:
@@ -165,67 +159,27 @@ def _bt_saturated(beta: np.ndarray, wins: np.ndarray, tol: float) -> np.ndarray:
     return gap.max(axis=-1) >= -math.log(tol)
 
 
-def _fit_classes(wins: np.ndarray, classes: np.ndarray, fixed: np.ndarray, tol: float) -> list[Fit]:
-    """Newton ascent from zero over the classes after the ``fixed`` ones, for each table of a stack.
-
-    Each free subject is its own class and a tied block is one class, so the
-    reduced coordinates are the free subjects one by one and the block summed.
-    """
-    if not len(wins):
-        return []
-    counts = class_tallies(wins, classes)
-    m = counts.degrees.shape[-1] - fixed.size
-
-    def at(rows):
-        return Tallies(counts.degrees[rows], counts.totals[rows])
-
-    def score(b, rows):
-        live = at(rows)
-        return live.degrees - bt_expected_wins(b, live)
-
-    values, ll, gnorm, iters = newton_ascent(
-        lambda b, rows: bt_log_likelihood(b, at(rows)),
-        score,
-        lambda b, rows: bt_fisher_info(b, at(rows)),
-        np.zeros((len(wins), m)), fixed, np.ones((len(wins), m)), tol,
+def class_model() -> ClassModel:
+    """The comparison model's functions for core.fit_by_classes, read anew on each call so wrappers take effect."""
+    return ClassModel(
+        class_tallies, bt_log_likelihood, lambda b, t: t.degrees - bt_expected_wins(b, t), bt_fisher_info, _bt_saturated
     )
-    beta = values[:, classes]
-    converged = gnorm <= tol
-    lost = converged & _bt_saturated(beta, wins, tol)
-    return [
-        nonexistent_fit(beta[t], int(iters[t])) if lost[t]
-        else Fit(beta[t], float(ll[t]), int(iters[t]), bool(converged[t]), True, float(gnorm[t]))
-        for t in range(len(wins))
-    ]
-
-
-def _stack(data: Union[ComparisonTable, np.ndarray]) -> np.ndarray:
-    """The (k, n, n) win matrices of a stack, or of one table as a stack of one."""
-    return data.wins[None] if isinstance(data, ComparisonTable) else np.asarray(data)
-
-
-def _result(data, fits: list):
-    """One Fit for a table, the Fits of a stack."""
-    return fits[0] if isinstance(data, ComparisonTable) else Fits(fits)
-
-
-def _fill(data, kept: np.ndarray, fits: list, missing: np.ndarray):
-    """_result of the stack's fits: its fit where kept, else a nonexistent fit at ``missing``."""
-    fitted = iter(fits)
-    return _result(data, [next(fitted) if keep else nonexistent_fit(missing) for keep in kept])
 
 
 def bt_fit_mle(data: Union[ComparisonTable, np.ndarray], *, tol: float = TOL_SCORE):
     """Fit the n-1 free merit parameters of a table, or of each win matrix of a (k, n, n) stack.
 
     Existence is decided up front by strong connectivity.  Newton steps
-    start from zero on every subject but the reference; a stack's tables
-    are fitted together, and a table gives one Fit, a stack its Fits.
+    start from zero on every subject but the reference, each its own class;
+    a stack's tables are fitted together, and a table gives one Fit, a
+    stack its Fits.
     """
-    wins = _stack(data)
+    one = isinstance(data, ComparisonTable)
+    wins = data.wins[None] if one else np.asarray(data)
     n = wins.shape[-1]
-    exists = strongly_connected(wins)
-    return _fill(data, exists, _fit_classes(wins[exists], np.arange(n), np.zeros(1), tol), np.zeros(n))
+    ready = [None if e else nonexistent_fit(np.zeros(n)) for e in strongly_connected(wins)]
+    fits = fit_by_classes(class_model(), wins, [np.arange(n)] * len(wins), np.zeros(1), False, ready, tol)
+    return fits[0] if one else fits
 
 
 def bt_fit_restricted(
@@ -237,7 +191,8 @@ def bt_fit_restricted(
     homogeneous nulls tie subjects 2..r to one common unknown level, while
     the reference stays at zero.
     """
-    wins = _stack(data)
+    one = isinstance(data, ComparisonTable)
+    wins = data.wins[None] if one else np.asarray(data)
     n = wins.shape[-1]
     null.validate_for("bt", n)
     r = null.r
@@ -248,19 +203,23 @@ def bt_fit_restricted(
         base = np.concatenate([[0.0], null.values, np.zeros(n - r)])
         if r == n:
             ll = bt_log_likelihood(np.tile(base, (len(wins), 1)), class_tallies(wins, np.arange(n)))
-            return _result(data, [Fit(base.copy(), float(value), 0, True, True, 0.0) for value in ll])
+            ready = [Fit(base.copy(), float(value), 0, True, True, 0.0) for value in ll]
+        else:
+            ready = [nonexistent_fit(base) if lost else None for lost in free_boundary]
         # the reference and the pinned subjects are fixed classes, every other subject its own
-        kept = ~free_boundary
-        return _fill(data, kept, _fit_classes(wins[kept], np.arange(n), base[:r], tol), base)
+        fits = fit_by_classes(class_model(), wins, [np.arange(n)] * len(wins), base[:r], False, ready, tol)
+        return fits[0] if one else fits
     # Cross-block win totals decide existence for the block's shared level.
     tied = np.arange(1, r)
     outside = np.concatenate(([0], np.arange(r, n)))
     cross_wins = wins[:, tied][:, :, outside].sum(axis=(1, 2))
     cross_total = cross_wins + wins[:, outside][:, :, tied].sum(axis=(1, 2))
-    kept = ~free_boundary & ~((cross_total > 0) & ((cross_wins == 0) | (cross_wins == cross_total)))
+    lost = free_boundary | ((cross_total > 0) & ((cross_wins == 0) | (cross_wins == cross_total)))
+    ready = [nonexistent_fit(np.zeros(n)) if x else None for x in lost]
     # class 0 is the reference, class 1 the tied block, then one class per tail subject
     classes = np.concatenate([[0], np.ones(r - 1, dtype=int), np.arange(2, n - r + 2)])
-    return _fill(data, kept, _fit_classes(wins[kept], classes, np.zeros(1), tol), np.zeros(n))
+    fits = fit_by_classes(class_model(), wins, [classes] * len(wins), np.zeros(1), True, ready, tol)
+    return fits[0] if one else fits
 
 
 def simulate_comparisons(beta, k, rng):

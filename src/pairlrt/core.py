@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import functools
 import io
+import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -225,13 +227,13 @@ class Fits(list):
 def sum_bins(x: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
     """Sum the last axis of x into ``size`` bins by ``index``, row by row.
 
-    ``index`` is one map for every row, or one map per row of the same shape
-    as x.
+    ``index`` is one map for every row, or any stack of maps that broadcasts
+    against x, such as one map per row.
     """
-    rows = x.reshape(-1, x.shape[-1])
-    keys = np.arange(rows.shape[0])[:, None] * size + index.reshape(-1, x.shape[-1])
-    out = np.bincount(keys.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * size)
-    return out.reshape(x.shape[:-1] + (size,))
+    lead = x.shape[:-1]
+    offsets = np.arange(math.prod(lead)).reshape(lead + (1,)) * size
+    out = np.bincount((offsets + index).ravel(), weights=x.ravel(), minlength=math.prod(lead) * size)
+    return out.reshape(lead + (size,))
 
 
 # sizes up to this keep their pair indices (at most 2 MiB a size, 4 sizes);
@@ -262,28 +264,28 @@ def nonexistent_fit(beta: np.ndarray, iterations: int = 0) -> Fit:
 _HALVINGS = 0.5 ** np.arange(30)
 
 
-def newton_ascent(loglik, score, info, theta: np.ndarray, fixed: np.ndarray, per: np.ndarray, tol: float):
+def newton_ascent(loglik, score, info, fixed: np.ndarray, per: np.ndarray, tol: float):
     """Damped Newton ascent over the fitted classes of a node-to-class map, for a batch of fits.
 
-    Row i of ``theta`` holds member i's fitted class values, and every member
-    shares the ``fixed`` class values, which come first.  loglik, score and
-    info take ``(values, rows)``: the values of every class of the batch
-    members ``rows``, one row each.  They return each member's
-    log-likelihood, gradient and information matrix over every class; the
-    ascent reads the fitted entries.  A member's gradient norm is the max of
-    |score / per| over its fitted classes, so ``per``, one row per member
-    like ``theta``, scales each class score to the coordinate it reports.
+    Every member starts with its fitted class values at zero and shares the
+    ``fixed`` class values, which come first.  loglik, score and info take
+    ``(values, rows)``: the values of every class of the batch members
+    ``rows``, one row each.  They return each member's log-likelihood,
+    gradient and information matrix over every class; the ascent reads the
+    fitted entries.  A member's gradient norm is the max of |score / per|
+    over its fitted classes, so ``per``, one row per member and one column
+    per fitted class, scales each class score to the coordinate it reports.
     Every member steps on its own: its step halves until it stays inside the
     divergence cap and raises the log-likelihood or lowers the gradient
     norm, and it stops when its norm is within tol, its information is
-    singular, no step is accepted, or after MAX_NEWTON steps.  Returns per member the values of every class,
-    their log-likelihood, the gradient norm and the number of Newton steps.
+    singular, no step is accepted, or after MAX_NEWTON steps.  Returns per
+    member the values of every class, their log-likelihood, the gradient
+    norm and the number of Newton steps.
     """
-    k, m = theta.shape
+    k, m = per.shape
     f = fixed.size
-    values = np.empty((k, f + m))
+    values = np.zeros((k, f + m))
     values[:, :f] = fixed
-    values[:, f:] = theta
     loglik_out, gnorm_out, iters_out = np.empty(k), np.empty(k), np.zeros(k, dtype=int)
 
     def evaluate(b, rows):
@@ -349,6 +351,61 @@ def _solve_each(H: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         except np.linalg.LinAlgError:
             solvable[i] = False
     return delta, solvable
+
+
+# A model's functions over class tallies, as fit_by_classes calls them.  tally(data, classes)
+# sums a stack of member data over one node-to-class map per member into a NamedTuple of
+# arrays, members first; loglik, score and info take (values, tallies), one row of class
+# values per member; saturated(beta, data, tol) flags the members whose node values leave a
+# residual the score test cannot tell from zero.
+ClassModel = namedtuple("ClassModel", "tally loglik score info saturated")
+
+
+def fit_by_classes(model: ClassModel, data, maps: list, fixed: np.ndarray, tied: bool, ready: list, tol: float):
+    """Fit each member of a stack with one parameter per class of its node-to-class map.
+
+    Member t has data ``data[t]`` and map ``maps[t]``.  The ``fixed``
+    classes come first and hold the given values; with ``tied`` the next
+    class is a block tied to one unknown value, and every later class is
+    fitted freely.  A member whose entry of ``ready`` is a Fit was decided
+    up front and keeps it, and its map is not read.  Members of equal node
+    and class count are fitted together in one ascent, so none is padded
+    and each runs the arithmetic of its fit alone.  A class's reduced score
+    is its score over its node count, or the whole score of a tied block.
+    A converged member whose values saturate has no maximizer.  Returns the
+    Fits in the stack's order.
+    """
+    fits = list(ready)
+    groups: dict = {}
+    for t, f in enumerate(ready):
+        if f is None:
+            groups.setdefault((maps[t].size, int(maps[t].max()) + 1), []).append(t)
+    for (_, c), rows in groups.items():
+        stack = np.array([data[t] for t in rows])
+        classes = np.array([maps[t] for t in rows])
+        tallies = model.tally(stack, classes)
+
+        def at(live):
+            return type(tallies)(*(x[live] for x in tallies))
+
+        per = sum_bins(np.ones(classes.shape), classes, c)[:, fixed.size:]
+        if tied:
+            per[:, 0] = 1.0
+        values, ll, gnorm, iters = newton_ascent(
+            lambda b, live: model.loglik(b, at(live)),
+            lambda b, live: model.score(b, at(live)),
+            lambda b, live: model.info(b, at(live)),
+            fixed, per, tol,
+        )
+        beta = np.take_along_axis(values, classes, axis=1)
+        converged = gnorm <= tol
+        lost = converged & model.saturated(beta, stack, tol)
+        for i, t in enumerate(rows):
+            fits[t] = (
+                nonexistent_fit(beta[i], int(iters[i])) if lost[i]
+                else Fit(beta[i], float(ll[i]), int(iters[i]), bool(converged[i]), True, float(gnorm[i]))
+            )
+    return Fits(fits)
 
 
 @dataclass(frozen=True)

@@ -75,22 +75,6 @@ def diag_approx(V: np.ndarray, r: int = 0) -> np.ndarray:
     return 1.0 / d
 
 
-def in_matrix_class(V: np.ndarray, m: float, M: float, *, rtol: float = 1e-10) -> bool:
-    """Check membership in the balanced class: symmetric, off-diagonals in
-    [m, M], each diagonal equal to its off-diagonal row sum."""
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[0] != V.shape[1]:
-        return False
-    if not np.allclose(V, V.T, rtol=rtol, atol=0.0):
-        return False
-    off = V[~np.eye(V.shape[0], dtype=bool)]
-    slack = rtol * max(abs(m), abs(M), 1.0)
-    if off.size and (off.min() < m - slack or off.max() > M + slack):
-        return False
-    row = V.sum(axis=1) - np.diag(V)
-    return bool(np.allclose(np.diag(V), row, rtol=rtol, atol=0.0))
-
-
 def _safe_inverse(V: np.ndarray) -> tuple[Optional[np.ndarray], Optional[float]]:
     """Dense inverse with a reconstruction sanity check; (None, cond) on failure."""
     n = V.shape[0]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import chdtri, gammainc, gammaincc, ndtr, ndtri
+from scipy.special import chdtri, gammaincc, ndtr, ndtri
 
 from . import beta_model, bt_model
 from .core import (
@@ -65,14 +65,6 @@ class Bootstrap:
 
 
 Reference = Union[ChiSquare, NormalizedGaussian, Bootstrap]
-
-
-def chi_square_cdf(x: float, df: int) -> float:
-    if x < 0:
-        raise ValueError("chi-square CDF needs x >= 0")
-    if df < 1:
-        raise ValueError("df must be a positive integer")
-    return float(gammainc(df / 2.0, x / 2.0))
 
 
 def chi_square_sf(x: float, df: int) -> float:
@@ -209,22 +201,24 @@ def bootstrap_distribution(
     rng: np.random.Generator,
     tol: float,
 ) -> tuple[list, int]:
-    """Simulate B tables from the restricted fit; return existing statistics and B.
+    """Simulate B tables from the restricted fit; return the usable statistics and B.
 
     Table i is drawn from the i-th child of rng (successive spawns continue
     one sequence of children).  The tables are drawn and fitted
     BOOTSTRAP_CHUNK at a time, each chunk through one batched Newton ascent
-    per model, and the statistics keep the children's order.
+    per model, and the statistics keep the children's order.  A table is
+    dropped unless both of its fits converged, which a fit with no maximizer
+    never does.
     """
     stats = []
     for start in range(0, B, BOOTSTRAP_CHUNK):
         children = rng.spawn(min(BOOTSTRAP_CHUNK, B - start))
         wins = bt_model.simulate_comparisons(beta_null, table.totals, children)
         full = bt_model.bt_fit_mle(wins, tol=tol)
-        exists = np.array([f.exists for f in full])
-        restricted = bt_model.bt_fit_restricted(wins[exists], null, tol=tol)
-        full = [f for f in full if f.exists]
-        stats += [lrt_statistic(f, r) for f, r in zip(full, restricted) if r.exists]
+        kept = np.array([f.converged for f in full])
+        restricted = bt_model.bt_fit_restricted(wins[kept], null, tol=tol)
+        full = [f for f in full if f.converged]
+        stats += [lrt_statistic(f, r) for f, r in zip(full, restricted) if r.converged]
     return stats, B
 
 
@@ -240,8 +234,8 @@ def bootstrap_tail(
     """Bootstrap p-value of stat and the number of usable replicates.
 
     The p-value is (1 + #{bootstrap stat >= stat}) over (#usable + 1).
-    Replicates whose maximizer fails to exist are dropped; when more than
-    half of them are lost there is no p-value, and it is NaN.  B must be at
+    Replicates with no converged maximizer are dropped; when more than half
+    of them are lost there is no p-value, and it is NaN.  B must be at
     least 1.
     """
     if B < 1:
@@ -333,10 +327,10 @@ def run_test(
     elif used is not None:
         if math.isnan(p):
             raise RuntimeError(
-                f"only {used} of {bootstrap_reps} bootstrap replicates had existing maximizers"
+                f"only {used} of {bootstrap_reps} bootstrap replicates had a converged maximizer"
             )
         if used < bootstrap_reps:
-            warnings.append(f"dropped {bootstrap_reps - used} bootstrap replicates with nonexistent maximizers")
+            warnings.append(f"dropped {bootstrap_reps - used} bootstrap replicates with no converged maximizer")
         diagnostics["bootstrap_used"] = used
 
     return TestReport(

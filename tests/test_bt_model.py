@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from pairlrt import bt_model as btm
-from pairlrt.core import ComparisonTable, Fits, NullHypothesis
+from pairlrt.core import TOL_SCORE, ComparisonTable, Fits, NullHypothesis, fit_by_classes
 
 from conftest import random_connected_table, tied_class_map
 from oracles import comparison_loglik, fd_gradient, fd_hessian, maximize_comparison
@@ -167,6 +168,28 @@ def test_batch_members_stop_on_their_own():
     assert all(f.converged for f in fits[:8] + fits[9:] if f.exists)
 
 
+def test_members_keep_their_own_class_maps():
+    # in balanced tables (every pair compared k times) free subjects of equal win total
+    # share the maximizer, so they can form one class; a stack mixing such maps with
+    # one class per subject groups its members by class count
+    n, k = 12, 2
+    beta = np.linspace(0.0, 2.0, n)
+    wins = btm.simulate_comparisons(beta, k, np.random.default_rng(5).spawn(40))
+    wins = wins[btm.strongly_connected(wins)][:24]
+    merged = [np.concatenate([[0], np.unique(w.sum(axis=1)[1:], return_inverse=True)[1] + 1]) for w in wins]
+    maps = [merged[t] if t % 3 else np.arange(n) for t in range(len(wins))]
+    assert len({m.max() for m in maps}) > 2
+
+    def fit(stack, maps):
+        return fit_by_classes(btm.class_model(), stack, maps, np.zeros(1), False, [None] * len(stack), TOL_SCORE)
+
+    stacked = fit(wins, maps)
+    for t, got in enumerate(stacked):
+        _assert_same_fit(got, fit(wins[t:t + 1], maps[t:t + 1])[0])
+        per_subject = btm.bt_fit_mle(ComparisonTable(wins[t]))
+        assert got.converged and abs(got.loglik - per_subject.loglik) <= 1e-9
+
+
 def test_fit_cycle_symmetry():
     fit = btm.bt_fit_mle(CYCLE3)
     assert fit.exists and fit.converged
@@ -198,8 +221,9 @@ def test_normalization_invariance(rng):
     fit_a = btm.bt_fit_mle(table)
     perm = np.roll(np.arange(6), -2)  # subject 2 becomes the reference
     fit_b = btm.bt_fit_mle(ComparisonTable(table.wins[np.ix_(perm, perm)]))
-    p_a = btm.win_probabilities(fit_a.beta_hat)[np.ix_(perm, perm)]
-    p_b = btm.win_probabilities(fit_b.beta_hat)
+    b_a, b_b = fit_a.beta_hat[perm], fit_b.beta_hat
+    p_a = expit(b_a[:, None] - b_a[None, :])
+    p_b = expit(b_b[:, None] - b_b[None, :])
     assert np.allclose(p_a, p_b, atol=1e-7)
     assert fit_a.beta_hat[0] == fit_b.beta_hat[0] == 0.0
 

@@ -1,10 +1,13 @@
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pairlrt
 from pairlrt.core import (
     ComparisonTable,
     DataFormatError,
@@ -251,3 +254,13 @@ def test_edge_list_text_round_trip_property(case):
     again = load_edge_list(g.to_text())
     assert np.array_equal(again.adj, g.adj)
     assert int(g.degrees.sum()) == 2 * g.edge_count
+
+
+def test_newton_ascent_has_one_caller():
+    # one engine, reached by both models through core.fit_by_classes only
+    sources = {p.name: p.read_text() for p in Path(pairlrt.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items() if "newton_ascent" in text] == ["core.py"]
+    core_text = sources["core.py"]
+    calls = [m.start() for m in re.finditer(r"(?<!def )\bnewton_ascent\(", core_text)]
+    assert len(calls) == 1
+    assert core_text.rfind("\ndef ", 0, calls[0]) == core_text.index("\ndef fit_by_classes(")

@@ -80,9 +80,11 @@ def test_matrix_class_membership():
     beta = np.linspace(-1, 1, 8)
     V = bm.fisher_info(beta)
     d = bm.bn_cn(beta)
-    assert fa.in_matrix_class(V, 1 / d.b_n, 1 / d.c_n)
-    assert not fa.in_matrix_class(V, 1 / d.b_n, 1 / (d.c_n + 0.5))
-    assert not fa.in_matrix_class(V + np.eye(8), 1 / d.b_n, 1 / d.c_n)
+    # symmetric, off-diagonals in [1/b_n, 1/c_n], each diagonal its off-diagonal row sum
+    assert np.allclose(V, V.T, rtol=1e-10, atol=0.0)
+    off = V[~np.eye(8, dtype=bool)]
+    assert 1 / d.b_n - 1e-10 <= off.min() and off.max() <= 1 / d.c_n + 1e-10
+    assert np.allclose(np.diag(V), V.sum(axis=1) - np.diag(V), rtol=1e-10, atol=0.0)
 
 
 def test_homogeneous_info_frozen_values():

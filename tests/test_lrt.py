@@ -5,20 +5,20 @@ import numpy as np
 import pytest
 
 from pairlrt import bt_model as btm
-from pairlrt import lrt
-from pairlrt.core import ComparisonTable, Fit, NonexistentMLEError, NullHypothesis, UndirectedGraph
+from pairlrt import core, lrt
+from pairlrt.core import TOL_SCORE, ComparisonTable, Fit, NonexistentMLEError, NullHypothesis, UndirectedGraph
 
 from conftest import random_connected_table, random_existing_graph
 
 
 def test_chi_square_df2_closed_form():
     for x in np.linspace(0, 50, 201):
-        assert lrt.chi_square_cdf(x, 2) == pytest.approx(1 - np.exp(-x / 2), abs=1e-12)
+        assert 1 - lrt.chi_square_sf(x, 2) == pytest.approx(1 - np.exp(-x / 2), abs=1e-12)
         assert lrt.chi_square_sf(x, 2) == pytest.approx(np.exp(-x / 2), abs=1e-12)
 
 
 def test_distribution_spot_values():
-    assert lrt.chi_square_cdf(3.841459, 1) == pytest.approx(0.95, abs=1e-6)
+    assert lrt.chi_square_sf(3.841459, 1) == pytest.approx(0.05, abs=1e-6)
     assert lrt.normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
     assert lrt.chi_square_quantile(0.95, 1) == pytest.approx(3.841459, abs=1e-5)
     assert lrt.normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-5)
@@ -26,9 +26,9 @@ def test_distribution_spot_values():
 
 def test_distribution_domain_errors():
     with pytest.raises(ValueError):
-        lrt.chi_square_cdf(-0.1, 2)
+        lrt.chi_square_sf(-0.1, 2)
     with pytest.raises(ValueError):
-        lrt.chi_square_cdf(1.0, 0)
+        lrt.chi_square_sf(1.0, 0)
     with pytest.raises(ValueError):
         lrt.normal_cdf(float("nan"))
 
@@ -37,7 +37,7 @@ def test_cdf_quantile_round_trip():
     for df in (1, 2, 5, 10):
         for q in (0.01, 0.5, 0.9, 0.99):
             x = lrt.chi_square_quantile(q, df)
-            assert lrt.chi_square_cdf(x, df) == pytest.approx(q, abs=1e-10)
+            assert 1 - lrt.chi_square_sf(x, df) == pytest.approx(q, abs=1e-10)
 
 
 def test_reference_dispatch_table():
@@ -234,6 +234,20 @@ def test_bootstrap_matches_fitting_each_table_alone(design):
         assert lost_full > 0
     if design == "restricted-saturates":
         assert lost_null > 0
+
+
+def test_bootstrap_drops_unconverged_tables(monkeypatch):
+    # with the Newton step cap at 4, most bootstrap tables stop short of the score
+    # tolerance; they are dropped and counted like tables with no maximizer
+    null = NullHypothesis.specified(3, [0.0, 0.0])
+    beta = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+    table = btm.simulate_comparisons(beta, 2, np.random.default_rng(1))
+    uncapped, _ = lrt.bootstrap_distribution(table, null, beta, 40, np.random.default_rng(2), TOL_SCORE)
+    monkeypatch.setattr(core, "MAX_NEWTON", 4)
+    stats, B = lrt.bootstrap_distribution(table, null, beta, 40, np.random.default_rng(2), TOL_SCORE)
+    assert B == 40 and 0 < len(stats) < len(uncapped)
+    # a table whose fits converge within the cap takes the same steps without it
+    assert set(stats) <= set(uncapped)
 
 
 def test_bootstrap_memory_stays_bounded():
