@@ -138,6 +138,13 @@ def fisher_info(beta, mult: Optional[np.ndarray] = None) -> np.ndarray:
     return v
 
 
+def degree_variances(beta) -> np.ndarray:
+    """Variance of each node's degree, the diagonal of fisher_info, in O(m^2) over the m distinct values."""
+    b, classes = np.unique(as_model_params(beta, "beta"), return_inverse=True)
+    pi = _pair_logits(b)
+    return _others(expit(pi) * expit(-pi), np.bincount(classes).astype(float))[classes]
+
+
 @dataclass(frozen=True)
 class ModelDiagnostics:
     """Curvature extremes of the pair variances and the implied consistency radius."""
@@ -177,6 +184,7 @@ def _saturated(beta: np.ndarray, degrees: np.ndarray, tol: float) -> np.ndarray:
 def class_model() -> ClassModel:
     """The graph model's functions for core.fit_by_classes, read anew on each call so wrappers take effect."""
     return ClassModel(
+        lambda data, rows: np.array([data[t] for t in rows]),
         class_tallies,
         log_likelihood,
         lambda b, t: t.totals - t.mult * expected_degrees(b, t.mult),
@@ -204,7 +212,7 @@ def _by_degree(g, graphs: list, ready: list, r: int, pinned: Optional[np.ndarray
         np.concatenate([head, np.unique(x.degrees[r:], return_inverse=True)[1] + first]) if f is None else None
         for x, f in zip(graphs, ready)
     ]
-    fits = fit_by_classes(class_model(), [x.degrees for x in graphs], maps, fixed, tied, ready, tol)
+    fits = fit_by_classes(class_model(), [x.degrees for x in graphs], maps, [fixed] * len(graphs), tied, ready, tol)
     return fits[0] if isinstance(g, UndirectedGraph) else fits
 
 

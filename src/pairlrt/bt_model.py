@@ -37,27 +37,41 @@ class Tallies(NamedTuple):
     """Win totals (..., c) and comparison counts (..., c, c) of classes of subjects.
 
     Comparisons within a class sit on the diagonal of ``totals``.  The
-    leading axes, if any, stack tables.  A ComparisonTable has the same two
-    fields, with one class per subject.
+    leading axes, if any, stack tables; a stack whose tables share their
+    counts may hold them once, as one (c, c) matrix.  A ComparisonTable has
+    the same two fields, with one class per subject.
     """
 
     degrees: np.ndarray
     totals: np.ndarray
 
 
-def class_tallies(wins: np.ndarray, classes: np.ndarray) -> Tallies:
-    """Tallies of a win matrix, or a stack of them, over the class index of each subject.
+def subject_tallies(data) -> Tallies:
+    """Per-subject tallies of a ComparisonTable or a (k, n, n) stack of win matrices, as a stack.
 
-    ``classes`` is one map for every matrix or one map per matrix.  The
-    comparison counts are summed into classes along columns, then along
-    rows, which is exact since they are integers.
+    Tallies are returned as they are.
     """
-    w = np.asarray(wins)
+    if isinstance(data, Tallies):
+        return data
+    if isinstance(data, ComparisonTable):
+        return Tallies(data.degrees[None], data.totals)
+    w = np.asarray(data)
+    return Tallies(w.sum(axis=-1), w + np.swapaxes(w, -1, -2))
+
+
+def class_tallies(table, classes: np.ndarray) -> Tallies:
+    """Tallies of a table, or of a stack's tables, over the class index of each subject.
+
+    ``table`` is a ComparisonTable or per-subject Tallies, and ``classes``
+    one map for every table or one map per table.  The comparison counts
+    are summed into classes by products with each map's 0/1 membership
+    matrix, which is exact since they are integers; tables that share their
+    counts are not copied per map.
+    """
     c = int(classes.max()) + 1
-    cols = classes[..., None, :]
-    half = sum_bins(w + np.swapaxes(w, -1, -2), cols, c)
-    # half[i, a] sums subject i's comparisons with class a; the counts are symmetric
-    return Tallies(sum_bins(w.sum(axis=-1), classes, c), sum_bins(np.swapaxes(half, -1, -2), cols, c))
+    member = (classes[..., :, None] == np.arange(c)).astype(float)
+    counts = np.swapaxes(member, -1, -2) @ np.asarray(table.totals, dtype=float) @ member
+    return Tallies(sum_bins(table.degrees, classes, c), counts)
 
 
 def _params(beta, table: Union[ComparisonTable, Tallies]) -> np.ndarray:
@@ -149,77 +163,109 @@ def strongly_connected(wins):
     return bool(every) if every.ndim == 0 else every
 
 
-def _bt_saturated(beta: np.ndarray, wins: np.ndarray, tol: float) -> np.ndarray:
+def _bt_saturated(beta: np.ndarray, table: Tallies, tol: float) -> np.ndarray:
     # a compared pair whose merit difference reaches -log(tol) leaves a win
     # residual the score test cannot tell from zero; a tied block escaping
     # jointly stalls there without tripping the coordinate cap
     i, j = pair_indices(beta.shape[-1])
-    compared = (wins[..., i, j] + wins[..., j, i]) > 0
-    gap = np.where(compared, np.abs(beta[..., i] - beta[..., j]), -np.inf)
+    gap = np.where(table.totals[..., i, j] > 0, np.abs(beta[..., i] - beta[..., j]), -np.inf)
     return gap.max(axis=-1) >= -math.log(tol)
 
 
 def class_model() -> ClassModel:
     """The comparison model's functions for core.fit_by_classes, read anew on each call so wrappers take effect."""
     return ClassModel(
-        class_tallies, bt_log_likelihood, lambda b, t: t.degrees - bt_expected_wins(b, t), bt_fisher_info, _bt_saturated
+        lambda t, rows: Tallies(t.degrees[rows], t.totals if t.totals.ndim == 2 else t.totals[rows]),
+        class_tallies, bt_log_likelihood, lambda b, t: t.degrees - bt_expected_wins(b, t), bt_fisher_info,
+        _bt_saturated,
     )
 
 
-def bt_fit_mle(data: Union[ComparisonTable, np.ndarray], *, tol: float = TOL_SCORE):
-    """Fit the n-1 free merit parameters of a table, or of each win matrix of a (k, n, n) stack.
+def _fit_classes(data, t: Tallies, plain: tuple, merged: tuple, tied: bool, ready: list, tol: float):
+    """Fit the tables of ``t`` that ``ready`` leaves open; one Fit for a ComparisonTable ``data``, else Fits.
 
-    Existence is decided up front by strong connectivity.  Newton steps
-    start from zero on every subject but the reference, each its own class;
-    a stack's tables are fitted together, and a table gives one Fit, a
-    stack its Fits.
+    ``plain`` and ``merged`` are (head, fixed) pairs: ``head`` maps the
+    leading subjects to the first classes, the fixed ones first, which hold
+    the values ``fixed``.  When every pair of a table is compared the same
+    k > 0 times, free subjects of equal win total share the maximizer (the
+    likelihood is strictly concave and unchanged by swapping them), so such
+    a table takes ``merged`` and one class per free win total; any other
+    takes ``plain`` and one class per free subject.
     """
-    one = isinstance(data, ComparisonTable)
-    wins = data.wins[None] if one else np.asarray(data)
-    n = wins.shape[-1]
-    ready = [None if e else nonexistent_fit(np.zeros(n)) for e in strongly_connected(wins)]
-    fits = fit_by_classes(class_model(), wins, [np.arange(n)] * len(wins), np.zeros(1), False, ready, tol)
-    return fits[0] if one else fits
+    (k, n), r = t.degrees.shape, plain[0].size
+    i, j = pair_indices(n)
+    pairs = t.totals[..., i, j]
+    balanced = np.broadcast_to((pairs[..., 0] > 0) & (pairs == pairs[..., :1]).all(axis=-1), (k,))[:, None]
+    # the rank of each free win total among its table's distinct ones
+    order = np.argsort(t.degrees[:, r:], axis=1)
+    rises = np.diff(np.take_along_axis(t.degrees[:, r:], order, axis=1), axis=1) > 0
+    rank = np.zeros((k, n - r), dtype=int)
+    np.put_along_axis(rank, order[:, 1:], np.cumsum(rises, axis=1), axis=1)
+    maps = np.concatenate([
+        np.where(balanced, merged[0], plain[0]),
+        np.where(balanced, rank + merged[0].max() + 1, np.arange(n - r) + plain[0].max() + 1),
+    ], axis=1)
+    fixed = [merged[1] if b else plain[1] for b in balanced[:, 0]]
+    fits = fit_by_classes(class_model(), t, maps, fixed, tied, ready, tol)
+    return fits[0] if isinstance(data, ComparisonTable) else fits
 
 
-def bt_fit_restricted(
-    data: Union[ComparisonTable, np.ndarray], null: NullHypothesis, *, tol: float = TOL_SCORE
-):
+def bt_fit_mle(data, *, tol: float = TOL_SCORE):
+    """Fit the n-1 free merit parameters of a table, or of each table of a stack.
+
+    ``data`` is a ComparisonTable, which gives one Fit, or a (k, n, n)
+    stack of win matrices or the per-subject Tallies of k tables, which
+    give their Fits, fitted together.  Existence is decided up front by
+    strong connectivity, which Tallies, holding no direction of wins, are
+    taken to have.  Newton steps start from zero on every subject but the
+    reference, with one class per free subject or, in a table whose pairs
+    are all compared equally often, per free win total.
+    """
+    t = subject_tallies(data)
+    k, n = t.degrees.shape
+    wins = data.wins[None] if isinstance(data, ComparisonTable) else data
+    connected = np.ones(k, dtype=bool) if isinstance(data, Tallies) else strongly_connected(wins)
+    ready = [None if e else nonexistent_fit(np.zeros(n)) for e in connected]
+    lead = (np.zeros(1, dtype=int), np.zeros(1))
+    return _fit_classes(data, t, lead, lead, False, ready, tol)
+
+
+def bt_fit_restricted(data, null: NullHypothesis, *, tol: float = TOL_SCORE):
     """Fit under a null constraint on subjects 1..r, for a table or a stack (see bt_fit_mle).
 
     Specified nulls pin subjects 2..r to given offsets from the reference;
     homogeneous nulls tie subjects 2..r to one common unknown level, while
-    the reference stays at zero.
+    the reference stays at zero.  Existence is decided from the win and
+    pair totals.
     """
-    one = isinstance(data, ComparisonTable)
-    wins = data.wins[None] if one else np.asarray(data)
-    n = wins.shape[-1]
+    t = subject_tallies(data)
+    d = t.degrees
+    n = d.shape[1]
     null.validate_for("bt", n)
     r = null.r
-    d = wins.sum(axis=-1)
-    k_row = d + wins.sum(axis=-2)
-    free_boundary = ((d[:, r:] == 0) | (d[:, r:] == k_row[:, r:])).any(axis=1)
+    played = np.broadcast_to(t.totals.sum(axis=-1), d.shape)
+    free_boundary = ((d[:, r:] == 0) | (d[:, r:] == played[:, r:])).any(axis=1)
     if null.kind == "specified":
         base = np.concatenate([[0.0], null.values, np.zeros(n - r)])
         if r == n:
-            ll = bt_log_likelihood(np.tile(base, (len(wins), 1)), class_tallies(wins, np.arange(n)))
+            ll = bt_log_likelihood(np.tile(base, (len(d), 1)), class_tallies(t, np.arange(n)))
             ready = [Fit(base.copy(), float(value), 0, True, True, 0.0) for value in ll]
         else:
             ready = [nonexistent_fit(base) if lost else None for lost in free_boundary]
-        # the reference and the pinned subjects are fixed classes, every other subject its own
-        fits = fit_by_classes(class_model(), wins, [np.arange(n)] * len(wins), base[:r], False, ready, tol)
-        return fits[0] if one else fits
-    # Cross-block win totals decide existence for the block's shared level.
-    tied = np.arange(1, r)
-    outside = np.concatenate(([0], np.arange(r, n)))
-    cross_wins = wins[:, tied][:, :, outside].sum(axis=(1, 2))
-    cross_total = cross_wins + wins[:, outside][:, :, tied].sum(axis=(1, 2))
+        # the reference and the pinned subjects are fixed classes; a balanced table merges
+        # equal pinned values, numbered by first appearance so the reference's class is first
+        _, first, inverse = np.unique(base[:r], return_index=True, return_inverse=True)
+        merged = (np.argsort(np.argsort(first))[inverse], base[np.sort(first)])
+        return _fit_classes(data, t, (np.arange(r), base[:r]), merged, False, ready, tol)
+    # Cross-block win totals decide existence for the block's shared level: the
+    # block's wins over the rest are its win total less one per comparison within it
+    within = t.totals[..., 1:r, 1:r].sum(axis=(-2, -1))
+    cross_wins = d[:, 1:r].sum(axis=1) - within // 2
+    cross_total = played[:, 1:r].sum(axis=1) - within
     lost = free_boundary | ((cross_total > 0) & ((cross_wins == 0) | (cross_wins == cross_total)))
-    ready = [nonexistent_fit(np.zeros(n)) if x else None for x in lost]
-    # class 0 is the reference, class 1 the tied block, then one class per tail subject
-    classes = np.concatenate([[0], np.ones(r - 1, dtype=int), np.arange(2, n - r + 2)])
-    fits = fit_by_classes(class_model(), wins, [classes] * len(wins), np.zeros(1), True, ready, tol)
-    return fits[0] if one else fits
+    # class 0 is the reference, class 1 the tied block, then the free classes
+    lead = (np.concatenate([[0], np.ones(r - 1, dtype=int)]), np.zeros(1))
+    return _fit_classes(data, t, lead, lead, True, [nonexistent_fit(np.zeros(n)) if x else None for x in lost], tol)
 
 
 def simulate_comparisons(beta, k, rng):

@@ -32,29 +32,9 @@ from .core import (
 )
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _emit(payload, out: Optional[str]) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    # numpy arrays and scalars become lists and plain numbers
+    _emit_text(json.dumps(payload, indent=2, sort_keys=True, default=lambda x: x.tolist()) + "\n", out)
 
 
 def _emit_text(text: str, out: Optional[str]) -> None:
@@ -162,8 +142,7 @@ def fit(model: str, input_path: str, out: Optional[str], tol: float) -> None:
     if model == "beta":
         result = beta_model.fit_mle(data, tol=tol)
         if result.exists:
-            V = beta_model.fisher_info(result.beta_hat)
-            se = np.sqrt(fisher_approx.diag_approx(V, 0))
+            se = np.sqrt(fisher_approx.diag_approx(beta_model.degree_variances(result.beta_hat), 0))
     else:
         result = bt_model.bt_fit_mle(data, tol=tol)
         if result.exists:

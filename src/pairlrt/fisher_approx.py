@@ -64,12 +64,12 @@ class ApproxReport:
 
 
 def diag_approx(V: np.ndarray, r: int = 0) -> np.ndarray:
-    """Reciprocal diagonal of the trailing block of V starting at index r."""
+    """Reciprocal diagonal of the trailing block of V starting at index r; V may be its diagonal alone."""
     V = np.asarray(V, dtype=float)
     n = V.shape[0]
     if not 0 <= r < n:
         raise ValueError(f"block offset must satisfy 0 <= r < {n}")
-    d = np.diag(V)[r:]
+    d = (V if V.ndim == 1 else np.diag(V))[r:]
     if np.any(d == 0):
         raise ValueError("zero diagonal entry")
     return 1.0 / d

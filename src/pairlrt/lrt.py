@@ -35,10 +35,10 @@ from .core import (
 
 REGIMES = ("fixed", "growing")
 DEFAULT_BOOTSTRAP_B = 999
-# Bootstrap tables fitted together.  A chunk's memory is fixed whatever B is.
-# At 30 subjects, chunks of 32, 48 and 64 ran equally fast and chunks of 96
-# a fifth slower; at 32 a 999-table bootstrap peaks at 1.9 MiB of traced
-# memory, against 57 MiB for all 999 tables in one batch.
+# Bootstrap tables drawn together.  A chunk's n-by-n draws are dropped once its
+# connected tables' win totals are kept; the fits then run over all B tables,
+# grouped by class count (see core.BATCH_CELLS).  Fitting inside chunks of 32
+# was slower, since a chunk's groups by class count are tiny.
 BOOTSTRAP_CHUNK = 32
 
 
@@ -204,22 +204,26 @@ def bootstrap_distribution(
     """Simulate B tables from the restricted fit; return the usable statistics and B.
 
     Table i is drawn from the i-th child of rng (successive spawns continue
-    one sequence of children).  The tables are drawn and fitted
-    BOOTSTRAP_CHUNK at a time, each chunk through one batched Newton ascent
-    per model, and the statistics keep the children's order.  A table is
+    one sequence of children).  The tables are drawn BOOTSTRAP_CHUNK at a
+    time, and a chunk keeps only the win totals of its strongly connected
+    tables: every draw has the observed pair totals, which with the win
+    totals are all a fit reads.  All B tables are then fitted together per
+    model, and the statistics keep the children's order.  A table is
     dropped unless both of its fits converged, which a fit with no maximizer
     never does.
     """
-    stats = []
-    for start in range(0, B, BOOTSTRAP_CHUNK):
-        children = rng.spawn(min(BOOTSTRAP_CHUNK, B - start))
-        wins = bt_model.simulate_comparisons(beta_null, table.totals, children)
-        full = bt_model.bt_fit_mle(wins, tol=tol)
-        kept = np.array([f.converged for f in full])
-        restricted = bt_model.bt_fit_restricted(wins[kept], null, tol=tol)
-        full = [f for f in full if f.converged]
-        stats += [lrt_statistic(f, r) for f, r in zip(full, restricted) if r.converged]
-    return stats, B
+    totals = table.totals
+
+    def draw(size):
+        wins = bt_model.simulate_comparisons(beta_null, totals, rng.spawn(size))
+        return wins[bt_model.strongly_connected(wins)].sum(axis=-1)
+
+    wins = np.concatenate([draw(min(BOOTSTRAP_CHUNK, B - start)) for start in range(0, B, BOOTSTRAP_CHUNK)])
+    full = bt_model.bt_fit_mle(bt_model.Tallies(wins, totals), tol=tol)
+    kept = np.array([f.converged for f in full], dtype=bool)
+    restricted = bt_model.bt_fit_restricted(bt_model.Tallies(wins[kept], totals), null, tol=tol)
+    full = [f for f in full if f.converged]
+    return [lrt_statistic(f, r) for f, r in zip(full, restricted) if r.converged], B
 
 
 def bootstrap_tail(

@@ -80,21 +80,13 @@ class Scenario:
 
     def null_holds(self) -> bool:
         """Whether true_beta satisfies the null exactly."""
-        b = self.true_beta
-        r = self.null.r
+        block = self.true_beta[int(self.model == "bt"):self.null.r]
         if self.null.kind == "specified":
-            if self.model == "beta":
-                return bool(np.array_equal(b[:r], self.null.values))
-            return bool(np.array_equal(b[1:r], self.null.values))
-        block = b[:r] if self.model == "beta" else b[1:r]
+            return bool(np.array_equal(block, self.null.values))
         return bool(block.size == 0 or np.all(block == block[0]))
 
     def to_dict(self) -> dict:
-        k: Union[int, list, None]
-        if isinstance(self.k, np.ndarray):
-            k = self.k.tolist()
-        else:
-            k = self.k
+        k = self.k.tolist() if isinstance(self.k, np.ndarray) else self.k
         return {
             "name": self.name,
             "model": self.model,
@@ -215,18 +207,14 @@ class MCReport:
     unconverged: int = 0
 
     def to_dict(self) -> dict:
-        out = {
-            "rejection_rate": (
-                {f"{a:g}": rate for a, rate in self.rejection_rate.items()}
-                if self.rejection_rate is not None
-                else None
-            ),
+        rates = self.rejection_rate
+        return {
+            "rejection_rate": None if rates is None else {f"{a:g}": rate for a, rate in rates.items()},
             "nonexist_freq": self.nonexist_freq,
             "reps_used": self.reps_used,
             "bootstrap_short": self.bootstrap_short,
             "unconverged": self.unconverged,
         }
-        return out
 
     def existing_stats(self) -> np.ndarray:
         return self.stats[np.isfinite(self.stats)]

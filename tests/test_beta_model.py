@@ -80,6 +80,12 @@ def test_fisher_structure():
     assert np.allclose(off.sum(axis=1), np.diag(V100), rtol=0, atol=1e-12)
 
 
+def test_degree_variances_are_the_information_diagonal(rng):
+    # over the distinct values, with repeats: the diagonal of the dense matrix to rounding
+    beta = np.repeat(rng.uniform(-1.5, 1.5, 40), rng.integers(1, 6, 40))
+    assert np.allclose(bm.degree_variances(beta), np.diag(bm.fisher_info(beta)), rtol=1e-12, atol=0)
+
+
 def test_bn_cn_values():
     d = bm.bn_cn(np.zeros(6))
     assert d.b_n == pytest.approx(4.0) and d.c_n == pytest.approx(4.0)

@@ -55,7 +55,7 @@ def test_score_matches_fd_gradient(rng):
         # is the gradient of the log-likelihood in the free class values
         classes = tied_class_map(n)
         values = beta[np.unique(classes, return_index=True)[1]]
-        tallies = btm.class_tallies(table.wins, classes)
+        tallies = btm.class_tallies(table, classes)
         class_score = tallies.degrees - btm.bt_expected_wins(values, tallies)
 
         def loglik_classes(x):
@@ -81,7 +81,7 @@ def test_fisher_matches_fd_hessian(rng):
 
         classes = tied_class_map(n)
         values = beta[np.unique(classes, return_index=True)[1]]
-        V = btm.bt_fisher_info(values, btm.class_tallies(table.wins, classes))[1:, 1:]
+        V = btm.bt_fisher_info(values, btm.class_tallies(table, classes))[1:, 1:]
         H = fd_hessian(lambda x: btm.bt_log_likelihood(np.concatenate([[0.0], x])[classes], table), values[1:])
         assert np.abs(V + H).max() <= 1e-4
 
@@ -168,6 +168,12 @@ def test_batch_members_stop_on_their_own():
     assert all(f.converged for f in fits[:8] + fits[9:] if f.exists)
 
 
+def _fit_on_maps(wins, maps):
+    # full fits of a stack of win matrices on the given class maps, the reference fixed at zero
+    fixed = [np.zeros(1)] * len(wins)
+    return fit_by_classes(btm.class_model(), btm.subject_tallies(wins), maps, fixed, False, [None] * len(wins), TOL_SCORE)
+
+
 def test_members_keep_their_own_class_maps():
     # in balanced tables (every pair compared k times) free subjects of equal win total
     # share the maximizer, so they can form one class; a stack mixing such maps with
@@ -180,14 +186,97 @@ def test_members_keep_their_own_class_maps():
     maps = [merged[t] if t % 3 else np.arange(n) for t in range(len(wins))]
     assert len({m.max() for m in maps}) > 2
 
-    def fit(stack, maps):
-        return fit_by_classes(btm.class_model(), stack, maps, np.zeros(1), False, [None] * len(stack), TOL_SCORE)
-
-    stacked = fit(wins, maps)
+    stacked = _fit_on_maps(wins, maps)
     for t, got in enumerate(stacked):
-        _assert_same_fit(got, fit(wins[t:t + 1], maps[t:t + 1])[0])
-        per_subject = btm.bt_fit_mle(ComparisonTable(wins[t]))
+        _assert_same_fit(got, _fit_on_maps(wins[t:t + 1], maps[t:t + 1])[0])
+        per_subject = _fit_on_maps(wins[t:t + 1], [np.arange(n)])[0]
         assert got.converged and abs(got.loglik - per_subject.loglik) <= 1e-9
+
+
+# the three fits of a table, each on the per-subject class maps a table of unequal pair
+# totals keeps: (map head, fixed values, tied) for the full fit and two nulls on subjects 1..3
+PINNED = NullHypothesis.specified(4, [0.0, 0.3, 0.3])
+TIED = NullHypothesis.homogeneous(4)
+PER_SUBJECT = {
+    "full": (lambda n: np.arange(n), np.zeros(1), False),
+    "specified": (lambda n: np.arange(n), np.array([0.0, 0.0, 0.3, 0.3]), False),
+    "homogeneous": (lambda n: np.concatenate([[0, 1, 1, 1], np.arange(2, n - 2)]), np.zeros(1), True),
+}
+
+
+def _fit_kind(kind, data):
+    if kind == "full":
+        return btm.bt_fit_mle(data)
+    return btm.bt_fit_restricted(data, PINNED if kind == "specified" else TIED)
+
+
+def _per_subject_fit(kind, wins):
+    head, fixed, tied = PER_SUBJECT[kind]
+    n = wins.shape[-1]
+    return fit_by_classes(
+        btm.class_model(), btm.subject_tallies(wins[None]), [head(n)], [fixed], tied, [None], TOL_SCORE
+    )[0]
+
+
+def _balanced_tables(n, k, count, seed):
+    beta = np.concatenate([[0.0, 0.0, 0.3, 0.3], np.linspace(-0.5, 1.0, n - 4)])
+    wins = btm.simulate_comparisons(beta, k, np.random.default_rng(seed).spawn(count))
+    return wins[btm.strongly_connected(wins)]
+
+
+@pytest.mark.parametrize("kind", sorted(PER_SUBJECT))
+def test_balanced_tables_merge_equal_win_totals(kind):
+    # every pair compared twice: free subjects of equal win total form one class, and
+    # come out exactly equal, at the likelihood of the fit with one class per subject
+    merged = 0
+    for wins in _balanced_tables(14, 2, 30, 8):
+        got = _fit_kind(kind, ComparisonTable(wins))
+        if not got.exists:
+            continue
+        per_subject = _per_subject_fit(kind, wins)
+        assert got.converged and per_subject.converged
+        assert abs(got.loglik - per_subject.loglik) <= 1e-9
+        assert np.abs(got.beta_hat - per_subject.beta_hat).max() <= 1e-6
+        d = wins.sum(axis=1)
+        for total in np.unique(d[4:]):
+            same = np.flatnonzero(d == total)
+            same = same[same >= 4]
+            merged += same.size > 1
+            assert np.all(got.beta_hat[same] == got.beta_hat[same[0]])
+    assert merged > 10
+
+
+@pytest.mark.parametrize("kind", sorted(PER_SUBJECT))
+def test_unbalanced_tables_keep_one_class_per_subject(kind):
+    # pair totals of 1, 2 or 3: the fit is bitwise that of the per-subject class maps
+    rng = np.random.default_rng(9)
+    fitted = 0
+    for _ in range(12):
+        totals = np.triu(rng.integers(1, 4, (9, 9)), 1)
+        beta = np.concatenate([[0.0], rng.uniform(-0.8, 0.8, 8)])
+        wins = btm.simulate_comparisons(beta, totals + totals.T, rng).wins
+        got = _fit_kind(kind, ComparisonTable(wins))
+        fitted += got.exists
+        if got.exists:
+            _assert_same_fit(got, _per_subject_fit(kind, wins))
+    assert fitted > 5
+
+
+@pytest.mark.parametrize("kind", sorted(PER_SUBJECT))
+def test_stack_mixes_balanced_and_unbalanced_tables(kind):
+    # a stack whose members' pair totals differ: each member is fitted as alone, balanced
+    # ones on win-total classes and the others per subject
+    wins = _balanced_tables(10, 2, 24, 4)[:16]
+    wins[1::2, 5, 7] += 1  # every other table gets one pair compared three times
+    fits = _fit_kind(kind, wins)
+    assert isinstance(fits, Fits) and len(fits) == len(wins)
+    kinds = set()
+    for t, got in enumerate(fits):
+        _assert_same_fit(got, _fit_kind(kind, ComparisonTable(wins[t])))
+        if got.exists and t % 2:
+            _assert_same_fit(got, _per_subject_fit(kind, wins[t]))
+        kinds.add((t % 2, got.exists))
+    assert {(0, True), (1, True)} <= kinds
 
 
 def test_fit_cycle_symmetry():

@@ -19,6 +19,7 @@ def test_diag_approx_values():
     assert fa.diag_approx(V, 1).tolist() == [2.0, 2.0]
     V100 = bm.fisher_info(np.zeros(100))
     assert np.allclose(fa.diag_approx(V100), 4 / 99)
+    assert np.array_equal(fa.diag_approx(np.diag(V100), 2), fa.diag_approx(V100, 2))
     with pytest.raises(ValueError):
         fa.diag_approx(V, 3)
     with pytest.raises(ValueError):

@@ -236,6 +236,21 @@ def test_bootstrap_matches_fitting_each_table_alone(design):
         assert lost_null > 0
 
 
+def test_bootstrap_statistics_do_not_depend_on_chunk_or_batch_sizes(monkeypatch):
+    # draws come in chunks and fits in batches of bounded size; neither size changes a statistic
+    totals, null, beta_null = _season_design()
+    table = ComparisonTable(np.triu(totals))
+
+    def run():
+        return lrt.bootstrap_distribution(table, null, beta_null, 120, np.random.default_rng(4), TOL_SCORE)
+
+    want = run()
+    monkeypatch.setattr(lrt, "BOOTSTRAP_CHUNK", 7)
+    assert run() == want
+    monkeypatch.setattr(core, "BATCH_CELLS", 1000)  # at most 3 tables of 18 classes a batch
+    assert run() == want
+
+
 def test_bootstrap_drops_unconverged_tables(monkeypatch):
     # with the Newton step cap at 4, most bootstrap tables stop short of the score
     # tolerance; they are dropped and counted like tables with no maximizer
