@@ -46,10 +46,15 @@ def _emit_text(text: str, out: Optional[str]) -> None:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    """A data file, or stdin for '-', as UTF-8 text; bytes that are not UTF-8
+    are malformed input data."""
+    try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, encoding="utf-8") as fh:  # read() decodes it whole: exc.start is a file offset
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: byte {exc.start} (0x{exc.object[exc.start]:02x}) is not UTF-8") from None
 
 
 def _guard(fn):

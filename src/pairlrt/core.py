@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import io
 import math
-import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -481,17 +480,12 @@ class NullHypothesis:
         return cls.homogeneous(int(d["r"]))
 
 
-# An edge-list body of ASCII digits, spaces, tabs and newlines only, with at
-# least one digit.  np.loadtxt splits such a body into the same lines and
-# tokens as _scan_records and reads each token as int() does, so the two
-# parsers agree on it; anything else goes to the scan.
-_PLAIN_BODY = re.compile(r"[0-9 \t\n]*[0-9][0-9 \t\n]*")
-
-
 def _plain_edges(text: str) -> Optional[tuple[Optional[int], np.ndarray]]:
     """(declared n, id pairs) of a plain, well-formed edge list, or None to
     leave the text to the line scan, which accepts the same edges and names
-    the first bad line of everything else."""
+    the first bad line of everything else.  Checks on the bytes prove the
+    text plain (see load_edge_list), so np.fromstring reads the ids as int()
+    does, with no overflow."""
     first = next(_content_lines(text), None)
     if first is None:
         return None
@@ -501,17 +495,24 @@ def _plain_edges(text: str) -> Optional[tuple[Optional[int], np.ndarray]]:
         declared = _parse_header(body, lineno)
         lines = text.split("\n", lineno)
         text = lines[lineno] if len(lines) > lineno else ""
-    if not _PLAIN_BODY.fullmatch(text):
+    # two newlines before and one after let the id flags below start and end
+    # on a newline; a non-ASCII character becomes '?', which fails the check
+    raw = b"\n\n%s\n" % text.encode("ascii", "replace")
+    if raw.translate(None, b"0123456789 \t\n"):
         return None
-    try:
-        rows = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2)
-    except ValueError:  # ragged rows or an id beyond int64
+    a = np.frombuffer(raw, dtype=np.uint8)
+    digit = a >= ord("0")
+    run = digit  # after the loop, run[i] says bytes i to i+18 are all digits
+    for step in (1, 2, 4, 8, 3):
+        run = run[:-step] & run[step:]
+    start = digit[1:] > digit[:-1]  # the first digit of an id, in a[1:]
+    # one flag per id (True) and newline (False) in text order: an id on a
+    # line of one id, or of three or more, has two neighbours of one kind
+    ids = start[np.flatnonzero(start | (a[1:] == ord("\n")))]
+    if run.any() or not ids.any() or (ids[1:-1] & (ids[:-2] == ids[2:])).any():
         return None
-    valid = (
-        rows.shape[1] == 2
-        and (rows[:, 0] != rows[:, 1]).all()
-        and (declared is None or rows.max() < declared)
-    )
+    rows = np.fromstring(raw, dtype=np.int64, sep=" ").reshape(-1, 2)
+    valid = (rows[:, 0] != rows[:, 1]).all() and (declared is None or rows.max() < declared)
     return (declared, rows) if valid else None
 
 
@@ -574,9 +575,10 @@ def load_edge_list(text: str) -> UndirectedGraph:
 
     Lines hold two ids separated by whitespace or a comma.  Duplicate edges
     collapse to one.  Rejects self-loops, ids outside a declared n, and empty
-    input.  A text whose edge lines hold plain digits only (no comments or
-    commas after the header) is read in one numpy pass; any other text is
-    scanned line by line.
+    input.  A text that after the header holds only ASCII digits, spaces,
+    tabs and newlines, exactly two ids on each content line and at most 18
+    digits in each id is read in one np.fromstring pass; any other text is
+    scanned line by line, with the same edges and the same error messages.
     """
     plain = _plain_edges(text)
     declared, rows = plain if plain is not None else _scan_records(text, "edges")

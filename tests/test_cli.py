@@ -97,6 +97,42 @@ def test_integers_beyond_int64_are_format_errors(runner, tmp_path, args, text, l
     assert "data format error" in res.stderr and line in res.stderr
 
 
+@pytest.mark.parametrize("which", ["edges", "comparisons", "null"])
+def test_bytes_that_are_not_utf8_are_format_errors(runner, tmp_path, which):
+    files = {
+        "edges": "n=4\n0 1\n1 2\n2 3\n0 3\n",
+        "comparisons": "n=3\n0,1,2\n1,2,1\n2,0,1\n1,0,1\n",
+        "null": "0.0\n0.0\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.encode() + (b"# caf\xe9\n" if name == which else b""))
+    model = "bt" if which == "comparisons" else "beta"
+    data = tmp_path / ("comparisons" if model == "bt" else "edges")
+    null = f"specified:{tmp_path / 'null'}" if which == "null" else "homogeneous:3"
+    res = runner.invoke(main, ["test", "--model", model, "--input", str(data), "--null", null, "--regime", "fixed"])
+    assert res.exit_code == 4, res.output
+    offset = len(files[which]) + 5
+    assert f"data format error: {tmp_path / which}: byte {offset} (0xe9) is not UTF-8" in res.stderr
+
+
+def test_stdin_is_read_as_utf8(runner):
+    args = ["fit", "--model", "beta", "--input", "-"]
+    assert runner.invoke(main, args, input="n=4\n0 1\n1 2\n2 3 # café\n0 3\n".encode()).exit_code == 0
+    res = runner.invoke(main, args, input=b"n=4\n0 1\n1 2\n2 3 # caf\xe9\n0 3\n")
+    assert res.exit_code == 4 and "-: byte 21 (0xe9) is not UTF-8" in res.stderr
+
+
+def test_files_end_lines_at_cr_and_crlf(runner, tmp_path):
+    outputs = []
+    for end in ["\n", "\r\n", "\r"]:
+        path = tmp_path / "graph.txt"
+        path.write_bytes(end.join(["n=4", "0 1", "1 2", "2 3", "0 3", ""]).encode())
+        res = runner.invoke(main, ["fit", "--model", "beta", "--input", str(path)])
+        assert res.exit_code == 0, res.output
+        outputs.append(res.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_test_verb_matches_run_test(runner, cycle_graph):
     g, path = cycle_graph
     res = runner.invoke(

@@ -88,18 +88,62 @@ def _assert_parsers_agree(text):
         "n=3\n0.5 2\n", "n=3\n1e0 2\n", "n=3\n-0.4 1\n", "n=3\n+1 2\n", "n=3\n1_0 2\n", "n=5\n1 2\r3 4\n",
         "n=3\n0 1\n,\n", "0 1\n1,2\n", "n=3\n0 1\n1 2 # c\n", "n=3\n0 9\n", "n=3\n1 1\n", "n=3\n0 1 2\n",
         "0 1\nn=3\n", "n=3\n99999999999999999999 1\n", "n=3\n007 2\n", "n=x\n0 1\n", "n=3",
+        "n=3\n000000000000000001 2\n", "999999999999999999 1\n", "n=3\n0000000000000000001 2\n",
+        "9223372036854775807 1\n", "0 1 \n 2 3", "0 \n1\n", "0 1\n \t \n\n2 3\n", "0 1\n2 3",
+        "0\t1\n2\t3\n", "\t0 \t 1\t\n", "0\n1 2\n", "n=4\n0 1\n2\n", "0 1 2\n3 4\n", "0 1\n2 3 0\n",
     ],
 )
 def test_edge_list_parsers_agree(text):
     _assert_parsers_agree(text)
 
 
+@pytest.mark.parametrize(
+    "text, plain",
+    [
+        ("n=4\n0 1\n1 2\n\n2 3\n", True), ("0 1 \n 2 3", True), ("0\t1\n \t \n2\t3", True),
+        ("n=3\n000000000000000001 2\n", True), ("n=3 # h\n\n 2 0\n", True),
+        ("n=3\n0000000000000000001 2\n", False), ("0 \n1\n", False), ("0 1 2\n3 4\n", False),
+        ("0 1\n2\n", False), ("0 1\r\n2 3\r\n", False), ("0 1\n# c\n", False), ("n=3\n", False),
+    ],
+)
+def test_plain_path_takes_plain_text_only(text, plain):
+    assert (_plain_edges(text) is not None) == plain
+    _assert_parsers_agree(text)
+
+
+def test_ids_of_19_digits_are_scanned_alike():
+    assert load_edge_list("n=3\n0000000000000000001 2\n").edges.tolist() == [[1, 2]]
+
+
+def test_plain_path_reads_a_large_shuffled_file():
+    # as the benchmark writes one: shuffled edges, each in a random orientation
+    rng = np.random.default_rng(0)
+    n = 300
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < 0.25
+    flip = rng.random(iu.size) < 0.5
+    a, b = np.where(flip, ju, iu)[keep], np.where(flip, iu, ju)[keep]
+    order = rng.permutation(a.size)
+    text = f"n={n}\n" + "".join(f"{i} {j}\n" for i, j in zip(a[order].tolist(), b[order].tolist()))
+    assert a.size >= 10_000
+    plain = _plain_edges(text)
+    assert plain is not None
+    assert plain[0] == n and np.array_equal(plain[1], np.column_stack((a[order], b[order])))
+    _assert_parsers_agree(text)
+
+
 # edge lines that are mostly plain, with the odd token, separator or line end
 # that only the line scan may accept or that both must reject
-_ID = st.sampled_from(["0", "1", "2", "3", "4", "5"] * 4 + ["007", "-1", "+1", "0.5", "1e0", "1_0", ""])
-_SEP = st.sampled_from([" ", "\t", "  "] * 5 + [",", " , "])
-_END = st.sampled_from(["\n"] * 12 + ["\r\n", "\r", " # c\n", "\n\n", ""])
-_EDGE_LINES = st.lists(st.tuples(_ID, _SEP, _ID, _END).map("".join), max_size=6).map("".join)
+_ID = st.sampled_from(
+    ["0", "1", "2", "3", "4", "5"] * 4
+    + ["007", "-1", "+1", "0.5", "1e0", "1_0", "", "000000000000000003", "0000000000000000002"]
+)
+_SEP = st.sampled_from([" ", "\t", "  "] * 5 + [",", " , ", " \n ", " \t"])
+_END = st.sampled_from(["\n"] * 12 + ["\r\n", "\r", " # c\n", "\n\n", "", " \n", "\n \t \n"])
+_LINE = st.one_of(
+    *[st.tuples(_ID, _SEP, _ID, _END)] * 4, st.tuples(_ID, _END), st.tuples(_ID, _SEP, _ID, _SEP, _ID, _END)
+)
+_EDGE_LINES = st.lists(_LINE.map("".join), max_size=6).map("".join)
 
 
 @given(st.sampled_from(["", "n=6\n", "# c\nn=6\n", "n=4\n", "n=2\n"]), _EDGE_LINES)
