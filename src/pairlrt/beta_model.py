@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.special import expit
@@ -21,90 +21,82 @@ from .core import (
     ClassModel,
     Fit,
     NullHypothesis,
+    Tallies,
     UndirectedGraph,
     as_model_params,
     fit_by_classes,
     nonexistent_fit,
+    pair_expected,
     pair_indices,
+    pair_information,
+    pair_log_likelihood,
+    pair_variances,
     sum_bins,
 )
-
-
-def _pair_logits(beta: np.ndarray) -> np.ndarray:
-    return beta[..., :, None] + beta[..., None, :]
-
-
-def _others(x: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Per class, the sum of x over one node's pairs: every other node of every class."""
-    return (x @ mult[..., None])[..., 0] - np.diagonal(x, axis1=-2, axis2=-1)
 
 
 def edge_probabilities(beta) -> np.ndarray:
     """Matrix of edge probabilities expit(b_i + b_j), zero diagonal."""
     b = as_model_params(beta, "beta")
-    p = expit(_pair_logits(b))
+    p = expit(b[:, None] + b[None, :])
     np.fill_diagonal(p, 0.0)
     return p
 
 
-class Tallies(NamedTuple):
-    """Node counts ``mult`` and degree totals ``totals`` (..., c) of classes of nodes.
-
-    The leading axes, if any, stack graphs.
-    """
-
-    mult: np.ndarray
-    totals: np.ndarray
-
-
 def class_tallies(degrees, classes: np.ndarray) -> Tallies:
-    """Tallies of a degree sequence over the class index of each node.
+    """Degree totals and node pairs of classes of nodes, over the class index of each node.
 
-    A (k, n) stack of degree sequences takes one (k, n) map, a row per
-    sequence, and gives (k, c) tallies.
+    ``totals`` counts the node pairs between two classes, mult (x) mult -
+    diag(mult) for the class sizes mult.  A (k, n) stack of degree
+    sequences takes one (k, n) map, a row per sequence, and gives a stack.
     """
     d = np.asarray(degrees, dtype=float)
     c = int(classes.max()) + 1
-    return Tallies(sum_bins(np.ones(d.shape), classes, c), sum_bins(d, classes, c))
+    mult = sum_bins(np.ones(d.shape), classes, c)
+    pairs = mult[..., :, None] * mult[..., None, :]
+    diag = np.arange(c)
+    pairs[..., diag, diag] -= mult
+    return Tallies(sum_bins(d, classes, c), pairs)
+
+
+def _node_classes(b: np.ndarray, degrees=0.0) -> tuple[np.ndarray, np.ndarray, Tallies]:
+    """The distinct values of a node vector, each node's class, and the class tallies.
+
+    Nodes of equal value have identical pair terms, so an n-node evaluation
+    runs over the m distinct values in O(m^2).
+    """
+    values, classes = np.unique(b, return_inverse=True)
+    return values, classes, class_tallies(np.broadcast_to(degrees, b.shape), classes)
 
 
 def log_likelihood(beta, data: Union[UndirectedGraph, Tallies]):
     """Log-likelihood of a graph, which enters only through its degree sequence.
 
-    With a graph, beta holds one value per node, and nodes of equal value
-    form the classes: their pair terms are identical, so every evaluation
-    runs over the m distinct values in O(m^2).  With Tallies, beta holds one
-    value per class, and a stack of tallies with one row of beta each gives
-    one log-likelihood per row.
+    With a graph, beta holds one value per node, grouped into classes of
+    equal value.  With Tallies, beta holds one value per class, and a stack
+    of tallies with one row of beta each gives one log-likelihood per row.
     """
     graph = isinstance(data, UndirectedGraph)
     b = as_model_params(beta, "beta", stacked=not graph)
     if graph:
         if b.size != data.n:
             raise ValueError(f"parameter length {b.size} does not match n={data.n}")
-        b, classes = np.unique(b, return_inverse=True)
-        data = class_tallies(data.degrees, classes)
-    mult, totals = data
-    f = np.logaddexp(0.0, _pair_logits(b))
-    # each unordered pair once: all ordered pairs of distinct nodes, halved
-    ll = (b * totals).sum(axis=-1) - 0.5 * (mult * _others(f, mult)).sum(axis=-1)
-    return float(ll) if graph else ll
+        b, _, data = _node_classes(b, data.degrees)
+        return float(pair_log_likelihood(b, data, 1))
+    return pair_log_likelihood(b, data, 1)
 
 
-def expected_degrees(beta, mult: Optional[np.ndarray] = None) -> np.ndarray:
+def expected_degrees(beta, tallies: Optional[Tallies] = None) -> np.ndarray:
     """Expected degree of each node.
 
-    With the class multiplicities ``mult``, beta holds one value per class
-    (see log_likelihood) and the result is one node's expected degree per
-    class, row by row for a stack.
+    With Tallies, beta holds one value per class (see log_likelihood) and
+    the result is each class's expected degree total, row by row for a stack.
     """
-    per_node = mult is None
-    b = as_model_params(beta, "beta", stacked=not per_node)
-    if per_node:
-        b, classes = np.unique(b, return_inverse=True)
-        mult = np.bincount(classes).astype(float)
-    e = _others(expit(_pair_logits(b)), mult)
-    return e[classes] if per_node else e
+    b = as_model_params(beta, "beta", stacked=tallies is not None)
+    if tallies is not None:
+        return pair_expected(b, tallies, 1)
+    values, classes, t = _node_classes(b)
+    return (pair_expected(values, t, 1) / np.bincount(classes))[classes]
 
 
 def score(beta, g: UndirectedGraph) -> np.ndarray:
@@ -115,34 +107,25 @@ def score(beta, g: UndirectedGraph) -> np.ndarray:
     return g.degrees - expected_degrees(b)
 
 
-def fisher_info(beta, mult: Optional[np.ndarray] = None) -> np.ndarray:
+def fisher_info(beta, tallies: Optional[Tallies] = None) -> np.ndarray:
     """Covariance matrix of the degree sequence.
 
     Off-diagonal entries are the pair variances; each diagonal entry is the
-    row sum of the others, so the result is diagonally balanced.  With the
-    class multiplicities ``mult`` (see expected_degrees) it is the
-    covariance of the class degree totals, the information in one parameter
-    per class, row by row for a stack.
+    row sum of the others, so the result is diagonally balanced.  With
+    Tallies (see expected_degrees) it is the covariance of the class degree
+    totals, the information in one parameter per class, row by row for a
+    stack.
     """
-    b = as_model_params(beta, "beta", stacked=True)
-    w = np.ones(b.shape) if mult is None else mult
-    pi = _pair_logits(b)
-    v = expit(pi) * expit(-pi)
-    own = np.diagonal(v, axis1=-2, axis2=-1).copy()
-    # variance of one node's degree, then the covariances of the class totals
-    node = _others(v, w)
-    v *= w[..., :, None]
-    v *= w[..., None, :]
-    diag = np.arange(b.shape[-1])
-    v[..., diag, diag] = w * node + w * (w - 1.0) * own
-    return v
+    b = as_model_params(beta, "beta", stacked=tallies is not None)
+    if tallies is None:
+        tallies = class_tallies(np.zeros(b.size), np.arange(b.size))
+    return pair_information(b, tallies, 1)
 
 
 def degree_variances(beta) -> np.ndarray:
     """Variance of each node's degree, the diagonal of fisher_info, in O(m^2) over the m distinct values."""
-    b, classes = np.unique(as_model_params(beta, "beta"), return_inverse=True)
-    pi = _pair_logits(b)
-    return _others(expit(pi) * expit(-pi), np.bincount(classes).astype(float))[classes]
+    values, classes, t = _node_classes(as_model_params(beta, "beta"))
+    return ((pair_variances(values, 1) * t.totals).sum(axis=-1) / np.bincount(classes))[classes]
 
 
 @dataclass(frozen=True)
@@ -164,21 +147,12 @@ def bn_cn(beta) -> ModelDiagnostics:
     n = b.size
     if n < 2:
         raise ValueError("need at least two parameters")
-    iu = np.triu_indices(n, k=1)
-    x = np.abs(_pair_logits(b)[iu])
+    i, j = pair_indices(n)
+    x = np.abs(b[i] + b[j])
     b_n = 2.0 + 2.0 * math.cosh(float(x.max()))
     c_n = 2.0 + 2.0 * math.cosh(float(x.min()))
     radius = 3.0 * n * b_n / (2.0 * n - 1.0) * math.sqrt(math.log(n) / n)
     return ModelDiagnostics(b_n=b_n, c_n=c_n, consistency_radius=radius)
-
-
-def _saturated(beta: np.ndarray, degrees: np.ndarray, tol: float) -> np.ndarray:
-    # a pair logit at -log(tol) leaves a residual of about tol, which the
-    # score test cannot tell from zero, so the point cannot be certified as
-    # an interior maximizer; joint escape directions stall exactly there.
-    # The extreme pair logits are the sums of the two smallest and two largest.
-    s = np.sort(beta, axis=-1)
-    return np.maximum(np.abs(s[..., 0] + s[..., 1]), np.abs(s[..., -1] + s[..., -2])) >= -math.log(tol)
 
 
 def class_model() -> ClassModel:
@@ -187,9 +161,9 @@ def class_model() -> ClassModel:
         lambda data, rows: np.array([data[t] for t in rows]),
         class_tallies,
         log_likelihood,
-        lambda b, t: t.totals - t.mult * expected_degrees(b, t.mult),
-        lambda b, t: fisher_info(b, t.mult),
-        _saturated,
+        lambda b, t: t.degrees - expected_degrees(b, t),
+        fisher_info,
+        1,
     )
 
 

@@ -9,8 +9,7 @@ graph is strongly connected.
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import expit
@@ -21,29 +20,16 @@ from .core import (
     ComparisonTable,
     Fit,
     NullHypothesis,
+    Tallies,
     as_model_params,
     fit_by_classes,
     nonexistent_fit,
+    pair_expected,
     pair_indices,
+    pair_information,
+    pair_log_likelihood,
     sum_bins,
 )
-
-
-def _pair_diffs(beta: np.ndarray) -> np.ndarray:
-    return beta[..., :, None] - beta[..., None, :]
-
-
-class Tallies(NamedTuple):
-    """Win totals (..., c) and comparison counts (..., c, c) of classes of subjects.
-
-    Comparisons within a class sit on the diagonal of ``totals``.  The
-    leading axes, if any, stack tables; a stack whose tables share their
-    counts may hold them once, as one (c, c) matrix.  A ComparisonTable has
-    the same two fields, with one class per subject.
-    """
-
-    degrees: np.ndarray
-    totals: np.ndarray
 
 
 def subject_tallies(data) -> Tallies:
@@ -88,29 +74,12 @@ def bt_log_likelihood(beta, table: Union[ComparisonTable, Tallies]):
     of Tallies, the reference's class first.  With a stack of tallies and
     one row of beta per table, the result holds one log-likelihood per row.
     """
-    b = _params(beta, table)
-    c = b.shape[-1]
-    i, j = pair_indices(c)
-    # np.take lays a stack's pairs out row by row (an index gather would lay
-    # them out column by column), so each table's sum below adds its terms in
-    # the same order alone or in a stack
-    bi, bj = np.take(b, i, axis=-1), np.take(b, j, axis=-1)
-    pairs = np.take(table.totals.reshape(table.totals.shape[:-2] + (c * c,)), i * c + j, axis=-1)
-    # each comparison of a pair i < j adds log(e^b_i + e^b_j), one exp per pair;
-    # the diagonal counts each comparison within a class twice, and each adds b_i + log 2
-    lse = np.maximum(bi, bj) + np.log1p(np.exp(-np.abs(bi - bj)))
-    within = 0.5 * np.diagonal(table.totals, axis1=-2, axis2=-1)
-    wins = (b[..., None, :] @ (table.degrees - within)[..., :, None])[..., 0, 0]
-    return wins - (pairs * lse).sum(axis=-1) - math.log(2.0) * within.sum(axis=-1)
+    return pair_log_likelihood(_params(beta, table), table, -1)
 
 
 def bt_expected_wins(beta, table: Union[ComparisonTable, Tallies]) -> np.ndarray:
     """Expected wins of each subject, or each class's total (see bt_log_likelihood)."""
-    b = _params(beta, table)
-    p = _pair_diffs(b)
-    expit(p, out=p)
-    p *= table.totals
-    return p.sum(axis=-1)
+    return pair_expected(_params(beta, table), table, -1)
 
 
 def bt_score(beta, table: ComparisonTable) -> np.ndarray:
@@ -127,17 +96,7 @@ def bt_fisher_info(beta, table: Union[ComparisonTable, Tallies]) -> np.ndarray:
     within a class carry no information.  The free coordinates of a table
     are the block past the reference's row and column.
     """
-    b = _params(beta, table)
-    p = expit(_pair_diffs(b))
-    w = table.totals * p
-    # expit(-d) is p transposed, since b_j - b_i is exactly -(b_i - b_j)
-    w *= np.swapaxes(p, -1, -2)
-    diag = np.arange(b.shape[-1])
-    w[..., diag, diag] = 0.0
-    row = w.sum(axis=-1)
-    w *= -1.0
-    w[..., diag, diag] = row
-    return w
+    return pair_information(_params(beta, table), table, -1)
 
 
 def strongly_connected(wins):
@@ -163,21 +122,11 @@ def strongly_connected(wins):
     return bool(every) if every.ndim == 0 else every
 
 
-def _bt_saturated(beta: np.ndarray, table: Tallies, tol: float) -> np.ndarray:
-    # a compared pair whose merit difference reaches -log(tol) leaves a win
-    # residual the score test cannot tell from zero; a tied block escaping
-    # jointly stalls there without tripping the coordinate cap
-    i, j = pair_indices(beta.shape[-1])
-    gap = np.where(table.totals[..., i, j] > 0, np.abs(beta[..., i] - beta[..., j]), -np.inf)
-    return gap.max(axis=-1) >= -math.log(tol)
-
-
 def class_model() -> ClassModel:
     """The comparison model's functions for core.fit_by_classes, read anew on each call so wrappers take effect."""
     return ClassModel(
         lambda t, rows: Tallies(t.degrees[rows], t.totals if t.totals.ndim == 2 else t.totals[rows]),
-        class_tallies, bt_log_likelihood, lambda b, t: t.degrees - bt_expected_wins(b, t), bt_fisher_info,
-        _bt_saturated,
+        class_tallies, bt_log_likelihood, lambda b, t: t.degrees - bt_expected_wins(b, t), bt_fisher_info, -1,
     )
 
 

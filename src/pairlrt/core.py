@@ -12,9 +12,10 @@ import io
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
+from scipy.special import expit
 
 MIN_NODES = 3
 MAX_NEWTON = 100
@@ -249,6 +250,85 @@ def _build_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 _cached_pair_indices = functools.lru_cache(maxsize=4)(_build_pair_indices)
 
 
+class Tallies(NamedTuple):
+    """Class totals ``degrees`` (..., c) and pair trial counts ``totals`` (..., c, c) of a pair model.
+
+    Class a holds one value b_a, and each of the ``totals[a, b]`` trials of
+    classes a and b has logit x_ab = b_a + sign * b_b: sign is +1 for graphs
+    (degree totals, node pairs) and -1 for comparisons (win totals,
+    comparisons).  The diagonal counts each pair within a class twice.
+    Leading axes stack datasets; members that share their counts may hold
+    one (c, c) matrix.  A ComparisonTable has the same two fields.
+    """
+
+    degrees: np.ndarray
+    totals: np.ndarray
+
+
+def pair_logits(b: np.ndarray, sign: int) -> np.ndarray:
+    """The (..., c, c) logits b_a + sign * b_b of every pair of classes."""
+    return b[..., :, None] + sign * b[..., None, :]
+
+
+def pair_log_likelihood(b: np.ndarray, t: Tallies, sign: int) -> np.ndarray:
+    """Log-likelihood of the tallies at class values b, one per member of a stack.
+
+    A trial's log-normaliser, log(1 + e^x) for a graph pair and
+    log(e^u + e^w) for a comparison, is the mean of its two outcomes' logits
+    plus g(|x|), g(y) = y/2 + log1p(e^-y), and the means add up to
+    b . rowsum(T) / 2.  The pairs a < b and the diagonal, halved, carry g.
+    """
+    totals, c = t.totals, b.shape[-1]
+    i, j = pair_indices(c)
+    # np.take lays a stack's pairs out row by row (an index gather would lay
+    # them out column by column), so each member's sums add its terms in the
+    # same order alone or in a stack
+    x = np.take(b, i, axis=-1) + sign * np.take(b, j, axis=-1)
+    y = np.abs(np.concatenate([x, (1 + sign) * b], axis=-1))
+    pairs = np.take(totals.reshape(totals.shape[:-2] + (c * c,)), i * c + j, axis=-1)
+    trials = np.concatenate([pairs, 0.5 * np.diagonal(totals, axis1=-2, axis2=-1)], axis=-1)
+    linear = ((t.degrees - 0.5 * totals.sum(axis=-1)) * b).sum(axis=-1)
+    return linear - (trials * (0.5 * y + np.log1p(np.exp(-y)))).sum(axis=-1)
+
+
+def pair_expected(b: np.ndarray, t: Tallies, sign: int) -> np.ndarray:
+    """Each class's expected total, rowsum(T * expit(x)), one row per member of a stack."""
+    p = pair_logits(b, sign)
+    expit(p, out=p)
+    p *= t.totals
+    return p.sum(axis=-1)
+
+
+def pair_variances(b: np.ndarray, sign: int) -> np.ndarray:
+    """The variance expit(x) expit(-x) of one trial of each pair of classes, as e/(1+e)^2, e = exp(-|x|)."""
+    e = np.exp(-np.abs(pair_logits(b, sign)))
+    return e / (1.0 + e) ** 2
+
+
+def pair_information(b: np.ndarray, t: Tallies, sign: int) -> np.ndarray:
+    """The information in the class values, diag(rowsum(T * v)) + sign * T * v, one matrix per member.
+
+    It is the covariance of the class totals: a graph pair within a class
+    adds to its class total twice, a comparison within a class not at all.
+    """
+    w = pair_variances(b, sign) * t.totals
+    row = w.sum(axis=-1)
+    w *= sign
+    diag = np.arange(b.shape[-1])
+    w[..., diag, diag] += row
+    return w
+
+
+def pair_saturated(b: np.ndarray, t: Tallies, sign: int, tol: float) -> np.ndarray:
+    """Whether a pair of classes with a trial has a logit of size -log(tol) or more, one per member.
+
+    Such a pair leaves a residual of about tol, which the score test cannot
+    tell from zero, so the point is no certified interior maximizer; values
+    escaping jointly stall exactly there, inside the divergence cap.
+    """
+    return np.where(t.totals > 0, np.abs(pair_logits(b, sign)), -np.inf).max(axis=(-2, -1)) >= -math.log(tol)
+
+
 def nonexistent_fit(beta: np.ndarray, iterations: int = 0) -> Fit:
     """The report of a fit whose maximizer does not exist; beta is the last iterate."""
     return Fit(beta.copy(), float("nan"), iterations, False, False, float("inf"))
@@ -348,10 +428,9 @@ def _solve_each(H: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # A model's functions over class tallies, as fit_by_classes calls them.  take(data, rows) picks
 # the data of the members ``rows``, as a stack; tally(stack, classes) sums it over one
-# node-to-class map per member into a NamedTuple of arrays, members first; loglik, score and
-# info take (values, tallies), one row of class values per member; saturated(beta, stack, tol)
-# flags the members whose node values leave a residual the score test cannot tell from zero.
-ClassModel = namedtuple("ClassModel", "take tally loglik score info saturated")
+# node-to-class map per member into Tallies, members first; loglik, score and info take
+# (values, tallies), one row of class values per member; sign is the model's pair sign.
+ClassModel = namedtuple("ClassModel", "take tally loglik score info sign")
 
 # One ascent's members hold at most this many class-pair cells (members times classes
 # squared), so a large group runs in batches of fixed memory.  On 999-table bootstraps at 30
@@ -370,8 +449,8 @@ def fit_by_classes(model: ClassModel, data, maps: list, fixed: list, tied: bool,
     are fitted together, in ascents of at most BATCH_CELLS cells, so none is
     padded and each runs the arithmetic of its fit alone.  A class's reduced
     score is its score over its node count, or the whole score of a tied
-    block.  A converged member whose values saturate has no maximizer.
-    Returns the Fits in the stack's order.
+    block.  A converged member whose values saturate (pair_saturated) has
+    no maximizer.  Returns the Fits in the stack's order.
     """
     fits = list(ready)
     groups: dict = {}
@@ -381,13 +460,12 @@ def fit_by_classes(model: ClassModel, data, maps: list, fixed: list, tied: bool,
     for (_, c, _), members in groups.items():
         size = max(1, BATCH_CELLS // c**2)
         for rows in (members[i:i + size] for i in range(0, len(members), size)):
-            stack = model.take(data, rows)
             classes = np.array([maps[t] for t in rows])
             head = np.array([fixed[t] for t in rows])
-            tallies = model.tally(stack, classes)
+            tallies = model.tally(model.take(data, rows), classes)
 
             def at(live):
-                return type(tallies)(*(x[live] for x in tallies))
+                return Tallies(*(x[live] for x in tallies))
 
             per = sum_bins(np.ones(classes.shape), classes, c)[:, head.shape[1]:]
             if tied:
@@ -400,7 +478,7 @@ def fit_by_classes(model: ClassModel, data, maps: list, fixed: list, tied: bool,
             )
             beta = np.take_along_axis(values, classes, axis=1)
             converged = gnorm <= tol
-            lost = converged & model.saturated(beta, stack, tol)
+            lost = converged & pair_saturated(values, tallies, model.sign, tol)
             for i, t in enumerate(rows):
                 fits[t] = (
                     nonexistent_fit(beta[i], int(iters[i])) if lost[i]

@@ -13,12 +13,12 @@ absolute values (the largest single entry), not induced operator norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .beta_model import bn_cn, fisher_info
+from .beta_model import bn_cn, class_tallies, fisher_info
 from .core import as_model_params
 
 
@@ -51,15 +51,9 @@ class ApproxReport:
     condition: Optional[float] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "max_abs_error": self.max_abs_error,
-            "bound": self.bound,
-            "satisfied": self.satisfied,
-            "linf_inverse": self.linf_inverse,
-            "linf_bound": self.linf_bound,
-        }
-        if self.condition is not None:
-            out["condition"] = self.condition
+        out = asdict(self)
+        if self.condition is None:
+            del out["condition"]
         return out
 
 
@@ -88,15 +82,14 @@ def _safe_inverse(V: np.ndarray) -> tuple[Optional[np.ndarray], Optional[float]]
     return inv, None
 
 
-def _approx_report(b: np.ndarray, matrices: list, bound_of) -> ApproxReport:
-    """Worst error of the reciprocal-diagonal approximant over ``matrices``.
+def _approx_report(b: np.ndarray, matrices: list) -> ApproxReport:
+    """Worst error of the reciprocal-diagonal approximant over ``matrices``, against inverse_error_bound.
 
-    bound_of(b_n, c_n, n) gives the certified bound; linf_inverse is the
-    largest entry of the first matrix's inverse.
+    linf_inverse is the largest entry of the first matrix's inverse.
     """
     n = b.size
     diag = bn_cn(b)
-    bound = bound_of(diag.b_n, diag.c_n, n)
+    bound = inverse_error_bound(diag.b_n, diag.c_n, n)
     _, hi = inverse_entry_window(diag.b_n, diag.c_n, n)
     invs = []
     for M in matrices:
@@ -119,7 +112,7 @@ def check_inverse_bound(beta, r: int = 0) -> ApproxReport:
     if not 0 <= r < b.size:
         raise ValueError(f"block offset must satisfy 0 <= r < {b.size}")
     V = fisher_info(b)
-    return _approx_report(b, [V, V[r:, r:]] if r > 0 else [V], inverse_error_bound)
+    return _approx_report(b, [V, V[r:, r:]] if r > 0 else [V])
 
 
 def build_homogeneous_info(beta, r: int) -> np.ndarray:
@@ -135,8 +128,8 @@ def build_homogeneous_info(beta, r: int) -> np.ndarray:
         raise ValueError(f"r must be in [1, {n}]")
     if not np.all(np.abs(b[:r] - b[0]) <= 1e-12):
         raise ValueError("leading block is not tied")
-    mult = np.concatenate([[float(r)], np.ones(n - r)])
-    return fisher_info(np.concatenate([b[:1], b[r:]]), mult)
+    classes = np.concatenate([np.zeros(r, dtype=int), np.arange(1, n - r + 1)])
+    return fisher_info(np.concatenate([b[:1], b[r:]]), class_tallies(np.zeros(n), classes))
 
 
 def check_homogeneous_bound(beta, r: int) -> ApproxReport:
@@ -148,4 +141,4 @@ def check_homogeneous_bound(beta, r: int) -> ApproxReport:
     # correction of smaller order), so the untied envelope applies; a smaller
     # constant is not attainable, since the trailing diagonal error alone
     # reaches 2/((n-1)(n-2)) at the centred parameter point.
-    return _approx_report(b, [M], inverse_error_bound)
+    return _approx_report(b, [M])

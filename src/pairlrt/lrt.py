@@ -78,6 +78,8 @@ def chi_square_sf(x: float, df: int) -> float:
 def chi_square_quantile(q: float, df: int) -> float:
     if not 0.0 < q < 1.0:
         raise ValueError("quantile level must be inside (0, 1)")
+    if df < 1:
+        raise ValueError("df must be a positive integer")
     return float(chdtri(df, 1.0 - q))
 
 

@@ -84,6 +84,8 @@ def _check_weights(beta: np.ndarray, r: int, f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (r,):
         raise ValueError(f"weights must have length r={r}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("weights must be finite")
     return f
 
 

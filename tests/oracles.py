@@ -177,3 +177,38 @@ def comparison_noncentrality(true_beta, k, embed, grad_project, m):
     A pair's binomial KL is k_ij times its single-comparison Bernoulli KL.
     """
     return 2.0 * _min_pair_kl(true_beta, k, -1.0, embed, grad_project, m)
+
+
+def pair_expected_and_information(beta, trials, sign):
+    """Per-node expected totals and information of a pair model, as explicit pair loops.
+
+    Each of the trials[i, j] trials of nodes i and j succeeds for i with
+    probability expit(b_i + sign * b_j).  Node i's expected total sums
+    trials[i, j] times that probability over j != i; its information row
+    holds sign * trials[i, j] v_ij off the diagonal and the sum of
+    trials[i, j] v_ij on it, with v_ij the variance of one trial.
+    """
+    n = len(beta)
+    expected = np.zeros(n)
+    info = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                p = 1.0 / (1.0 + np.exp(-(beta[i] + sign * beta[j])))
+                expected[i] += trials[i, j] * p
+                info[i, j] = sign * trials[i, j] * p * (1.0 - p)
+                info[i, i] += trials[i, j] * p * (1.0 - p)
+    return expected, info
+
+
+def graph_saturated(beta, tol):
+    """Node-level saturation rule of the graph model: an edge logit b_i + b_j, i != j, of size -log(tol)."""
+    s = np.sort(beta, axis=-1)
+    return np.maximum(np.abs(s[..., 0] + s[..., 1]), np.abs(s[..., -1] + s[..., -2])) >= -np.log(tol)
+
+
+def comparison_saturated(beta, trials, tol):
+    """Node-level saturation rule of the comparison model: a compared pair with a merit gap of -log(tol)."""
+    i, j = np.triu_indices(beta.shape[-1], k=1)
+    gap = np.where(trials[..., i, j] > 0, np.abs(beta[..., i] - beta[..., j]), -np.inf)
+    return gap.max(axis=-1) >= -np.log(tol)

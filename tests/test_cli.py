@@ -282,6 +282,14 @@ def test_qq_verb_reference_handling(runner):
     assert bad.exit_code == 2
 
 
+@pytest.mark.parametrize("df", ["0", "-1"])
+def test_qq_rejects_chi_square_reference_below_one_df(runner, df):
+    res = runner.invoke(main, ["qq", "--preset", "H04", "--n", "20", "--reps", "20", "--reference", f"chi2:{df}"])
+    assert res.exit_code == 2
+    assert "df must be a positive integer" in res.stderr
+    assert "nan" not in res.stdout
+
+
 def test_oracle_quadratic_with_enumeration(runner, tmp_path):
     bfile = tmp_path / "beta.txt"
     bfile.write_text("0.2\n-0.1\n0.0\n0.3\n")
@@ -332,6 +340,21 @@ def test_oracle_cubic_and_mixed(runner, tmp_path):
          "--r", "3", "--weights", str(wfile)],
     )
     assert short.exit_code == 2
+
+
+@pytest.mark.parametrize("stat", ["quadratic", "cubic"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_oracle_rejects_weights_that_are_not_finite(runner, tmp_path, stat, bad):
+    bfile = tmp_path / "beta.txt"
+    bfile.write_text("0.2\n-0.1\n0.0\n0.3\n")
+    wfile = tmp_path / "w.txt"
+    wfile.write_text(f"1.0\n{bad}\n0.5\n")
+    res = runner.invoke(
+        main, ["oracle", "--stat", stat, "--beta-file", str(bfile), "--r", "3", "--weights", str(wfile)]
+    )
+    assert res.exit_code == 2
+    assert "weights must be finite" in res.stderr
+    assert res.stdout == ""
 
 
 def test_matrix_diag_verb(runner, tmp_path):

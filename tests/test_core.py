@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairlrt
+from pairlrt import beta_model as bm
+from pairlrt import bt_model as btm
 from pairlrt.core import (
+    TOL_SCORE,
     ComparisonTable,
     DataFormatError,
     NullHypothesis,
+    Tallies,
     UndirectedGraph,
     _plain_edges,
     _scan_records,
@@ -19,6 +23,18 @@ from pairlrt.core import (
     load_comparisons,
     load_edge_list,
     load_vector,
+    pair_expected,
+    pair_information,
+    pair_log_likelihood,
+    pair_saturated,
+)
+
+from oracles import (
+    comparison_loglik,
+    comparison_saturated,
+    graph_loglik,
+    graph_saturated,
+    pair_expected_and_information,
 )
 
 
@@ -308,3 +324,102 @@ def test_newton_ascent_has_one_caller():
     calls = [m.start() for m in re.finditer(r"(?<!def )\bnewton_ascent\(", core_text)]
     assert len(calls) == 1
     assert core_text.rfind("\ndef ", 0, calls[0]) == core_text.index("\ndef fit_by_classes(")
+
+
+def _class_maps(rng, k, n, c):
+    """k node-to-class maps of n nodes, each with every one of c classes present."""
+    return np.array([rng.permutation(np.concatenate([np.arange(c), rng.integers(0, c, n - c)])) for _ in range(k)])
+
+
+def _pair_dataset(rng, sign, n):
+    """A random dataset of a pair model: per-node trials, its log-likelihood, and its tallies over class maps.
+
+    sign +1 is a graph, whose every node pair is one trial; sign -1 is a
+    table of win counts with some pairs never compared.
+    """
+    if sign > 0:
+        adj = np.triu(rng.random((n, n)) < 0.5, 1).astype(int)
+        adj += adj.T
+        return 1 - np.eye(n), lambda beta: graph_loglik(beta, adj), lambda maps: bm.class_tallies(
+            np.broadcast_to(adj.sum(axis=1), maps.shape), maps
+        )
+    wins = rng.integers(0, 4, (n, n)) * (rng.random((n, n)) < 0.7)
+    np.fill_diagonal(wins, 0)
+    trials = wins + wins.T
+    subjects = Tallies(wins.sum(axis=1), trials)
+    return trials, lambda beta: comparison_loglik(beta, wins), lambda maps: btm.class_tallies(
+        Tallies(np.broadcast_to(subjects.degrees, maps.shape), trials), maps
+    )
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pair_kernel_matches_node_pair_loops(sign):
+    # a stack of class values on random class maps: each member's log-likelihood, expected
+    # class totals and class information are the per-node pair loops summed by class
+    rng = np.random.default_rng(41 + sign)
+    for _ in range(25):
+        n = int(rng.integers(3, 10))
+        c = int(rng.integers(1, n + 1))
+        trials, loglik, tally = _pair_dataset(rng, sign, n)
+        maps = _class_maps(rng, 3, n, c)
+        values = rng.uniform(-2.0, 2.0, (3, c))
+        tallies = tally(maps)
+        ll = pair_log_likelihood(values, tallies, sign)
+        expected = pair_expected(values, tallies, sign)
+        info = pair_information(values, tallies, sign)
+        for t in range(3):
+            beta = values[t][maps[t]]
+            member = (maps[t][:, None] == np.arange(c)).astype(float)
+            node_expected, node_info = pair_expected_and_information(beta, trials, sign)
+            assert abs(ll[t] - loglik(beta)) <= 1e-10
+            assert np.abs(expected[t] - member.T @ node_expected).max() <= 1e-10
+            assert np.abs(info[t] - member.T @ node_info @ member).max() <= 1e-10
+
+
+def test_pair_saturation_matches_the_node_rules():
+    # the class rule flags a member exactly when the parent node rule does, on its node values
+    edge = -np.log(TOL_SCORE)
+    rng = np.random.default_rng(43)
+    near = (edge - 1e-9, edge + 1e-9)
+
+    # graphs, 6 nodes in 3 classes; class 0 of the first map is a singleton
+    head = np.array([[0, 1, 1, 2, 2, 2], [0, 1, 1, 2, 2, 2], [2, 0, 0, 1, 1, 1]])
+    values = [
+        # the singleton's own pair would reach 20, but a singleton has none
+        *([10.0, x - 10.0, 0.0] for x in near),
+        # a class of two nodes and its one pair, on both sides
+        *([0.0, x / 2, 0.0] for x in near),
+        *([0.0, -x / 2, 1.0] for x in near),
+    ]
+    maps = np.concatenate([head[np.arange(len(values)) % 3], _class_maps(rng, 200, 6, 3)])
+    values = np.concatenate([values, rng.uniform(-11.0, 11.0, (200, 3))])
+    got = pair_saturated(values, bm.class_tallies(np.zeros(maps.shape), maps), 1, TOL_SCORE)
+    want = graph_saturated(np.take_along_axis(values, maps, axis=1), TOL_SCORE)
+    assert got.tolist() == want.tolist()
+    assert got[:6].tolist() == [False, True] * 3 and 0 < want.sum() < want.size
+
+    # tables, 6 subjects in 4 classes: classes 1 and 2, 19 apart, are never compared in the first
+    classes = np.array([0, 1, 1, 2, 2, 3])
+    apart = np.ones((6, 6), dtype=int)
+    apart[np.ix_([1, 2], [3, 4])] = apart[np.ix_([3, 4], [1, 2])] = 0
+    met = apart.copy()
+    met[2, 3] = met[3, 2] = 2
+    lone = np.zeros((6, 6), dtype=int)
+    lone[0, 5] = lone[5, 0] = 1
+    lone[0, 1] = lone[1, 0] = 3
+    fixed = [
+        (apart, [0.0, 9.5, -9.5, 0.0]),
+        (met, [0.0, 9.5, -9.5, 0.0]),
+        # class 2, at 30, is never compared; the singleton class 3 meets subject 0 only
+        *((lone, [0.0, 0.0, 30.0, x]) for x in near),
+    ]
+    drawn = rng.integers(0, 3, (200, 6, 6)) * (rng.random((200, 6, 6)) < 0.4)
+    totals = np.concatenate([[t for t, _ in fixed], drawn])
+    totals = np.triu(totals, 1) + np.swapaxes(np.triu(totals, 1), -1, -2)
+    maps = np.concatenate([np.tile(classes, (len(fixed), 1)), _class_maps(rng, 200, 6, 4)])
+    values = np.concatenate([[v for _, v in fixed], rng.uniform(-10.0, 10.0, (200, 4))])
+    tallies = btm.class_tallies(Tallies(np.zeros(maps.shape), totals), maps)
+    got = pair_saturated(values, tallies, -1, TOL_SCORE)
+    want = comparison_saturated(np.take_along_axis(values, maps, axis=1), totals, TOL_SCORE)
+    assert got.tolist() == want.tolist()
+    assert got[:4].tolist() == [False, True, False, True] and 0 < want.sum() < want.size
