@@ -166,9 +166,10 @@ def bt_fit_mle(data, *, tol: float = TOL_SCORE):
     stack of win matrices or the per-subject Tallies of k tables, which
     give their Fits, fitted together.  Existence is decided up front by
     strong connectivity, which Tallies, holding no direction of wins, are
-    taken to have.  Newton steps start from zero on every subject but the
-    reference, with one class per free subject or, in a table whose pairs
-    are all compared equally often, per free win total.
+    taken to have.  Newton steps start at the mean-field point of the
+    classes (core.mean_field_start), the reference fixed at zero, with one
+    class per free subject or, in a table whose pairs are all compared
+    equally often, per free win total.
     """
     t = subject_tallies(data)
     k, n = t.degrees.shape

@@ -84,13 +84,6 @@ class UndirectedGraph:
     def edge_count(self) -> int:
         return self.edges.shape[0]
 
-    @property
-    def adj(self) -> np.ndarray:
-        """The dense symmetric 0/1 adjacency matrix, built on each call."""
-        a = np.zeros((self.n, self.n), dtype=np.int8)
-        a[self.edges[:, 0], self.edges[:, 1]] = 1
-        return a + a.T
-
     @classmethod
     def from_edges(cls, n: int, edges) -> "UndirectedGraph":
         """Graph on n nodes from (i, j) pairs of integer ids; duplicate edges collapse."""
@@ -337,40 +330,75 @@ def nonexistent_fit(beta: np.ndarray, iterations: int = 0) -> Fit:
 _HALVINGS = 0.5 ** np.arange(30)
 
 
-def newton_ascent(loglik, score, info, fixed: np.ndarray, per: np.ndarray, tol: float):
+def mean_field_start(t: Tallies, fixed: np.ndarray, sign: int) -> np.ndarray:
+    """Closed-form start values of a stack of class fits, one row per member, fixed classes first.
+
+    A class's empirical logit l_a = log((d_a + 1/2) / (T_a - d_a + 1/2)),
+    T_a = rowsum(totals)_a, is finite even at 0 or all trials.  Mean field
+    replaces each class's opponents by one value m, so b_a + sign * m = l_a.
+    For graphs m is the trial-weighted mean of every class's value, fixed
+    ones included, which gives m = (sum_fitted T l + sum_fixed T v) /
+    (sum_all T + sum_fitted T).  For comparisons the first fixed class, the
+    reference's at 0, anchors it: b_a = l_a - l_0.  O(c) per member from
+    its own row of tallies, so a member's start is that of its fit alone.
+    """
+    trials = t.totals.sum(axis=-1)
+    logit = np.log((t.degrees + 0.5) / (trials - t.degrees + 0.5))
+    f = fixed.shape[-1]
+    if sign > 0:
+        fitted = trials[:, f:]
+        m = ((fitted * logit[:, f:]).sum(axis=-1) + (trials[:, :f] * fixed).sum(axis=-1)) / (
+            trials.sum(axis=-1) + fitted.sum(axis=-1)
+        )
+    else:
+        m = logit[:, 0]
+    return np.concatenate([fixed, logit[:, f:] - m[:, None]], axis=1)
+
+
+def newton_ascent(loglik, score, info, start: np.ndarray, per: np.ndarray, tol: float):
     """Damped Newton ascent over the fitted classes of a node-to-class map, for a batch of fits.
 
-    Every member starts with its fitted class values at zero and its row of
-    ``fixed`` class values, which come first.  loglik, score and info take
-    ``(values, rows)``: the values of every class of the batch members
-    ``rows``, one row each.  They return each member's log-likelihood,
-    gradient and information matrix over every class; the ascent reads the
-    fitted entries.  A member's gradient norm is the max of |score / per|
-    over its fitted classes, so ``per``, one row per member and one column
-    per fitted class, scales each class score to the coordinate it reports.
-    Every member steps on its own: its step halves until it stays inside the
-    divergence cap and raises the log-likelihood or lowers the gradient
-    norm, and it stops when its norm is within tol, its information is
-    singular, no step is accepted, or after MAX_NEWTON steps.  Returns per
+    Every member starts at its row of ``start``, the values of every class
+    with the fixed ones first; the fixed classes take no step.  loglik,
+    score and info take ``(values, rows)``: the values of every class of the
+    batch members ``rows``, one row each.  They return each member's
+    log-likelihood, gradient and information matrix over every class; the
+    ascent reads the fitted entries.  A member's gradient norm is the max of
+    |score / per| over its fitted classes, so ``per``, one row per member
+    and one column per fitted class, scales each class score to the
+    coordinate it reports.  Every member steps on its own: its step halves
+    until it stays inside the divergence cap and lowers the gradient norm
+    or raises the log-likelihood, and it stops when its norm is within tol,
+    its information is singular, no step is accepted, or after MAX_NEWTON
+    steps.  The log-likelihood is evaluated only where the norm did not
+    fall, and at the end for a member that never needed it.  Returns per
     member the values of every class, their log-likelihood, the gradient
     norm and the number of Newton steps.
     """
     k, m = per.shape
-    f = fixed.shape[-1]
-    values = np.zeros((k, f + m))
-    values[:, :f] = fixed
+    f = start.shape[-1] - m
+    values = start.copy()
     loglik_out, gnorm_out, iters_out = np.empty(k), np.empty(k), np.zeros(k, dtype=int)
 
     def evaluate(b, rows):
         s = score(b, rows)[:, f:]
-        return loglik(b, rows), s, np.abs(s / per[rows]).max(axis=1)
+        return s, np.abs(s / per[rows]).max(axis=1)
 
-    # the members still stepping: batch rows, values, log-likelihoods, fitted scores, norms
-    live = [np.arange(k), values.copy()]
+    # the members still stepping: batch rows, values, log-likelihoods (NaN until
+    # needed), fitted scores, norms
+    live = [np.arange(k), start.copy(), np.full(k, np.nan)]
     live += evaluate(live[1], live[0])
+
+    def fill(which):
+        """Evaluate the log-likelihoods still unknown among the live members ``which``."""
+        rows, b, ll = live[:3]
+        which = which[np.isnan(ll[which])]
+        if which.size:
+            ll[which] = loglik(b[which], rows[which])
 
     def settle(stop, steps):
         """Record the members in ``stop`` as final; return the rest."""
+        fill(np.flatnonzero(stop))
         rows, b, ll, _, g = live
         out = rows[stop]
         values[out], loglik_out[out], gnorm_out[out], iters_out[out] = b[stop], ll[stop], g[stop], steps
@@ -399,8 +427,15 @@ def newton_ascent(loglik, score, info, fixed: np.ndarray, per: np.ndarray, tol: 
             tried = todo[inside]
             if tried.size:
                 cand = cand[inside]
-                cand_ll, cand_s, cand_g = evaluate(cand, rows[tried])
-                up = (cand_ll > ll[tried]) | (cand_g < g[tried])
+                cand_s, cand_g = evaluate(cand, rows[tried])
+                cand_ll = np.full(tried.size, np.nan)
+                up = cand_g < g[tried]
+                # where the norm did not fall, a step must raise the log-likelihood
+                ask = np.flatnonzero(~up)
+                if ask.size:
+                    fill(tried[ask])
+                    cand_ll[ask] = loglik(cand[ask], rows[tried[ask]])
+                    up[ask] = cand_ll[ask] > ll[tried[ask]]
                 won = tried[up]
                 b[won], ll[won], s[won], g[won] = cand[up], cand_ll[up], cand_s[up], cand_g[up]
                 inside[inside] = up
@@ -447,7 +482,8 @@ def fit_by_classes(model: ClassModel, data, maps: list, fixed: list, tied: bool,
     whose entry of ``ready`` is a Fit was decided up front and keeps it, and
     its map is not read.  Members of equal node, class and fixed-class count
     are fitted together, in ascents of at most BATCH_CELLS cells, so none is
-    padded and each runs the arithmetic of its fit alone.  A class's reduced
+    padded and each runs the arithmetic of its fit alone.  Each member
+    starts at its mean-field point (mean_field_start).  A class's reduced
     score is its score over its node count, or the whole score of a tied
     block.  A converged member whose values saturate (pair_saturated) has
     no maximizer.  Returns the Fits in the stack's order.
@@ -474,7 +510,7 @@ def fit_by_classes(model: ClassModel, data, maps: list, fixed: list, tied: bool,
                 lambda b, live: model.loglik(b, at(live)),
                 lambda b, live: model.score(b, at(live)),
                 lambda b, live: model.info(b, at(live)),
-                head, per, tol,
+                mean_field_start(tallies, head, model.sign), per, tol,
             )
             beta = np.take_along_axis(values, classes, axis=1)
             converged = gnorm <= tol

@@ -46,6 +46,10 @@ BOOTSTRAP_CHUNK = 32
 class ChiSquare:
     df: int
 
+    def __post_init__(self) -> None:
+        if self.df < 1:
+            raise ValueError("df must be a positive integer")
+
     def to_dict(self) -> dict:
         return {"type": "chi_square", "df": self.df}
 

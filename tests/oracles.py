@@ -42,6 +42,13 @@ def fd_hessian(fun, x, h=1e-4):
     return H
 
 
+def adjacency(g) -> np.ndarray:
+    """The dense symmetric 0/1 adjacency matrix of an UndirectedGraph."""
+    a = np.zeros((g.n, g.n), dtype=np.int8)
+    a[g.edges[:, 0], g.edges[:, 1]] = 1
+    return a + a.T
+
+
 def graph_loglik(beta, adj):
     """Edge-model log-likelihood written as an explicit pair loop."""
     n = len(beta)

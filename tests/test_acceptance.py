@@ -29,6 +29,7 @@ from pairlrt import montecarlo as mc
 from pairlrt.core import NonexistentMLEError, NullHypothesis
 
 from oracles import (
+    adjacency,
     comparison_noncentrality,
     fd_gradient,
     fd_hessian,
@@ -416,7 +417,7 @@ def test_11_fits_match_generic_maximizer(capsys):
                 continue
             if not (fit.exists and fit.converged):
                 continue
-            oracle = maximize_graph(g.adj, embed, project, m)
+            oracle = maximize_graph(adjacency(g), embed, project, m)
             return float(np.abs(fit.beta_hat - embed(oracle)).max())
 
     def comparison_instance(kind):

@@ -7,7 +7,7 @@ from pairlrt import beta_model as bm
 from pairlrt.core import Fits, NullHypothesis, UndirectedGraph
 
 from conftest import random_existing_graph, tied_class_map
-from oracles import fd_gradient, fd_hessian, graph_loglik, maximize_graph
+from oracles import adjacency, fd_gradient, fd_hessian, graph_loglik, maximize_graph
 
 EDGE_01 = UndirectedGraph.from_edges(3, [(0, 1)])
 
@@ -119,7 +119,7 @@ def test_fit_nonexistence_boundary():
 def test_fit_matches_oracle(rng):
     _, g = random_existing_graph(rng, 6)
     fit = bm.fit_mle(g)
-    oracle = maximize_graph(g.adj, lambda x: x, lambda gr: gr, g.n)
+    oracle = maximize_graph(adjacency(g), lambda x: x, lambda gr: gr, g.n)
     assert np.abs(fit.beta_hat - oracle).max() <= 1e-6
 
 
@@ -151,7 +151,7 @@ def test_restricted_specified_matches_oracle(rng):
     def embed(x):
         return np.concatenate([values, x])
 
-    oracle = maximize_graph(g.adj, embed, lambda gr: gr[2:], 4)
+    oracle = maximize_graph(adjacency(g), embed, lambda gr: gr[2:], 4)
     assert np.abs(fit.beta_hat[2:] - oracle).max() <= 1e-6
 
 
@@ -186,7 +186,7 @@ def test_restricted_homogeneous_matches_oracle(rng):
     def project(gr):
         return np.concatenate([[gr[:r].sum()], gr[r:]])
 
-    oracle = maximize_graph(g.adj, embed, project, 4)
+    oracle = maximize_graph(adjacency(g), embed, project, 4)
     assert abs(fit.beta_hat[0] - oracle[0]) <= 1e-6
     assert np.abs(fit.beta_hat[r:] - oracle[1:]).max() <= 1e-6
 
@@ -210,12 +210,12 @@ def test_simulate_graph_properties(rng):
     # determinism under a fixed stream
     g1 = bm.simulate_graph(np.arange(5) * 0.1, np.random.default_rng(7))
     g2 = bm.simulate_graph(np.arange(5) * 0.1, np.random.default_rng(7))
-    assert np.array_equal(g1.adj, g2.adj)
+    assert np.array_equal(adjacency(g1), adjacency(g2))
 
 
 def test_simulate_graph_saturated_pair(rng):
     beta = np.array([6.0, 6.0, 0.0])
-    hits = sum(int(bm.simulate_graph(beta, rng).adj[0, 1]) for _ in range(1000))
+    hits = sum(int(adjacency(bm.simulate_graph(beta, rng))[0, 1]) for _ in range(1000))
     assert hits >= 995
 
 
@@ -255,6 +255,22 @@ def test_regular_graph_closed_form():
     assert np.all(fit.beta_hat == fit.beta_hat[0])
     frac = d / (n - 1)
     assert fit.beta_hat[0] == pytest.approx(0.5 * np.log(frac / (1 - frac)), abs=1e-12)
+
+
+def _regular_graph(n, d):
+    """A d-regular circulant graph on n nodes (n even when d is odd)."""
+    edges = [(i, (i + k) % n) for i in range(n) for k in range(1, d // 2 + 1)]
+    edges += [(i, i + n // 2) for i in range(n // 2)] if d % 2 else []
+    g = UndirectedGraph.from_edges(n, edges)
+    assert np.all(g.degrees == d)
+    return g
+
+
+@pytest.mark.parametrize("n, d", [(9, 2), (10, 4), (12, 7), (30, 1), (30, 28), (100, 50), (1000, 1), (1000, 998)])
+def test_regular_graph_fits_in_two_steps(n, d):
+    # one degree class, whose mean-field start is the closed form up to the 1/2 in its logit
+    fit = bm.fit_mle(_regular_graph(n, d))
+    assert fit.exists and fit.converged and 1 <= fit.iterations <= 2
 
 
 def _fit_and_oracle(g, which, r, values):
@@ -297,8 +313,8 @@ def test_degree_classes_share_the_maximizer(seed, n, which):
         assert np.all(b[same] == b[i]), (i, same, b[same])
     if which == "homogeneous":
         assert np.all(b[:r] == b[0])
-    oracle = maximize_graph(g.adj, embed, project, m)
-    assert abs(fit.loglik - graph_loglik(embed(oracle), g.adj)) <= 1e-8
+    oracle = maximize_graph(adjacency(g), embed, project, m)
+    assert abs(fit.loglik - graph_loglik(embed(oracle), adjacency(g))) <= 1e-8
 
 
 def test_homogeneous_gradient_norm_sums_the_tied_block(rng):

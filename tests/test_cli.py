@@ -290,6 +290,16 @@ def test_qq_rejects_chi_square_reference_below_one_df(runner, df):
     assert "nan" not in res.stdout
 
 
+def test_qq_rejects_a_bad_reference_before_any_replicate(runner, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("replicates ran before the reference was checked")
+
+    monkeypatch.setattr(mc, "run_scenario", fail)
+    res = runner.invoke(main, ["qq", "--preset", "H04", "--n", "20", "--reps", "400", "--reference", "chi2:0"])
+    assert res.exit_code == 2
+    assert "df must be a positive integer" in res.stderr
+
+
 def test_oracle_quadratic_with_enumeration(runner, tmp_path):
     bfile = tmp_path / "beta.txt"
     bfile.write_text("0.2\n-0.1\n0.0\n0.3\n")

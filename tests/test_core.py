@@ -23,6 +23,7 @@ from pairlrt.core import (
     load_comparisons,
     load_edge_list,
     load_vector,
+    mean_field_start,
     pair_expected,
     pair_information,
     pair_log_likelihood,
@@ -30,6 +31,7 @@ from pairlrt.core import (
 )
 
 from oracles import (
+    adjacency,
     comparison_loglik,
     comparison_saturated,
     graph_loglik,
@@ -43,7 +45,7 @@ def test_edge_list_basic():
     assert g.n == 4
     assert g.edge_count == 3
     assert g.degrees.tolist() == [1, 2, 2, 1]
-    assert g.adj[0, 1] == g.adj[1, 0] == 1
+    assert adjacency(g)[0, 1] == adjacency(g)[1, 0] == 1
 
 
 def test_edge_list_duplicates_collapse():
@@ -56,7 +58,7 @@ def test_edge_list_duplicates_collapse():
 def test_edge_list_round_trip():
     g = UndirectedGraph.from_edges(5, [(0, 1), (1, 4), (2, 3)])
     again = load_edge_list(g.to_text())
-    assert np.array_equal(again.adj, g.adj)
+    assert np.array_equal(adjacency(again), adjacency(g))
 
 
 @pytest.mark.parametrize(
@@ -312,7 +314,7 @@ def test_edge_list_text_round_trip_property(case):
     n, edges = case
     g = UndirectedGraph.from_edges(n, edges)
     again = load_edge_list(g.to_text())
-    assert np.array_equal(again.adj, g.adj)
+    assert np.array_equal(adjacency(again), adjacency(g))
     assert int(g.degrees.sum()) == 2 * g.edge_count
 
 
@@ -423,3 +425,47 @@ def test_pair_saturation_matches_the_node_rules():
     want = comparison_saturated(np.take_along_axis(values, maps, axis=1), totals, TOL_SCORE)
     assert got.tolist() == want.tolist()
     assert got[:4].tolist() == [False, True, False, True] and 0 < want.sum() < want.size
+
+
+@pytest.mark.parametrize("sign, fixed", [(1, np.zeros((1, 0))), (1, np.array([[0.7]])), (-1, np.zeros((1, 1)))])
+def test_mean_field_start_is_finite_at_the_boundary(sign, fixed):
+    # class 1 has none of its trials and class 2 all of them; the fixed classes keep their values
+    totals = np.array([[[2.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 2.0]]])
+    degrees = np.array([[4.0, 0.0, 11.0]])
+    start = mean_field_start(Tallies(degrees, totals), fixed, sign)
+    assert start.shape == (1, 3) and np.all(np.isfinite(start))
+    assert np.array_equal(start[:, :fixed.shape[1]], fixed)
+    assert start[0, 1] < start[0, 2]
+
+
+def _stack_and_alone(kind):
+    """Fits of both models' stacks and of each member alone, with a log-likelihood of each member."""
+    graph_fit = {
+        "full": bm.fit_mle,
+        "homogeneous": lambda g: bm.fit_restricted_homogeneous(g, 3),
+        "specified": lambda g: bm.fit_restricted_specified(g, NullHypothesis.specified(2, [0.4, -0.3])),
+    }[kind]
+    table_fit = {
+        "full": btm.bt_fit_mle,
+        "homogeneous": lambda w: btm.bt_fit_restricted(w, NullHypothesis.homogeneous(3)),
+        "specified": lambda w: btm.bt_fit_restricted(w, NullHypothesis.specified(3, [0.4, -0.3])),
+    }[kind]
+    graphs = bm.simulate_graph(np.linspace(-1.0, 1.0, 9), np.random.default_rng(5).spawn(30))
+    wins = btm.simulate_comparisons(np.linspace(0.0, 1.5, 8), 2, np.random.default_rng(6).spawn(30))
+    wins[1::2, 4, 6] += 1  # every other table unbalanced, so fitted per subject
+    tables = [ComparisonTable(w) for w in wins]
+    yield from zip(graph_fit(graphs), map(graph_fit, graphs), graphs, [bm.log_likelihood] * len(graphs))
+    yield from zip(table_fit(wins), map(table_fit, tables), tables, [btm.bt_log_likelihood] * len(tables))
+
+
+@pytest.mark.parametrize("kind", ["full", "homogeneous", "specified"])
+def test_fit_loglik_is_the_log_likelihood_at_beta_hat(kind):
+    # the ascent evaluates the log-likelihood only when a step needs it, yet the
+    # reported one is that of the returned values, in a stack and alone
+    checked = 0
+    for stacked, alone, data, loglik in _stack_and_alone(kind):
+        for fit in (stacked, alone):
+            if fit.exists:
+                assert abs(fit.loglik - loglik(fit.beta_hat, data)) <= 1e-12
+                checked += 1
+    assert checked > 80

@@ -77,6 +77,12 @@ def test_reference_to_dict():
     assert lrt.Bootstrap(99).to_dict() == {"type": "bootstrap", "B": 99}
 
 
+@pytest.mark.parametrize("df", [0, -1])
+def test_chi_square_reference_needs_one_df(df):
+    with pytest.raises(ValueError, match="df must be a positive integer"):
+        lrt.ChiSquare(df)
+
+
 def test_lrt_statistic_clamps_and_guards():
     good = Fit(np.zeros(3), -1.0, 1, True, True, 0.0)
     lower = Fit(np.zeros(3), -1.0 - 2e-11, 1, True, True, 0.0)
