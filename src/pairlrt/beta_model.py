@@ -19,13 +19,13 @@ from scipy.special import expit
 from .core import (
     TOL_SCORE,
     ClassModel,
-    Fit,
+    Fits,
     NullHypothesis,
     Tallies,
     UndirectedGraph,
     as_model_params,
+    class_maps,
     fit_by_classes,
-    nonexistent_fit,
     pair_expected,
     pair_indices,
     pair_information,
@@ -158,7 +158,7 @@ def bn_cn(beta) -> ModelDiagnostics:
 def class_model() -> ClassModel:
     """The graph model's functions for core.fit_by_classes, read anew on each call so wrappers take effect."""
     return ClassModel(
-        lambda data, rows: np.array([data[t] for t in rows]),
+        lambda degrees, rows: degrees[rows],
         class_tallies,
         log_likelihood,
         lambda b, t: t.degrees - expected_degrees(b, t),
@@ -167,31 +167,23 @@ def class_model() -> ClassModel:
     )
 
 
-def _by_degree(g, graphs: list, ready: list, r: int, pinned: Optional[np.ndarray], tol: float):
-    """Fit the graphs whose entry of ``ready`` is None with one parameter per class of nodes.
+def _fit(g, lead, tied: int, tol: float, check=None):
+    """Fit with the first nodes fixed at ``lead`` and the next ``tied`` tied (core.class_maps).
 
-    The first r nodes are pinned to ``pinned``, nodes of equal pinned value
-    sharing a fixed class, or tied to one unknown value when ``pinned`` is
-    None; nodes r.. are free.  Free nodes of equal degree share the
-    maximizer (the likelihood is strictly concave and unchanged by swapping
-    them), so each degree forms one class.  One Fit for a graph ``g``, the
-    Fits of a list.
+    ``g`` is a graph, which gives one Fit, or a sequence of graphs on the
+    same nodes, which gives their Fits, fitted together.  ``check(n)``
+    validates the constraint for n nodes.  Every pair of nodes is one
+    trial, so free nodes of equal degree share a class.
     """
-    tied = pinned is None and r > 0
-    fixed, head = np.zeros(0), np.zeros(r, dtype=int)
-    if r > 0 and not tied:
-        fixed, head = np.unique(pinned, return_inverse=True)
-    first = int(tied) + fixed.size
-    maps = [
-        np.concatenate([head, np.unique(x.degrees[r:], return_inverse=True)[1] + first]) if f is None else None
-        for x, f in zip(graphs, ready)
-    ]
-    fits = fit_by_classes(class_model(), [x.degrees for x in graphs], maps, [fixed] * len(graphs), tied, ready, tol)
+    graphs = [g] if isinstance(g, UndirectedGraph) else list(g)
+    if not graphs:
+        return Fits()
+    degrees = np.array([x.degrees for x in graphs])
+    if check is not None:
+        check(degrees.shape[1])
+    maps, fixed = class_maps(degrees, lead, tied, True)
+    fits = fit_by_classes(class_model(), degrees, maps, fixed, tied > 0, [None] * len(graphs), tol)
     return fits[0] if isinstance(g, UndirectedGraph) else fits
-
-
-def _boundary(d: np.ndarray, n: int) -> bool:
-    return bool(np.any((d == 0) | (d == n - 1)))
 
 
 def fit_mle(g, *, tol: float = TOL_SCORE):
@@ -201,43 +193,24 @@ def fit_mle(g, *, tol: float = TOL_SCORE):
     gives their Fits, fitted together.  A degree of 0 or n-1 means the
     maximizer does not exist and is reported without iterating.
     """
-    graphs = [g] if isinstance(g, UndirectedGraph) else list(g)
-    ready = [nonexistent_fit(np.zeros(x.n)) if _boundary(x.degrees, x.n) else None for x in graphs]
-    return _by_degree(g, graphs, ready, 0, None, tol)
+    return _fit(g, [], 0, tol)
 
 
 def fit_restricted_specified(g, null: NullHypothesis, *, tol: float = TOL_SCORE):
     """Fit with the first r parameters pinned to the null values; ``g`` as in fit_mle."""
     if null.kind != "specified":
         raise ValueError("null must be of the specified kind")
-    r = null.r
-    if r == 0:
-        return fit_mle(g, tol=tol)
-    graphs = [g] if isinstance(g, UndirectedGraph) else list(g)
-    ready: list = []
-    for x in graphs:
-        null.validate_for("beta", x.n)
-        base = np.zeros(x.n)
-        base[:r] = null.values
-        if r == x.n:
-            ready.append(Fit(base, log_likelihood(base, x), 0, True, True, 0.0))
-        else:
-            ready.append(nonexistent_fit(base) if _boundary(x.degrees[r:], x.n) else None)
-    return _by_degree(g, graphs, ready, r, null.values, tol)
+    return _fit(g, null.values, 0, tol, lambda n: null.validate_for("beta", n))
 
 
 def fit_restricted_homogeneous(g, r: int, *, tol: float = TOL_SCORE):
     """Fit with the first r parameters tied to a common unknown value; ``g`` as in fit_mle."""
-    graphs = [g] if isinstance(g, UndirectedGraph) else list(g)
-    ready: list = []
-    for x in graphs:
-        n = x.n
+
+    def check(n):
         if not 1 <= r <= n:
             raise ValueError(f"r must be in [1, {n}], got {r}")
-        block = int(x.degrees[:r].sum())
-        lost = block == 0 or block == r * (n - 1) or _boundary(x.degrees[r:], n)
-        ready.append(nonexistent_fit(np.zeros(n)) if lost else None)
-    return _by_degree(g, graphs, ready, r, None, tol)
+
+    return _fit(g, [], r, tol, check)
 
 
 def simulate_graph(beta, rng):

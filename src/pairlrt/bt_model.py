@@ -9,7 +9,7 @@ graph is strongly connected.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.special import expit
@@ -18,10 +18,10 @@ from .core import (
     TOL_SCORE,
     ClassModel,
     ComparisonTable,
-    Fit,
     NullHypothesis,
     Tallies,
     as_model_params,
+    class_maps,
     fit_by_classes,
     nonexistent_fit,
     pair_expected,
@@ -130,32 +130,29 @@ def class_model() -> ClassModel:
     )
 
 
-def _fit_classes(data, t: Tallies, plain: tuple, merged: tuple, tied: bool, ready: list, tol: float):
-    """Fit the tables of ``t`` that ``ready`` leaves open; one Fit for a ComparisonTable ``data``, else Fits.
+def _fit(data, null: Optional[NullHypothesis], tol: float, connected=True):
+    """Fit a table, or each table of a stack, under ``null``, or with only the reference fixed when it is None.
 
-    ``plain`` and ``merged`` are (head, fixed) pairs: ``head`` maps the
-    leading subjects to the first classes, the fixed ones first, which hold
-    the values ``fixed``.  When every pair of a table is compared the same
-    k > 0 times, free subjects of equal win total share the maximizer (the
-    likelihood is strictly concave and unchanged by swapping them), so such
-    a table takes ``merged`` and one class per free win total; any other
-    takes ``plain`` and one class per free subject.
+    One Fit for a ComparisonTable ``data``, else Fits.  The reference and
+    any pinned subjects are fixed and a homogeneous null's subjects 2..r
+    tied (core.class_maps).  A table whose pairs are all compared the same
+    k > 0 times is balanced, and its free subjects of equal win total share
+    a class.  A table that is not ``connected`` has no maximizer.
     """
-    (k, n), r = t.degrees.shape, plain[0].size
+    t = subject_tallies(data)
+    k, n = t.degrees.shape
+    lead, tied = np.zeros(1), 0
+    if null is not None:
+        null.validate_for("bt", n)
+        if null.kind == "specified":
+            lead = np.concatenate([lead, null.values])
+        else:
+            tied = null.r - 1
     i, j = pair_indices(n)
     pairs = t.totals[..., i, j]
-    balanced = np.broadcast_to((pairs[..., 0] > 0) & (pairs == pairs[..., :1]).all(axis=-1), (k,))[:, None]
-    # the rank of each free win total among its table's distinct ones
-    order = np.argsort(t.degrees[:, r:], axis=1)
-    rises = np.diff(np.take_along_axis(t.degrees[:, r:], order, axis=1), axis=1) > 0
-    rank = np.zeros((k, n - r), dtype=int)
-    np.put_along_axis(rank, order[:, 1:], np.cumsum(rises, axis=1), axis=1)
-    maps = np.concatenate([
-        np.where(balanced, merged[0], plain[0]),
-        np.where(balanced, rank + merged[0].max() + 1, np.arange(n - r) + plain[0].max() + 1),
-    ], axis=1)
-    fixed = [merged[1] if b else plain[1] for b in balanced[:, 0]]
-    fits = fit_by_classes(class_model(), t, maps, fixed, tied, ready, tol)
+    maps, fixed = class_maps(t.degrees, lead, tied, (pairs[..., 0] > 0) & (pairs == pairs[..., :1]).all(axis=-1))
+    ready = [None if e else nonexistent_fit(np.zeros(n)) for e in np.broadcast_to(connected, (k,))]
+    fits = fit_by_classes(class_model(), t, maps, fixed, tied > 0, ready, tol)
     return fits[0] if isinstance(data, ComparisonTable) else fits
 
 
@@ -166,18 +163,9 @@ def bt_fit_mle(data, *, tol: float = TOL_SCORE):
     stack of win matrices or the per-subject Tallies of k tables, which
     give their Fits, fitted together.  Existence is decided up front by
     strong connectivity, which Tallies, holding no direction of wins, are
-    taken to have.  Newton steps start at the mean-field point of the
-    classes (core.mean_field_start), the reference fixed at zero, with one
-    class per free subject or, in a table whose pairs are all compared
-    equally often, per free win total.
+    taken to have.  The reference is fixed at zero.
     """
-    t = subject_tallies(data)
-    k, n = t.degrees.shape
-    wins = data.wins[None] if isinstance(data, ComparisonTable) else data
-    connected = np.ones(k, dtype=bool) if isinstance(data, Tallies) else strongly_connected(wins)
-    ready = [None if e else nonexistent_fit(np.zeros(n)) for e in connected]
-    lead = (np.zeros(1, dtype=int), np.zeros(1))
-    return _fit_classes(data, t, lead, lead, False, ready, tol)
+    return _fit(data, None, tol, isinstance(data, Tallies) or strongly_connected(data))
 
 
 def bt_fit_restricted(data, null: NullHypothesis, *, tol: float = TOL_SCORE):
@@ -185,37 +173,10 @@ def bt_fit_restricted(data, null: NullHypothesis, *, tol: float = TOL_SCORE):
 
     Specified nulls pin subjects 2..r to given offsets from the reference;
     homogeneous nulls tie subjects 2..r to one common unknown level, while
-    the reference stays at zero.  Existence is decided from the win and
-    pair totals.
+    the reference stays at zero.  Existence is decided up front from the
+    class totals (core.fit_by_classes).
     """
-    t = subject_tallies(data)
-    d = t.degrees
-    n = d.shape[1]
-    null.validate_for("bt", n)
-    r = null.r
-    played = np.broadcast_to(t.totals.sum(axis=-1), d.shape)
-    free_boundary = ((d[:, r:] == 0) | (d[:, r:] == played[:, r:])).any(axis=1)
-    if null.kind == "specified":
-        base = np.concatenate([[0.0], null.values, np.zeros(n - r)])
-        if r == n:
-            ll = bt_log_likelihood(np.tile(base, (len(d), 1)), class_tallies(t, np.arange(n)))
-            ready = [Fit(base.copy(), float(value), 0, True, True, 0.0) for value in ll]
-        else:
-            ready = [nonexistent_fit(base) if lost else None for lost in free_boundary]
-        # the reference and the pinned subjects are fixed classes; a balanced table merges
-        # equal pinned values, numbered by first appearance so the reference's class is first
-        _, first, inverse = np.unique(base[:r], return_index=True, return_inverse=True)
-        merged = (np.argsort(np.argsort(first))[inverse], base[np.sort(first)])
-        return _fit_classes(data, t, (np.arange(r), base[:r]), merged, False, ready, tol)
-    # Cross-block win totals decide existence for the block's shared level: the
-    # block's wins over the rest are its win total less one per comparison within it
-    within = t.totals[..., 1:r, 1:r].sum(axis=(-2, -1))
-    cross_wins = d[:, 1:r].sum(axis=1) - within // 2
-    cross_total = played[:, 1:r].sum(axis=1) - within
-    lost = free_boundary | ((cross_total > 0) & ((cross_wins == 0) | (cross_wins == cross_total)))
-    # class 0 is the reference, class 1 the tied block, then the free classes
-    lead = (np.concatenate([[0], np.ones(r - 1, dtype=int)]), np.zeros(1))
-    return _fit_classes(data, t, lead, lead, True, [nonexistent_fit(np.zeros(n)) if x else None for x in lost], tol)
+    return _fit(data, null, tol)
 
 
 def simulate_comparisons(beta, k, rng):

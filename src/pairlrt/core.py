@@ -364,9 +364,9 @@ def newton_ascent(loglik, score, info, start: np.ndarray, per: np.ndarray, tol: 
     batch members ``rows``, one row each.  They return each member's
     log-likelihood, gradient and information matrix over every class; the
     ascent reads the fitted entries.  A member's gradient norm is the max of
-    |score / per| over its fitted classes, so ``per``, one row per member
-    and one column per fitted class, scales each class score to the
-    coordinate it reports.  Every member steps on its own: its step halves
+    |score / per| over its fitted classes, 0 without any, so ``per``, one
+    row per member and one column per fitted class, scales each class score
+    to the coordinate it reports.  Every member steps on its own: its step halves
     until it stays inside the divergence cap and lowers the gradient norm
     or raises the log-likelihood, and it stops when its norm is within tol,
     its information is singular, no step is accepted, or after MAX_NEWTON
@@ -382,7 +382,7 @@ def newton_ascent(loglik, score, info, start: np.ndarray, per: np.ndarray, tol: 
 
     def evaluate(b, rows):
         s = score(b, rows)[:, f:]
-        return s, np.abs(s / per[rows]).max(axis=1)
+        return s, np.abs(s / per[rows]).max(axis=1, initial=0.0)
 
     # the members still stepping: batch rows, values, log-likelihoods (NaN until
     # needed), fitted scores, norms
@@ -473,37 +473,86 @@ ClassModel = namedtuple("ClassModel", "take tally loglik score info sign")
 BATCH_CELLS = 2**14
 
 
-def fit_by_classes(model: ClassModel, data, maps: list, fixed: list, tied: bool, ready: list, tol: float):
+def class_maps(totals: np.ndarray, lead, tied: int, balanced) -> tuple[np.ndarray, list]:
+    """Node-to-class maps of a stack, one row per member, and each member's fixed class values.
+
+    ``totals`` holds every node's total, one row per member.  The leading
+    nodes are fixed at the values ``lead``, the next ``tied`` nodes form one
+    fitted class, and the rest are free.  In a ``balanced`` member, whose
+    pairs all carry equal trials, nodes of equal fixed value share a class,
+    numbered by first appearance so the first node's class is 0, and free
+    nodes of equal total share one, ranked by total: they share the
+    maximizer, since the likelihood is strictly concave and unchanged by
+    swapping them.  Any other member keeps one class per node.  The fixed
+    classes come first, then the tied block, then the free classes.
+    """
+    k, n = totals.shape
+    lead = np.asarray(lead, dtype=float)
+    f, free = lead.size, lead.size + tied
+    _, first, inverse = np.unique(lead, return_index=True, return_inverse=True)
+    balanced = np.broadcast_to(balanced, (k,))[:, None]
+    # the rank of each free total among its member's distinct ones
+    order = np.argsort(totals[:, free:], axis=1)
+    rises = np.diff(np.take_along_axis(totals[:, free:], order, axis=1), axis=1) > 0
+    rank = np.zeros((k, n - free), dtype=int)
+    np.put_along_axis(rank, order[:, 1:], np.cumsum(rises, axis=1), axis=1)
+    fixed = np.where(balanced, first.size, f)
+    maps = np.concatenate([
+        np.where(balanced, np.argsort(np.argsort(first))[inverse], np.arange(f)),
+        np.broadcast_to(fixed, (k, tied)),
+        np.where(balanced, rank, np.arange(n - free)) + fixed + (tied > 0),
+    ], axis=1)
+    merged = lead[np.sort(first)]
+    return maps, [merged if b else lead for b in balanced[:, 0]]
+
+
+def fit_by_classes(model: ClassModel, data, maps, fixed: list, tied: bool, ready: list, tol: float):
     """Fit each member of a stack with one parameter per class of its node-to-class map.
 
-    Member t has map ``maps[t]`` and its fixed classes come first, holding
-    the values ``fixed[t]``; with ``tied`` the next class is a block tied to
-    one unknown value, and every later class is fitted freely.  A member
-    whose entry of ``ready`` is a Fit was decided up front and keeps it, and
-    its map is not read.  Members of equal node, class and fixed-class count
-    are fitted together, in ascents of at most BATCH_CELLS cells, so none is
-    padded and each runs the arithmetic of its fit alone.  Each member
-    starts at its mean-field point (mean_field_start).  A class's reduced
-    score is its score over its node count, or the whole score of a tied
-    block.  A converged member whose values saturate (pair_saturated) has
-    no maximizer.  Returns the Fits in the stack's order.
+    Member t has map ``maps[t]`` (see class_maps), its fixed classes first,
+    holding the values ``fixed[t]``; with ``tied`` the next class is a block
+    tied to one unknown value, and every later class is fitted freely.  A
+    member whose entry of ``ready`` is a Fit keeps it.  Members of equal
+    class and fixed-class count are fitted together, in ascents of at most
+    BATCH_CELLS cells, so none is padded and each runs the arithmetic of its
+    fit alone.  Before any step, a member has no maximizer when a fitted
+    class's total sits at its least or its most, d_a <= w_a or d_a >=
+    rowsum(T)_a - w_a, where w_a = (1 - sign)/4 T_aa counts the wins within
+    the class, which no value moves.  A member with no fitted class is a
+    converged fit at its fixed values; the others start at their mean-field
+    points (mean_field_start).  A class's reduced score is its score over
+    its node count, or the whole score of a tied block.  A converged member
+    whose fitted values saturate (pair_saturated) has no maximizer.
+    Returns the Fits in the stack's order.
     """
+    if not 0 < tol < 1:
+        raise ValueError(f"score tolerance must be in (0, 1), got {tol}")
+    maps = np.asarray(maps)
     fits = list(ready)
+    count = maps.max(axis=-1, initial=0) + 1
     groups: dict = {}
-    for t, f in enumerate(ready):
-        if f is None:
-            groups.setdefault((maps[t].size, int(maps[t].max()) + 1, fixed[t].size), []).append(t)
-    for (_, c, _), members in groups.items():
+    for t, decided in enumerate(ready):
+        if decided is None:
+            groups.setdefault((int(count[t]), fixed[t].size), []).append(t)
+    for (c, f), members in groups.items():
         size = max(1, BATCH_CELLS // c**2)
-        for rows in (members[i:i + size] for i in range(0, len(members), size)):
-            classes = np.array([maps[t] for t in rows])
-            head = np.array([fixed[t] for t in rows])
+        for rows in (np.array(members[i:i + size]) for i in range(0, len(members), size)):
+            classes, head = maps[rows], np.array([fixed[t] for t in rows])
             tallies = model.tally(model.take(data, rows), classes)
+            w = (1 - model.sign) / 4 * np.diagonal(tallies.totals, axis1=-2, axis2=-1)
+            d = tallies.degrees
+            bound = ((d <= w) | (d >= tallies.totals.sum(axis=-1) - w))[:, f:].any(axis=1)
+            for i in np.flatnonzero(bound):
+                fits[rows[i]] = nonexistent_fit(np.concatenate([head[i], np.zeros(c - f)])[classes[i]])
+            keep = ~bound
+            rows, classes, head, tallies = rows[keep], classes[keep], head[keep], Tallies(*(x[keep] for x in tallies))
+            if not rows.size:
+                continue
 
             def at(live):
                 return Tallies(*(x[live] for x in tallies))
 
-            per = sum_bins(np.ones(classes.shape), classes, c)[:, head.shape[1]:]
+            per = sum_bins(np.ones(classes.shape), classes, c)[:, f:]
             if tied:
                 per[:, 0] = 1.0
             values, ll, gnorm, iters = newton_ascent(
@@ -514,7 +563,7 @@ def fit_by_classes(model: ClassModel, data, maps: list, fixed: list, tied: bool,
             )
             beta = np.take_along_axis(values, classes, axis=1)
             converged = gnorm <= tol
-            lost = converged & pair_saturated(values, tallies, model.sign, tol)
+            lost = converged & (c > f) & pair_saturated(values, tallies, model.sign, tol)
             for i, t in enumerate(rows):
                 fits[t] = (
                     nonexistent_fit(beta[i], int(iters[i])) if lost[i]

@@ -219,3 +219,53 @@ def comparison_saturated(beta, trials, tol):
     i, j = np.triu_indices(beta.shape[-1], k=1)
     gap = np.where(trials[..., i, j] > 0, np.abs(beta[..., i] - beta[..., j]), -np.inf)
     return gap.max(axis=-1) >= -np.log(tol)
+
+
+# The per-model existence checks that once ran before a fit, one node or subject at a time.
+# core.fit_by_classes now applies one rule to class totals in their place.
+
+
+def graph_degree_at_bound(degrees, n):
+    """Some node of ``degrees`` has degree 0 or n-1, so the free fit has no maximizer."""
+    return any(d == 0 or d == n - 1 for d in degrees)
+
+
+def graph_block_at_bound(degrees, r, n):
+    """The first r nodes' degrees sum to 0 or r(n-1), so their tied level has no maximizer."""
+    block = sum(degrees[:r])
+    return block == 0 or block == r * (n - 1)
+
+
+def comparison_subject_at_bound(wins, r):
+    """Some subject r.. wins none or all of its comparisons."""
+    played = wins + wins.T
+    return any(wins[i].sum() in (0, played[i].sum()) for i in range(r, len(wins)))
+
+
+def comparison_block_at_bound(wins, r):
+    """Subjects 1..r-1 win none or all of their comparisons with the rest, having some."""
+    block = range(1, r)
+    rest = [j for j in range(len(wins)) if j not in block]
+    won = sum(wins[i, j] for i in block for j in rest)
+    lost = sum(wins[j, i] for i in block for j in rest)
+    return won + lost > 0 and (won == 0 or lost == 0)
+
+
+def class_maps_by_node(totals, lead, tied, balanced):
+    """One member's node-to-class map and fixed values, built one node at a time.
+
+    Mirrors the documented layout of core.class_maps: fixed classes in order
+    of first appearance (equal values merged only when balanced), then one
+    tied class, then the free nodes, ranked by total when balanced.
+    """
+    fixed, classes = [], []
+    for v in lead:
+        if not (balanced and v in fixed):
+            fixed.append(v)
+        classes.append(fixed.index(v) if balanced else len(fixed) - 1)
+    classes += [len(fixed)] * tied
+    start = len(fixed) + (tied > 0)
+    free = list(totals[len(lead) + tied:])
+    distinct = sorted(set(free))
+    classes += [start + (distinct.index(x) if balanced else i) for i, x in enumerate(free)]
+    return np.array(classes), np.array(fixed, dtype=float)

@@ -153,19 +153,25 @@ def test_batch_members_stop_on_their_own():
     assert any(f.exists and not f.converged for f in stalled)
     assert len({f.iterations for f in stalled if f.exists}) > 1
 
-    # a tied block that only meets itself has singular information: that member stops
-    # before its first step, and the others go on
+    # a tied block that only meets itself has no identified level, so no maximizer up
+    # front; two free subjects that only meet each other have singular information, so
+    # that member stops before its first step; the others go on
     lone = np.zeros((n, n), dtype=int)
     lone[1, 2] = lone[2, 1] = 1
     for i, j in [(0, 3), (3, 4), (0, 4)]:
         lone[i, j], lone[j, i] = 2, 1
-    stack = np.concatenate([wins[:8], lone[None], wins[8:16]])
+    apart = np.zeros((n, n), dtype=int)
+    apart[3, 4] = apart[4, 3] = 1
+    for i, j in [(0, 1), (1, 2), (0, 2)]:
+        apart[i, j], apart[j, i] = 2, 1
+    stack = np.concatenate([wins[:8], lone[None], wins[8:16], apart[None], wins[16:20]])
     tied = NullHypothesis.homogeneous(3)
     fits = btm.bt_fit_restricted(stack, tied)
     for got, w in zip(fits, stack):
         _assert_same_fit(got, btm.bt_fit_restricted(ComparisonTable(w), tied))
-    assert fits[8].exists and not fits[8].converged and fits[8].iterations == 0
-    assert all(f.converged for f in fits[:8] + fits[9:] if f.exists)
+    assert not fits[8].exists and fits[8].iterations == 0
+    assert fits[17].exists and not fits[17].converged and fits[17].iterations == 0
+    assert all(f.converged for f in fits[:8] + fits[9:17] + fits[18:] if f.exists)
 
 
 def _fit_on_maps(wins, maps):

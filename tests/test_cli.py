@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from pairlrt import beta_model as bm
 from pairlrt import bt_model as btm
+from pairlrt import core
 from pairlrt import fisher_approx as fa
 from pairlrt import lrt
 from pairlrt import montecarlo as mc
@@ -68,6 +69,19 @@ def test_fit_exit_code_nonexistent(runner, tmp_path):
     res = runner.invoke(main, ["fit", "--model", "beta", "--input", str(path)])
     assert res.exit_code == 3
     assert "maximizer does not exist" in res.stderr
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1"])
+@pytest.mark.parametrize("model", ["beta", "bt"])
+def test_fit_rejects_a_tolerance_outside_the_unit_interval(runner, cycle_graph, small_table, monkeypatch, model, tol):
+    def no_step(*args):
+        raise AssertionError("a Newton step ran")
+
+    monkeypatch.setattr(core, "newton_ascent", no_step)
+    path = cycle_graph[1] if model == "beta" else small_table[1]
+    res = runner.invoke(main, ["fit", "--model", model, "--input", path, "--tol", tol])
+    assert res.exit_code == 2, res.output
+    assert "tolerance" in res.stderr and "Traceback" not in res.output
 
 
 def test_fit_exit_code_malformed(runner, tmp_path):

@@ -14,12 +14,14 @@ from pairlrt.core import (
     TOL_SCORE,
     ComparisonTable,
     DataFormatError,
+    Fits,
     NullHypothesis,
     Tallies,
     UndirectedGraph,
     _plain_edges,
     _scan_records,
     as_model_params,
+    class_maps,
     load_comparisons,
     load_edge_list,
     load_vector,
@@ -32,8 +34,13 @@ from pairlrt.core import (
 
 from oracles import (
     adjacency,
+    class_maps_by_node,
+    comparison_block_at_bound,
     comparison_loglik,
     comparison_saturated,
+    comparison_subject_at_bound,
+    graph_block_at_bound,
+    graph_degree_at_bound,
     graph_loglik,
     graph_saturated,
     pair_expected_and_information,
@@ -328,6 +335,125 @@ def test_newton_ascent_has_one_caller():
     assert core_text.rfind("\ndef ", 0, calls[0]) == core_text.index("\ndef fit_by_classes(")
 
 
+def test_nonexistent_fit_is_decided_in_core():
+    # one existence rule, in core; the only check on the model side is strong
+    # connectivity, in bt_model
+    sources = {p.name: p.read_text() for p in Path(pairlrt.__file__).parent.glob("*.py")}
+    calls = {name: len(re.findall(r"(?<!def )\bnonexistent_fit\(", text)) for name, text in sources.items()}
+    assert {name: count for name, count in calls.items() if count and name != "core.py"} == {"bt_model.py": 1}
+
+
+def test_class_maps_number_fixed_values_by_first_appearance():
+    totals = np.array([[5, 5, 5, 5, 3, 1, 3, 3]] * 2)
+    maps, fixed = class_maps(totals, [0.0, -0.5, 0.5, 0.0], 0, np.array([True, False]))
+    # balanced: equal fixed values share a class, free nodes of equal total too
+    assert maps[0].tolist() == [0, 1, 2, 0, 4, 3, 4, 4]
+    assert fixed[0].tolist() == [0.0, -0.5, 0.5]
+    # unbalanced: one class per node, pinned nodes included
+    assert maps[1].tolist() == list(range(8))
+    assert fixed[1].tolist() == [0.0, -0.5, 0.5, 0.0]
+    tied, _ = class_maps(totals, [0.0], 3, True)
+    assert tied[0].tolist() == [0, 1, 1, 1, 3, 2, 3, 3]
+
+
+@pytest.mark.parametrize(
+    "lead, tied", [([], 0), ([0.0], 0), ([0.0, -0.5, 0.5, 0.0], 0), ([], 3), ([0.0], 2), ([0.3, 0.3, 0.3], 1)]
+)
+def test_class_maps_match_a_node_loop(lead, tied):
+    rng = np.random.default_rng(33)
+    k, n = 40, 11
+    totals = rng.integers(0, 5, (k, n))
+    balanced = rng.random(k) < 0.5
+    maps, fixed = class_maps(totals, lead, tied, balanced)
+    assert maps.shape == (k, n) and len(fixed) == k
+    for t in range(k):
+        want_map, want_fixed = class_maps_by_node(totals[t], lead, tied, balanced[t])
+        assert maps[t].tolist() == want_map.tolist()
+        assert fixed[t].tolist() == want_fixed.tolist()
+
+
+def _up_front(fit):
+    # no maximizer, decided before any Newton step
+    return not fit.exists and fit.iterations == 0
+
+
+def test_class_rule_matches_the_graph_checks():
+    # degrees 0 and n-1 from spread parameters, and tied blocks at 0 and full by construction
+    rng = np.random.default_rng(31)
+    n, r = 7, 3
+    graphs = []
+    for t in range(240):
+        edges = bm.simulate_graph(rng.uniform(-2.5, 2.5, n), rng).edges
+        if t % 4 == 1:
+            edges = edges[edges[:, 0] >= r]
+        elif t % 4 == 2:
+            edges = np.concatenate([edges, [(i, j) for i in range(r) for j in range(i + 1, n)]])
+        graphs.append(UndirectedGraph.from_edges(n, edges))
+    full = bm.fit_mle(graphs)
+    pinned = bm.fit_restricted_specified(graphs, NullHypothesis.specified(r, [0.0, -0.5, 0.5]))
+    tied = bm.fit_restricted_homogeneous(graphs, r)
+    seen = set()
+    for g, f, p, h in zip(graphs, full, pinned, tied):
+        d = g.degrees.tolist()
+        free, block = graph_degree_at_bound(d[r:], n), graph_block_at_bound(d, r, n)
+        assert _up_front(f) == graph_degree_at_bound(d, n)
+        assert _up_front(p) == free
+        assert _up_front(h) == (free or block)
+        seen.update({("empty", 0 in d), ("full", n - 1 in d), ("block", block), ("free", free)})
+    assert {("empty", True), ("full", True), ("block", True), ("free", True), ("free", False)} <= seen
+
+
+def test_class_rule_matches_the_comparison_checks():
+    # tables with unequal pair totals, some pairs never compared, keep one class per subject
+    rng = np.random.default_rng(32)
+    n, r = 6, 3
+    tables = []
+    for _ in range(300):
+        totals = np.triu(rng.integers(0, 3, (n, n)), 1)
+        beta = np.concatenate([[0.0], rng.uniform(-1.5, 1.5, n - 1)])
+        tables.append(btm.simulate_comparisons(beta, totals + totals.T, rng).wins)
+    # a tied block with no comparisons outside itself, whose level is not identified
+    lone = np.zeros((n, n), dtype=int)
+    lone[1, 2] = lone[2, 1] = 1
+    for i, j in [(0, 3), (3, 4), (4, 5), (0, 5)]:
+        lone[i, j], lone[j, i] = 2, 1
+    wins = np.array(tables + [lone])
+    pinned = btm.bt_fit_restricted(wins, NullHypothesis.specified(r, [0.4, -0.4]))
+    tied = btm.bt_fit_restricted(wins, NullHypothesis.homogeneous(r))
+    apart = at_bound = 0
+    for w, p, h in zip(wins, pinned, tied):
+        played = w + w.T
+        assert len(set(played[np.triu_indices(n, 1)].tolist())) > 1
+        free = comparison_subject_at_bound(w, r)
+        assert _up_front(p) == free
+        if played[1:r].sum() == played[1:r, 1:r].sum():
+            # the one difference from the per-subject checks
+            apart += 1
+            assert _up_front(h)
+        else:
+            assert _up_front(h) == (free or comparison_block_at_bound(w, r))
+            at_bound += comparison_block_at_bound(w, r) and not free
+    assert apart >= 1 and at_bound >= 3
+
+
+def test_empty_stacks_give_empty_fits():
+    # the bootstrap passes an empty stack when no full fit converges
+    n = 5
+    totals = np.full((n, n), 2)
+    np.fill_diagonal(totals, 0)
+    empty = Tallies(np.zeros((0, n)), totals)
+    fits = [
+        bm.fit_mle([]),
+        bm.fit_restricted_specified([], NullHypothesis.specified(2, [0.0, 0.1])),
+        bm.fit_restricted_homogeneous([], 2),
+        btm.bt_fit_mle(empty),
+        btm.bt_fit_mle(np.zeros((0, n, n), dtype=int)),
+        btm.bt_fit_restricted(empty, NullHypothesis.specified(2, [0.1])),
+        btm.bt_fit_restricted(empty, NullHypothesis.homogeneous(3)),
+    ]
+    assert all(isinstance(f, Fits) and f == [] for f in fits)
+
+
 def _class_maps(rng, k, n, c):
     """k node-to-class maps of n nodes, each with every one of c classes present."""
     return np.array([rng.permutation(np.concatenate([np.arange(c), rng.integers(0, c, n - c)])) for _ in range(k)])
@@ -469,3 +595,23 @@ def test_fit_loglik_is_the_log_likelihood_at_beta_hat(kind):
                 assert abs(fit.loglik - loglik(fit.beta_hat, data)) <= 1e-12
                 checked += 1
     assert checked > 80
+
+
+def test_fully_pinned_fits_take_no_step():
+    # with no fitted class a fit is converged at its fixed values, alone and in a stack,
+    # equal pinned values sharing a class; a graph of degrees 0 has no fitted class to lose
+    rng = np.random.default_rng(34)
+    n = 6
+    beta = np.array([0.0, 0.3, 0.3, 0.0, -0.7, 1.1])
+    graphs = bm.simulate_graph(beta, rng.spawn(4)) + [UndirectedGraph.from_edges(n, [])]
+    wins = btm.simulate_comparisons(beta, 2, rng.spawn(4))
+    cases = [
+        (graphs, bm.fit_restricted_specified(graphs, NullHypothesis.specified(n, beta)), bm.log_likelihood),
+        (map(ComparisonTable, wins), btm.bt_fit_restricted(wins, NullHypothesis.specified(n, beta[1:])),
+         btm.bt_log_likelihood),
+    ]
+    for data, fits, loglik in cases:
+        for x, fit in zip(data, fits):
+            assert fit.exists and fit.converged and fit.iterations == 0 and fit.gradient_norm == 0.0
+            assert np.array_equal(fit.beta_hat, beta)
+            assert abs(fit.loglik - loglik(beta, x)) <= 1e-12
