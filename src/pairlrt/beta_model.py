@@ -34,6 +34,8 @@ from .core import (
     sum_bins,
 )
 
+LARGEST_LOGIT = math.acosh(np.finfo(float).max / 2)  # 2 + 2 cosh(x) is finite up to here
+
 
 def edge_probabilities(beta) -> np.ndarray:
     """Matrix of edge probabilities expit(b_i + b_j), zero diagonal."""
@@ -149,6 +151,8 @@ def bn_cn(beta) -> ModelDiagnostics:
         raise ValueError("need at least two parameters")
     i, j = pair_indices(n)
     x = np.abs(b[i] + b[j])
+    if x.max() > LARGEST_LOGIT:
+        raise ValueError(f"pair logit {x.max():.6g} is too large: its reciprocal variance 2 + 2 cosh overflows")
     b_n = 2.0 + 2.0 * math.cosh(float(x.max()))
     c_n = 2.0 + 2.0 * math.cosh(float(x.min()))
     radius = 3.0 * n * b_n / (2.0 * n - 1.0) * math.sqrt(math.log(n) / n)

@@ -103,6 +103,8 @@ def _load_scenario(scenario_path: Optional[str], preset: Optional[str], **overri
                 raise ValueError(f"--{key} cannot change a --scenario file; edit the file instead")
         with open(scenario_path) as fh:
             d = json.load(fh)
+        if not isinstance(d, dict):
+            raise ValueError(f"{scenario_path}: a scenario must be a JSON object, not {type(d).__name__}")
         d.update(overrides)  # only seed, reps and alphas are left
         return montecarlo.Scenario.from_dict(d)
     if not preset:

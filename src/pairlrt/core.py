@@ -366,75 +366,64 @@ def newton_ascent(loglik, score, info, start: np.ndarray, per: np.ndarray, tol: 
     ascent reads the fitted entries.  A member's gradient norm is the max of
     |score / per| over its fitted classes, 0 without any, so ``per``, one
     row per member and one column per fitted class, scales each class score
-    to the coordinate it reports.  Every member steps on its own: its step halves
-    until it stays inside the divergence cap and lowers the gradient norm
-    or raises the log-likelihood, and it stops when its norm is within tol,
-    its information is singular, no step is accepted, or after MAX_NEWTON
-    steps.  The log-likelihood is evaluated only where the norm did not
-    fall, and at the end for a member that never needed it.  Returns per
-    member the values of every class, their log-likelihood, the gradient
-    norm and the number of Newton steps.
+    to the coordinate it reports.  The state is one full-size array per
+    quantity, a row per member, and an index of the members still stepping;
+    a member stops by leaving that index.  Every member steps on its own:
+    its step halves until it stays inside the divergence cap and lowers the
+    gradient norm or raises the log-likelihood, and it stops when its norm
+    is within tol, its information is singular, no step is accepted, or
+    after MAX_NEWTON steps.  The log-likelihood is evaluated only where the
+    norm did not fall, and at the end for every member that never needed
+    it.  Returns per member the values of every class, their
+    log-likelihood, the gradient norm and the number of Newton steps.
     """
     k, m = per.shape
     f = start.shape[-1] - m
-    values = start.copy()
-    loglik_out, gnorm_out, iters_out = np.empty(k), np.empty(k), np.zeros(k, dtype=int)
 
     def evaluate(b, rows):
         s = score(b, rows)[:, f:]
         return s, np.abs(s / per[rows]).max(axis=1, initial=0.0)
 
-    # the members still stepping: batch rows, values, log-likelihoods (NaN until
-    # needed), fitted scores, norms
-    live = [np.arange(k), start.copy(), np.full(k, np.nan)]
-    live += evaluate(live[1], live[0])
+    # per member: values, log-likelihood (NaN until needed), fitted scores, norm, steps
+    live = np.arange(k)
+    b, ll, iters = start.copy(), np.full(k, np.nan), np.zeros(k, dtype=int)
+    s, g = evaluate(b, live)
 
     def fill(which):
-        """Evaluate the log-likelihoods still unknown among the live members ``which``."""
-        rows, b, ll = live[:3]
+        """Evaluate the log-likelihoods still unknown among the members ``which``."""
         which = which[np.isnan(ll[which])]
         if which.size:
-            ll[which] = loglik(b[which], rows[which])
+            ll[which] = loglik(b[which], which)
 
-    def settle(stop, steps):
-        """Record the members in ``stop`` as final; return the rest."""
-        fill(np.flatnonzero(stop))
-        rows, b, ll, _, g = live
-        out = rows[stop]
-        values[out], loglik_out[out], gnorm_out[out], iters_out[out] = b[stop], ll[stop], g[stop], steps
-        return [x[~stop] for x in live]
-
-    steps = 0
-    while live[0].size:
-        rows, b, ll, s, g = live
-        if steps == MAX_NEWTON or not g.min() > tol:
-            live = settle(~(g > tol) if steps < MAX_NEWTON else np.ones(rows.size, dtype=bool), steps)
-            continue
+    for _ in range(MAX_NEWTON):
+        live = live[g[live] > tol]
+        if not live.size:
+            break
+        H = info(b[live], live)[:, f:, f:]
         try:
-            delta = np.linalg.solve(info(b, rows)[:, f:, f:], s[..., None])[..., 0]
+            delta = np.linalg.solve(H, s[live, :, None])[..., 0]
         except np.linalg.LinAlgError:
-            delta, solvable = _solve_each(info(b, rows)[:, f:, f:], s)
-            if not solvable.all():
-                live = settle(~solvable, steps)
-                continue
-        steps += 1
-        # each member halves its own step, from the full one
-        todo = np.arange(rows.size)
+            delta, solvable = _solve_each(H, s[live])
+            live, delta = live[solvable], delta[solvable]
+        iters[live] += 1
+        # each member halves its own step, from the full one; todo indexes live
+        todo = np.arange(live.size)
         for step in _HALVINGS:
-            cand = b[todo]
+            rows = live[todo]
+            cand = b[rows]
             cand[:, f:] += step * delta[todo]
             inside = np.abs(cand[:, f:]).max(axis=1) <= DIVERGENCE_CAP
-            tried = todo[inside]
+            tried = rows[inside]
             if tried.size:
                 cand = cand[inside]
-                cand_s, cand_g = evaluate(cand, rows[tried])
+                cand_s, cand_g = evaluate(cand, tried)
                 cand_ll = np.full(tried.size, np.nan)
                 up = cand_g < g[tried]
                 # where the norm did not fall, a step must raise the log-likelihood
                 ask = np.flatnonzero(~up)
                 if ask.size:
                     fill(tried[ask])
-                    cand_ll[ask] = loglik(cand[ask], rows[tried[ask]])
+                    cand_ll[ask] = loglik(cand[ask], tried[ask])
                     up[ask] = cand_ll[ask] > ll[tried[ask]]
                 won = tried[up]
                 b[won], ll[won], s[won], g[won] = cand[up], cand_ll[up], cand_s[up], cand_g[up]
@@ -443,10 +432,9 @@ def newton_ascent(loglik, score, info, start: np.ndarray, per: np.ndarray, tol: 
             if not todo.size:
                 break
         else:
-            stalled = np.zeros(rows.size, dtype=bool)
-            stalled[todo] = True
-            live = settle(stalled, steps)
-    return values, loglik_out, gnorm_out, iters_out
+            live = np.delete(live, todo)
+    fill(np.arange(k))
+    return b, ll, g, iters
 
 
 def _solve_each(H: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -638,6 +626,8 @@ class NullHypothesis:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NullHypothesis":
+        if not isinstance(d, dict) or "r" not in d:
+            raise ValueError("a null hypothesis must be a JSON object with an 'r'")
         if d.get("kind") == "specified":
             return cls.specified(int(d["r"]), d.get("values", []))
         return cls.homogeneous(int(d["r"]))

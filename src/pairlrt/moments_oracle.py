@@ -89,6 +89,15 @@ def _check_weights(beta: np.ndarray, r: int, f) -> np.ndarray:
     return f
 
 
+def _check_weight_matrix(beta: np.ndarray, f) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if f.shape != (beta.size, beta.size):
+        raise ValueError("weight matrix shape must match the parameter length")
+    if np.any(np.diag(f) != 0):
+        raise ValueError("weight matrix must have a zero diagonal")
+    return f
+
+
 def quadratic_sum_variance(beta, r: int, f) -> MomentReport:
     """Exact mean and variance of sum_{i<=r} f_i dbar_i^2."""
     b = as_model_params(beta, "beta")
@@ -148,11 +157,7 @@ def mixed_sum_variance_bound(beta, f) -> float:
     """
     b = as_model_params(beta, "beta")
     n = b.size
-    f = np.asarray(f, dtype=float)
-    if f.shape != (n, n):
-        raise ValueError("weight matrix shape must match the parameter length")
-    if np.any(np.diag(f) != 0):
-        raise ValueError("weight matrix must have a zero diagonal")
+    f = _check_weight_matrix(b, f)
     c_n = beta_model.bn_cn(b).c_n
     fmax = float(np.abs(f).max())
     return n**6 * fmax**2 / c_n**3
@@ -196,12 +201,6 @@ def _enumerate_graphs(beta: np.ndarray):
     return bits, probs, deg, iu
 
 
-def _exact_moments(values: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
-    mean = math.fsum((probs * values).tolist())
-    var = math.fsum((probs * (values - mean) ** 2).tolist())
-    return mean, var
-
-
 def enumerate_exact_moments(
     beta,
     statistic: str,
@@ -225,47 +224,27 @@ def enumerate_exact_moments(
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     bits, probs, deg, iu = _enumerate_graphs(b)
+    if statistic == LRT_STAT:
+        if null is None:
+            raise ValueError("the likelihood-ratio statistic needs a null hypothesis")
+        null.validate_for("beta", n)
+        pairs = np.column_stack(iu)
+        graphs = [UndirectedGraph.from_edges(n, pairs[row == 1]) for row in bits]
+        fits = list(zip(*lrt.fit_pair(graphs, null, tol=1e-11)))
+        exists = np.array([full.exists and restr.exists for full, restr in fits])
+        stats = [lrt.lrt_statistic(*pair) for pair, ok in zip(fits, exists) if ok]
+        return LRTDistribution(
+            values=np.asarray(stats), probs=probs[exists], nonexist_mass=float(probs[~exists].sum())
+        )
     dbar = deg - beta_model.expected_degrees(b)
-
-    if statistic == QUADRATIC_SUM:
-        f = _check_weights(b, int(r), f)
-        values = dbar[:, : int(r)] ** 2 @ f
-        mean, var = _exact_moments(values, probs)
-        return MomentReport(mean_formula=mean, var_formula=var)
-    if statistic == CUBIC_SUM:
-        f = _check_weights(b, int(r), f)
-        values = dbar[:, : int(r)] ** 3 @ f
-        mean, var = _exact_moments(values, probs)
-        return MomentReport(mean_formula=mean, var_formula=var)
     if statistic == MIXED_SUM:
-        fm = np.asarray(f, dtype=float)
-        if fm.shape != (n, n):
-            raise ValueError("weight matrix shape must match the parameter length")
-        if np.any(np.diag(fm) != 0):
-            raise ValueError("weight matrix must have a zero diagonal")
-        values = np.einsum("gi,ij,gj->g", dbar**2, fm, dbar)
-        mean, var = _exact_moments(values, probs)
-        return MomentReport(mean_formula=mean, var_formula=var)
-
-    if null is None:
-        raise ValueError("the likelihood-ratio statistic needs a null hypothesis")
-    null.validate_for("beta", n)
-    stats = []
-    stat_probs = []
-    nonexist = 0.0
-    pairs = np.column_stack(iu)
-    for g in range(bits.shape[0]):
-        graph = UndirectedGraph.from_edges(n, pairs[bits[g] == 1])
-        full, restr = lrt.fit_pair(graph, null, tol=1e-11)
-        if not (full.exists and restr.exists):
-            nonexist += probs[g]
-            continue
-        # nested optima can tie; solver slack makes the difference dip a hair below zero
-        stats.append(max(2.0 * (full.loglik - restr.loglik), 0.0))
-        stat_probs.append(probs[g])
-    return LRTDistribution(
-        values=np.asarray(stats), probs=np.asarray(stat_probs), nonexist_mass=float(nonexist)
-    )
+        values = np.einsum("gi,ij,gj->g", dbar**2, _check_weight_matrix(b, f), dbar)
+    else:
+        r = int(r)
+        values = dbar[:, :r] ** (2 if statistic == QUADRATIC_SUM else 3) @ _check_weights(b, r, f)
+    mean = math.fsum((probs * values).tolist())
+    var = math.fsum((probs * (values - mean) ** 2).tolist())
+    return MomentReport(mean_formula=mean, var_formula=var)
 
 
 def simulated_quadratic_moments(

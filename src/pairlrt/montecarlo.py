@@ -103,6 +103,9 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
+        for key in ("model", "n", "null", "true_beta", "regime", "reps"):
+            if key not in d:
+                raise ValueError(f"scenario has no {key!r}")
         k = d.get("k")
         if isinstance(k, list):
             k = np.asarray(k)

@@ -395,3 +395,30 @@ def test_matrix_diag_verb(runner, tmp_path):
     assert tied.exit_code == 0
     tpay = json.loads(tied.stdout)
     assert tpay["satisfied"] is True
+
+
+@pytest.mark.parametrize("verb", [["matrix-diag"], ["oracle", "--stat", "mixed"]])
+def test_overflowing_pair_logit_exits_2(runner, tmp_path, verb):
+    # 2 + 2 cosh(800) overflows a double; the error names the logit instead of a traceback
+    bfile = tmp_path / "beta.txt"
+    bfile.write_text("400\n400\n0\n1\n")
+    res = runner.invoke(main, [*verb, "--beta-file", str(bfile)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "pair logit 800" in res.stderr
+
+
+@pytest.mark.parametrize("verb", ["power", "qq", "simulate"])
+@pytest.mark.parametrize("case, fragment", [("no model", "'model'"), ("no null r", "'r'"), ("a list", "JSON object")])
+def test_malformed_scenario_file_exits_2(runner, tmp_path, verb, case, fragment):
+    d = mc.build_scenario("H04", n=12, r=3, reps=4, seed=11).to_dict()
+    if case == "no model":
+        del d["model"]
+    elif case == "no null r":
+        del d["null"]["r"]
+    else:
+        d = [d]
+    sfile = tmp_path / "scenario.json"
+    sfile.write_text(json.dumps(d))
+    res = runner.invoke(main, [verb, "--scenario", str(sfile)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert fragment in res.stderr

@@ -615,3 +615,30 @@ def test_fully_pinned_fits_take_no_step():
             assert fit.exists and fit.converged and fit.iterations == 0 and fit.gradient_norm == 0.0
             assert np.array_equal(fit.beta_hat, beta)
             assert abs(fit.loglik - loglik(beta, x)) <= 1e-12
+
+
+@pytest.mark.parametrize("model", ["beta", "bt"])
+def test_newton_cap_stops_members_mid_stack(model, monkeypatch):
+    # 40 draws whose fits take 4 to 6 steps: a cap of 4 stops some members of one stack and
+    # not others; each member is its solo fit under the same cap, unconverged exactly where
+    # its uncapped fit needed more steps
+    rng = np.random.default_rng(3)
+    beta = rng.normal(0.0, 1.2, 30)
+    if model == "beta":
+        fit, stack = bm.fit_mle, bm.simulate_graph(beta, rng.spawn(40))
+    else:
+        fit, stack = btm.bt_fit_mle, btm.simulate_comparisons(beta - beta[0], 2, rng.spawn(40))
+    uncapped = fit(stack)
+    steps = [f.iterations for f in uncapped if f.exists]
+    assert all(f.converged for f in uncapped if f.exists)
+    cap = 4
+    assert min(steps) <= cap < max(steps)
+    monkeypatch.setattr(pairlrt.core, "MAX_NEWTON", cap)
+    capped = fit(stack)
+    for got, free, x in zip(capped, uncapped, stack):
+        solo = fit(x if model == "beta" else ComparisonTable(x))
+        assert (got.exists, got.converged, got.iterations) == (solo.exists, solo.converged, solo.iterations)
+        assert np.array_equal(got.beta_hat, solo.beta_hat)
+        assert np.array_equal([got.loglik, got.gradient_norm], [solo.loglik, solo.gradient_norm], equal_nan=True)
+        assert got.iterations == min(free.iterations, cap)
+        assert got.converged == (free.converged and free.iterations <= cap)
