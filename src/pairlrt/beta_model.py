@@ -25,13 +25,13 @@ from .core import (
     UndirectedGraph,
     as_model_params,
     class_maps,
+    class_tallies,
     fit_by_classes,
     pair_expected,
     pair_indices,
     pair_information,
     pair_log_likelihood,
     pair_variances,
-    sum_bins,
 )
 
 LARGEST_LOGIT = math.acosh(np.finfo(float).max / 2)  # 2 + 2 cosh(x) is finite up to here
@@ -45,22 +45,6 @@ def edge_probabilities(beta) -> np.ndarray:
     return p
 
 
-def class_tallies(degrees, classes: np.ndarray) -> Tallies:
-    """Degree totals and node pairs of classes of nodes, over the class index of each node.
-
-    ``totals`` counts the node pairs between two classes, mult (x) mult -
-    diag(mult) for the class sizes mult.  A (k, n) stack of degree
-    sequences takes one (k, n) map, a row per sequence, and gives a stack.
-    """
-    d = np.asarray(degrees, dtype=float)
-    c = int(classes.max()) + 1
-    mult = sum_bins(np.ones(d.shape), classes, c)
-    pairs = mult[..., :, None] * mult[..., None, :]
-    diag = np.arange(c)
-    pairs[..., diag, diag] -= mult
-    return Tallies(sum_bins(d, classes, c), pairs)
-
-
 def _node_classes(b: np.ndarray, degrees=0.0) -> tuple[np.ndarray, np.ndarray, Tallies]:
     """The distinct values of a node vector, each node's class, and the class tallies.
 
@@ -68,7 +52,7 @@ def _node_classes(b: np.ndarray, degrees=0.0) -> tuple[np.ndarray, np.ndarray, T
     runs over the m distinct values in O(m^2).
     """
     values, classes = np.unique(b, return_inverse=True)
-    return values, classes, class_tallies(np.broadcast_to(degrees, b.shape), classes)
+    return values, classes, class_tallies(Tallies(np.broadcast_to(degrees, b.shape), 1), classes)
 
 
 def log_likelihood(beta, data: Union[UndirectedGraph, Tallies]):
@@ -120,7 +104,7 @@ def fisher_info(beta, tallies: Optional[Tallies] = None) -> np.ndarray:
     """
     b = as_model_params(beta, "beta", stacked=tallies is not None)
     if tallies is None:
-        tallies = class_tallies(np.zeros(b.size), np.arange(b.size))
+        tallies = class_tallies(Tallies(np.zeros(b.size), 1), np.arange(b.size))
     return pair_information(b, tallies, 1)
 
 
@@ -161,14 +145,7 @@ def bn_cn(beta) -> ModelDiagnostics:
 
 def class_model() -> ClassModel:
     """The graph model's functions for core.fit_by_classes, read anew on each call so wrappers take effect."""
-    return ClassModel(
-        lambda degrees, rows: degrees[rows],
-        class_tallies,
-        log_likelihood,
-        lambda b, t: t.degrees - expected_degrees(b, t),
-        fisher_info,
-        1,
-    )
+    return ClassModel(log_likelihood, expected_degrees, fisher_info, 1)
 
 
 def _fit(g, lead, tied: int, tol: float, check=None):
@@ -186,7 +163,7 @@ def _fit(g, lead, tied: int, tol: float, check=None):
     if check is not None:
         check(degrees.shape[1])
     maps, fixed = class_maps(degrees, lead, tied, True)
-    fits = fit_by_classes(class_model(), degrees, maps, fixed, tied > 0, [None] * len(graphs), tol)
+    fits = fit_by_classes(class_model(), Tallies(degrees, 1), maps, fixed, tied > 0, [None] * len(graphs), tol)
     return fits[0] if isinstance(g, UndirectedGraph) else fits
 
 

@@ -28,7 +28,6 @@ from .core import (
     pair_indices,
     pair_information,
     pair_log_likelihood,
-    sum_bins,
 )
 
 
@@ -43,21 +42,6 @@ def subject_tallies(data) -> Tallies:
         return Tallies(data.degrees[None], data.totals)
     w = np.asarray(data)
     return Tallies(w.sum(axis=-1), w + np.swapaxes(w, -1, -2))
-
-
-def class_tallies(table, classes: np.ndarray) -> Tallies:
-    """Tallies of a table, or of a stack's tables, over the class index of each subject.
-
-    ``table`` is a ComparisonTable or per-subject Tallies, and ``classes``
-    one map for every table or one map per table.  The comparison counts
-    are summed into classes by products with each map's 0/1 membership
-    matrix, which is exact since they are integers; tables that share their
-    counts are not copied per map.
-    """
-    c = int(classes.max()) + 1
-    member = (classes[..., :, None] == np.arange(c)).astype(float)
-    counts = np.swapaxes(member, -1, -2) @ np.asarray(table.totals, dtype=float) @ member
-    return Tallies(sum_bins(table.degrees, classes, c), counts)
 
 
 def _params(beta, table: Union[ComparisonTable, Tallies]) -> np.ndarray:
@@ -124,10 +108,7 @@ def strongly_connected(wins):
 
 def class_model() -> ClassModel:
     """The comparison model's functions for core.fit_by_classes, read anew on each call so wrappers take effect."""
-    return ClassModel(
-        lambda t, rows: Tallies(t.degrees[rows], t.totals if t.totals.ndim == 2 else t.totals[rows]),
-        class_tallies, bt_log_likelihood, lambda b, t: t.degrees - bt_expected_wins(b, t), bt_fisher_info, -1,
-    )
+    return ClassModel(bt_log_likelihood, bt_expected_wins, bt_fisher_info, -1)
 
 
 def _fit(data, null: Optional[NullHypothesis], tol: float, connected=True):

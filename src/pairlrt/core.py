@@ -21,6 +21,7 @@ MIN_NODES = 3
 MAX_NEWTON = 100
 DIVERGENCE_CAP = 40.0
 TOL_SCORE = 1e-8
+MAX_TABLE_COMPARISONS = 2**52  # so every sum of w + w.T, at most twice this, is exact in a double
 
 
 class DataFormatError(ValueError):
@@ -121,7 +122,7 @@ class UndirectedGraph:
 
 @dataclass(frozen=True, eq=False)
 class ComparisonTable:
-    """Directed win counts between subjects; ``wins[i, j]`` is how often i beat j."""
+    """Directed win counts between subjects; ``wins[i, j]`` is how often i beat j, at most 2**52 times in all."""
 
     wins: np.ndarray
     degrees: np.ndarray = field(init=False)
@@ -141,6 +142,8 @@ class ComparisonTable:
             raise ValueError("win counts must be nonnegative")
         if np.any(np.diag(w) != 0):
             raise ValueError("self-comparisons are not allowed")
+        if sum(w.ravel().tolist()) > MAX_TABLE_COMPARISONS:  # summed as Python integers, which cannot wrap
+            raise ValueError(f"a table's comparisons must number at most 2**52 = {MAX_TABLE_COMPARISONS} in all")
         w.setflags(write=False)
         t = w + w.T
         t.setflags(write=False)
@@ -251,7 +254,8 @@ class Tallies(NamedTuple):
     (degree totals, node pairs) and -1 for comparisons (win totals,
     comparisons).  The diagonal counts each pair within a class twice.
     Leading axes stack datasets; members that share their counts may hold
-    one (c, c) matrix.  A ComparisonTable has the same two fields.
+    one (c, c) matrix.  A ComparisonTable has the same two fields.  Node
+    tallies may hold one count shared by every pair of nodes (class_tallies).
     """
 
     degrees: np.ndarray
@@ -449,11 +453,9 @@ def _solve_each(H: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return delta, solvable
 
 
-# A model's functions over class tallies, as fit_by_classes calls them.  take(data, rows) picks
-# the data of the members ``rows``, as a stack; tally(stack, classes) sums it over one
-# node-to-class map per member into Tallies, members first; loglik, score and info take
-# (values, tallies), one row of class values per member; sign is the model's pair sign.
-ClassModel = namedtuple("ClassModel", "take tally loglik score info sign")
+# A model's functions over class tallies, as fit_by_classes calls them: loglik, expected class
+# totals and info take (values, tallies), one row of each per member; sign is the pair sign.
+ClassModel = namedtuple("ClassModel", "loglik expected info sign")
 
 # One ascent's members hold at most this many class-pair cells (members times classes
 # squared), so a large group runs in batches of fixed memory.  On 999-table bootstraps at 30
@@ -494,12 +496,34 @@ def class_maps(totals: np.ndarray, lead, tied: int, balanced) -> tuple[np.ndarra
     return maps, [merged if b else lead for b in balanced[:, 0]]
 
 
-def fit_by_classes(model: ClassModel, data, maps, fixed: list, tied: bool, ready: list, tol: float):
+def class_tallies(t: Tallies, classes: np.ndarray) -> Tallies:
+    """Sum node tallies into class Tallies by ``classes``, one map for every member or one per member.
+
+    A count shared by every pair of distinct nodes gives count * (mult (x)
+    mult - diag(mult)) by the class sizes mult; a node-pair matrix, shared
+    (n, n) or per member (k, n, n), is summed by membership products.
+    Every sum of counts is an integer of at most 2**53 (a ComparisonTable
+    holds at most 2**52 comparisons), so both routes give the same bits.
+    """
+    c = int(classes.max(initial=-1)) + 1
+    degrees = sum_bins(t.degrees, classes, c)
+    if np.ndim(t.totals) == 0:
+        mult = sum_bins(np.ones(classes.shape), classes, c)
+        pairs = mult[..., :, None] * mult[..., None, :]
+        diag = np.arange(c)
+        pairs[..., diag, diag] -= mult
+        return Tallies(degrees, t.totals * pairs)
+    member = (classes[..., :, None] == np.arange(c)).astype(float)
+    return Tallies(degrees, np.swapaxes(member, -1, -2) @ np.asarray(t.totals, dtype=float) @ member)
+
+
+def fit_by_classes(model: ClassModel, data: Tallies, maps, fixed: list, tied: bool, ready: list, tol: float):
     """Fit each member of a stack with one parameter per class of its node-to-class map.
 
-    Member t has map ``maps[t]`` (see class_maps), its fixed classes first,
-    holding the values ``fixed[t]``; with ``tied`` the next class is a block
-    tied to one unknown value, and every later class is fitted freely.  A
+    ``data`` holds the node Tallies, a row per member.  Member t has map
+    ``maps[t]`` (see class_maps), its fixed classes first, holding the
+    values ``fixed[t]``; with ``tied`` the next class is a block tied to one
+    unknown value, and every later class is fitted freely.  A
     member whose entry of ``ready`` is a Fit keeps it.  Members of equal
     class and fixed-class count are fitted together, in ascents of at most
     BATCH_CELLS cells, so none is padded and each runs the arithmetic of its
@@ -508,9 +532,10 @@ def fit_by_classes(model: ClassModel, data, maps, fixed: list, tied: bool, ready
     rowsum(T)_a - w_a, where w_a = (1 - sign)/4 T_aa counts the wins within
     the class, which no value moves.  A member with no fitted class is a
     converged fit at its fixed values; the others start at their mean-field
-    points (mean_field_start).  A class's reduced score is its score over
-    its node count, or the whole score of a tied block.  A converged member
-    whose fitted values saturate (pair_saturated) has no maximizer.
+    points (mean_field_start).  A class's reduced score, its total less
+    model.expected, is over its node count, or whole for a tied block.  A
+    converged member whose fitted values saturate (pair_saturated) has no
+    maximizer.
     Returns the Fits in the stack's order.
     """
     if not 0 < tol < 1:
@@ -526,7 +551,8 @@ def fit_by_classes(model: ClassModel, data, maps, fixed: list, tied: bool, ready
         size = max(1, BATCH_CELLS // c**2)
         for rows in (np.array(members[i:i + size]) for i in range(0, len(members), size)):
             classes, head = maps[rows], np.array([fixed[t] for t in rows])
-            tallies = model.tally(model.take(data, rows), classes)
+            totals = data.totals if np.ndim(data.totals) < 3 else data.totals[rows]
+            tallies = class_tallies(Tallies(data.degrees[rows], totals), classes)
             w = (1 - model.sign) / 4 * np.diagonal(tallies.totals, axis1=-2, axis2=-1)
             d = tallies.degrees
             bound = ((d <= w) | (d >= tallies.totals.sum(axis=-1) - w))[:, f:].any(axis=1)
@@ -537,16 +563,14 @@ def fit_by_classes(model: ClassModel, data, maps, fixed: list, tied: bool, ready
             if not rows.size:
                 continue
 
-            def at(live):
-                return Tallies(*(x[live] for x in tallies))
+            def on(evaluate):
+                return lambda b, live: evaluate(b, Tallies(*(x[live] for x in tallies)))
 
             per = sum_bins(np.ones(classes.shape), classes, c)[:, f:]
             if tied:
                 per[:, 0] = 1.0
             values, ll, gnorm, iters = newton_ascent(
-                lambda b, live: model.loglik(b, at(live)),
-                lambda b, live: model.score(b, at(live)),
-                lambda b, live: model.info(b, at(live)),
+                on(model.loglik), on(lambda b, t: t.degrees - model.expected(b, t)), on(model.info),
                 mean_field_start(tallies, head, model.sign), per, tol,
             )
             beta = np.take_along_axis(values, classes, axis=1)
@@ -629,8 +653,15 @@ class NullHypothesis:
         if not isinstance(d, dict) or "r" not in d:
             raise ValueError("a null hypothesis must be a JSON object with an 'r'")
         if d.get("kind") == "specified":
-            return cls.specified(int(d["r"]), d.get("values", []))
-        return cls.homogeneous(int(d["r"]))
+            return cls.specified(whole_number(d["r"], "r"), d.get("values", []))
+        return cls.homogeneous(whole_number(d["r"], "r"))
+
+
+def whole_number(value, key: str) -> int:
+    """``value`` as an int; a ValueError naming ``key`` unless it is a whole number."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float, np.integer)) and value % 1 == 0):
+        raise ValueError(f"{key!r} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _plain_edges(text: str) -> Optional[tuple[Optional[int], np.ndarray]]:
@@ -741,14 +772,14 @@ def load_edge_list(text: str) -> UndirectedGraph:
 def load_comparisons(text: str) -> ComparisonTable:
     """Parse comparison records ``i,j,w`` meaning subject i beat subject j w times.
 
-    Repeated (i, j) records accumulate.  Without a header, n is one plus the
-    largest subject id.
+    Repeated (i, j) records accumulate as Python integers, which cannot wrap.
+    Without a header, n is one plus the largest subject id.
     """
     declared, rows = _scan_records(text, "comparisons")
     n = _node_count(declared, rows[:, :2], "subject")
-    wins = np.zeros((n, n), dtype=np.int64)
-    np.add.at(wins, (rows[:, 0], rows[:, 1]), rows[:, 2])
-    return ComparisonTable(wins)
+    wins = np.zeros((n, n), dtype=object)
+    np.add.at(wins, (rows[:, 0], rows[:, 1]), rows[:, 2].astype(object))
+    return ComparisonTable(np.minimum(wins, MAX_TABLE_COMPARISONS + 1).astype(np.int64))
 
 
 def load_vector(text: str) -> np.ndarray:

@@ -18,15 +18,21 @@ from typing import Optional
 
 import numpy as np
 
-from .beta_model import bn_cn, class_tallies, fisher_info
-from .core import as_model_params
+from .beta_model import bn_cn, fisher_info
+from .core import Tallies, as_model_params, class_tallies
 
 
 def inverse_error_bound(b_n: float, c_n: float, n: int) -> float:
-    """Entrywise bound on |V^-1 - S| (and the trailing-block analogue)."""
+    """Entrywise bound on |V^-1 - S| (and the trailing-block analogue); raises unless it is a finite double."""
     if n < 3:
         raise ValueError("bound needs n >= 3")
-    return 2.0 * b_n**2 / (c_n * (n - 1.0) ** 2) * (n * b_n / (2.0 * (n - 2.0) * c_n) + 0.5)
+    try:
+        bound = 2.0 * b_n**2 / (c_n * (n - 1.0) ** 2) * (n * b_n / (2.0 * (n - 2.0) * c_n) + 0.5)
+    except OverflowError:  # a Python float b_n past ~1.3e154
+        bound = np.inf
+    if not np.isfinite(bound):
+        raise ValueError(f"the error bound at b_n = {b_n:.6g} is not a finite double")
+    return bound
 
 
 def inverse_entry_window(b_n: float, c_n: float, n: int) -> tuple[float, float]:
@@ -129,7 +135,7 @@ def build_homogeneous_info(beta, r: int) -> np.ndarray:
     if not np.all(np.abs(b[:r] - b[0]) <= 1e-12):
         raise ValueError("leading block is not tied")
     classes = np.concatenate([np.zeros(r, dtype=int), np.arange(1, n - r + 1)])
-    return fisher_info(np.concatenate([b[:1], b[r:]]), class_tallies(np.zeros(n), classes))
+    return fisher_info(np.concatenate([b[:1], b[r:]]), class_tallies(Tallies(np.zeros(n), 1), classes))
 
 
 def check_homogeneous_bound(beta, r: int) -> ApproxReport:

@@ -30,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import beta_model, bt_model, lrt
-from .core import TOL_SCORE, ComparisonTable, NullHypothesis
+from .core import TOL_SCORE, ComparisonTable, NullHypothesis, whole_number
 
 # Replicates drawn and fitted together: as many as fit in this many n-by-n
 # cells, so a chunk's memory is fixed whatever the replicate count.
@@ -109,17 +109,20 @@ class Scenario:
         k = d.get("k")
         if isinstance(k, list):
             k = np.asarray(k)
+        alphas = d.get("alphas", DEFAULT_ALPHAS)
+        if not isinstance(alphas, (list, tuple)) or not all(isinstance(a, (int, float)) for a in alphas):
+            raise ValueError(f"'alphas' must be a list of numbers, got {alphas!r}")
         return cls(
             name=d.get("name", "custom"),
             model=d["model"],
-            n=int(d["n"]),
+            n=whole_number(d["n"], "n"),
             null=NullHypothesis.from_dict(d["null"]),
             true_beta=np.asarray(d["true_beta"], dtype=float),
             regime=d["regime"],
             kind=d.get("kind", "type1"),
-            reps=int(d["reps"]),
-            alphas=tuple(d.get("alphas", DEFAULT_ALPHAS)),
-            seed=int(d.get("seed", 0)),
+            reps=whole_number(d["reps"], "reps"),
+            alphas=tuple(alphas),
+            seed=whole_number(d.get("seed", 0), "seed"),
             k=k,
         )
 
@@ -172,6 +175,8 @@ def build_scenario(preset: str, **params) -> Scenario:
             true[:r] = 0.0
             null = NullHypothesis.homogeneous(r)
     elif preset == "H03":
+        if "values" not in params:
+            raise ValueError("preset H03 needs explicit null values: use a scenario file or the Python API")
         values = np.asarray(params.pop("values"), dtype=float)
         head = values if model == "beta" else np.concatenate([[0.0], values])
         null = NullHypothesis.specified(head.size, values)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from pairlrt import bt_model as btm
-from pairlrt.core import TOL_SCORE, ComparisonTable, Fits, NullHypothesis, fit_by_classes
+from pairlrt.core import TOL_SCORE, ComparisonTable, Fits, NullHypothesis, class_tallies, fit_by_classes
 
 from conftest import random_connected_table, tied_class_map
 from oracles import comparison_loglik, fd_gradient, fd_hessian, maximize_comparison
@@ -55,7 +55,7 @@ def test_score_matches_fd_gradient(rng):
         # is the gradient of the log-likelihood in the free class values
         classes = tied_class_map(n)
         values = beta[np.unique(classes, return_index=True)[1]]
-        tallies = btm.class_tallies(table, classes)
+        tallies = class_tallies(table, classes)
         class_score = tallies.degrees - btm.bt_expected_wins(values, tallies)
 
         def loglik_classes(x):
@@ -81,7 +81,7 @@ def test_fisher_matches_fd_hessian(rng):
 
         classes = tied_class_map(n)
         values = beta[np.unique(classes, return_index=True)[1]]
-        V = btm.bt_fisher_info(values, btm.class_tallies(table, classes))[1:, 1:]
+        V = btm.bt_fisher_info(values, class_tallies(table, classes))[1:, 1:]
         H = fd_hessian(lambda x: btm.bt_log_likelihood(np.concatenate([[0.0], x])[classes], table), values[1:])
         assert np.abs(V + H).max() <= 1e-4
 

@@ -407,14 +407,49 @@ def test_overflowing_pair_logit_exits_2(runner, tmp_path, verb):
     assert "pair logit 800" in res.stderr
 
 
+def test_overflowing_error_bound_exits_2(runner, tmp_path):
+    # pair logit 709 is inside bn_cn's range, but the error bound squares b_n ~ 8.2e307
+    bfile = tmp_path / "beta.txt"
+    bfile.write_text("354\n355\n0\n1\n")
+    res = runner.invoke(main, ["matrix-diag", "--beta-file", str(bfile)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "b_n = 8.21841e+307" in res.stderr
+
+
+@pytest.mark.parametrize("records", [["0,1,4611686018427387904"], ["0,1,4611686018427387904"] * 4])
+def test_comparison_count_past_2_52_exits_2(runner, tmp_path, records):
+    # fits sum counts in doubles; four records of 2**62 would wrap to 0 in 64-bit integers
+    cfile = tmp_path / "wins.txt"
+    cfile.write_text("\n".join(records + ["1,0,1", "1,2,1", "2,1,1", "0,2,1", "2,0,1"]) + "\n")
+    res = runner.invoke(main, ["fit", "--model", "bt", "--input", str(cfile)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "at most 2**52" in res.stderr
+
+
 @pytest.mark.parametrize("verb", ["power", "qq", "simulate"])
-@pytest.mark.parametrize("case, fragment", [("no model", "'model'"), ("no null r", "'r'"), ("a list", "JSON object")])
+@pytest.mark.parametrize(
+    "case, fragment",
+    [
+        ("no model", "'model'"),
+        ("no null r", "'r'"),
+        ("a list", "JSON object"),
+        ("n in a list", "'n' must be a whole number"),
+        ("null r in a list", "'r' must be a whole number"),
+        ("one alpha", "'alphas' must be a list of numbers"),
+    ],
+)
 def test_malformed_scenario_file_exits_2(runner, tmp_path, verb, case, fragment):
     d = mc.build_scenario("H04", n=12, r=3, reps=4, seed=11).to_dict()
     if case == "no model":
         del d["model"]
     elif case == "no null r":
         del d["null"]["r"]
+    elif case == "n in a list":
+        d["n"] = [12]
+    elif case == "null r in a list":
+        d["null"]["r"] = [3]
+    elif case == "one alpha":
+        d["alphas"] = 0.05
     else:
         d = [d]
     sfile = tmp_path / "scenario.json"
@@ -422,3 +457,11 @@ def test_malformed_scenario_file_exits_2(runner, tmp_path, verb, case, fragment)
     res = runner.invoke(main, [verb, "--scenario", str(sfile)])
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert fragment in res.stderr
+
+
+@pytest.mark.parametrize("verb", ["power", "qq", "simulate"])
+def test_h03_preset_without_values_exits_2(runner, verb):
+    # H03 pins explicit null values, which no option supplies
+    res = runner.invoke(main, [verb, "--preset", "H03"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "H03 needs explicit null values" in res.stderr

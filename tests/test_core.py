@@ -12,6 +12,7 @@ from pairlrt import beta_model as bm
 from pairlrt import bt_model as btm
 from pairlrt.core import (
     TOL_SCORE,
+    ClassModel,
     ComparisonTable,
     DataFormatError,
     Fits,
@@ -22,6 +23,7 @@ from pairlrt.core import (
     _scan_records,
     as_model_params,
     class_maps,
+    class_tallies,
     load_comparisons,
     load_edge_list,
     load_vector,
@@ -247,6 +249,18 @@ def test_table_validation():
         ComparisonTable(np.array([[0, 1], [1, 0]]))
     with pytest.raises(ValueError):
         ComparisonTable(np.array([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    # a table's comparisons number at most 2**52, so every sum of w + w.T a fit takes is exact
+    assert ComparisonTable(np.array([[0, 2**51, 1], [2**51 - 4, 0, 1], [1, 1, 0]])).totals[0, 1] == 2**52 - 4
+    for big in ([2**52 - 3, 0], [2**51, 2**51], [2**53 - 1, 0], [2**62, 2**62], [2**63 - 1, 2**63 - 1]):
+        wins = np.array([[0, big[0], 1], [big[1], 0, 1], [1, 1, 0]])
+        with pytest.raises(ValueError, match=r"at most 2\*\*52"):
+            ComparisonTable(wins)
+    # each pair within 2**53, but subject 0's win total 2**54 - 3 is not exact in a double
+    with pytest.raises(ValueError, match=r"at most 2\*\*52"):
+        ComparisonTable(np.array([[0, 2**53 - 1, 2**53 - 2], [0, 0, 1], [1, 1, 0]]))
+    # repeated records sum exactly: four of 2**62 would wrap to 0 in 64-bit integers
+    with pytest.raises(ValueError, match=r"at most 2\*\*52"):
+        load_comparisons("n=3\n" + "0,1,4611686018427387904\n" * 4 + "1,0,1\n1,2,1\n2,0,1\n")
 
 
 def test_table_round_trip():
@@ -341,6 +355,13 @@ def test_nonexistent_fit_is_decided_in_core():
     sources = {p.name: p.read_text() for p in Path(pairlrt.__file__).parent.glob("*.py")}
     calls = {name: len(re.findall(r"(?<!def )\bnonexistent_fit\(", text)) for name, text in sources.items()}
     assert {name: count for name, count in calls.items() if count and name != "core.py"} == {"bt_model.py": 1}
+
+
+def test_class_tallies_are_built_in_core():
+    # one class-tally builder, in core; the models hand fit_by_classes node tallies
+    sources = {p.name: p.read_text() for p in Path(pairlrt.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items() if re.search(r"^def class_tallies\(", text, re.M)] == ["core.py"]
+    assert ClassModel._fields == ("loglik", "expected", "info", "sign")
 
 
 def test_class_maps_number_fixed_values_by_first_appearance():
@@ -468,16 +489,47 @@ def _pair_dataset(rng, sign, n):
     if sign > 0:
         adj = np.triu(rng.random((n, n)) < 0.5, 1).astype(int)
         adj += adj.T
-        return 1 - np.eye(n), lambda beta: graph_loglik(beta, adj), lambda maps: bm.class_tallies(
-            np.broadcast_to(adj.sum(axis=1), maps.shape), maps
+        return 1 - np.eye(n), lambda beta: graph_loglik(beta, adj), lambda maps: class_tallies(
+            Tallies(np.broadcast_to(adj.sum(axis=1), maps.shape), 1), maps
         )
     wins = rng.integers(0, 4, (n, n)) * (rng.random((n, n)) < 0.7)
     np.fill_diagonal(wins, 0)
     trials = wins + wins.T
     subjects = Tallies(wins.sum(axis=1), trials)
-    return trials, lambda beta: comparison_loglik(beta, wins), lambda maps: btm.class_tallies(
+    return trials, lambda beta: comparison_loglik(beta, wins), lambda maps: class_tallies(
         Tallies(np.broadcast_to(subjects.degrees, maps.shape), trials), maps
     )
+
+
+def _same_bits(a: Tallies, b: Tallies) -> bool:
+    return all(x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_shared_count_tallies_match_membership_products(k):
+    # one count k shared by every pair of distinct nodes, summed by class sizes, gives the
+    # bits of the node-pair matrix k (J - I), shared or one per member, summed by products
+    rng = np.random.default_rng(50 + k)
+    count, n = 40, 9
+    d = rng.integers(0, k * (n - 1) + 1, (count, n))
+    stacks = {
+        "merged": class_maps(d, [], 0, True)[0],
+        "fixed": class_maps(d, [0.0, 0.4, 0.0, -0.2], 0, True)[0],
+        "tied": class_maps(d, [0.0], 3, True)[0],
+        "per node": class_maps(d, [0.0], 2, False)[0],
+        "random": _class_maps(rng, count, n, 4),
+    }
+    pairs = k * (1 - np.eye(n, dtype=np.int64))
+    for name, maps in stacks.items():
+        by_sizes = class_tallies(Tallies(d, k), maps)
+        assert by_sizes.totals.shape == (count, maps.max() + 1, maps.max() + 1), name
+        for totals in (pairs, np.repeat(pairs[None], count, axis=0)):
+            assert _same_bits(by_sizes, class_tallies(Tallies(d, totals), maps)), name
+    # an empty stack has no classes
+    empty = np.zeros((0, n), dtype=int)
+    for totals in (k, pairs, np.zeros((0, n, n), dtype=np.int64)):
+        got = class_tallies(Tallies(empty, totals), empty)
+        assert got.degrees.shape == (0, 0) and got.totals.shape == (0, 0, 0)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -521,7 +573,7 @@ def test_pair_saturation_matches_the_node_rules():
     ]
     maps = np.concatenate([head[np.arange(len(values)) % 3], _class_maps(rng, 200, 6, 3)])
     values = np.concatenate([values, rng.uniform(-11.0, 11.0, (200, 3))])
-    got = pair_saturated(values, bm.class_tallies(np.zeros(maps.shape), maps), 1, TOL_SCORE)
+    got = pair_saturated(values, class_tallies(Tallies(np.zeros(maps.shape), 1), maps), 1, TOL_SCORE)
     want = graph_saturated(np.take_along_axis(values, maps, axis=1), TOL_SCORE)
     assert got.tolist() == want.tolist()
     assert got[:6].tolist() == [False, True] * 3 and 0 < want.sum() < want.size
@@ -546,7 +598,7 @@ def test_pair_saturation_matches_the_node_rules():
     totals = np.triu(totals, 1) + np.swapaxes(np.triu(totals, 1), -1, -2)
     maps = np.concatenate([np.tile(classes, (len(fixed), 1)), _class_maps(rng, 200, 6, 4)])
     values = np.concatenate([[v for _, v in fixed], rng.uniform(-10.0, 10.0, (200, 4))])
-    tallies = btm.class_tallies(Tallies(np.zeros(maps.shape), totals), maps)
+    tallies = class_tallies(Tallies(np.zeros(maps.shape), totals), maps)
     got = pair_saturated(values, tallies, -1, TOL_SCORE)
     want = comparison_saturated(np.take_along_axis(values, maps, axis=1), totals, TOL_SCORE)
     assert got.tolist() == want.tolist()

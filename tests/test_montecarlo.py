@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -114,6 +115,22 @@ def test_scenario_json_rejects_fractional_counts():
         d = json.loads(json.dumps({**s.to_dict(), "k": k}))
         with pytest.raises(ValueError, match="whole numbers"):
             mc.run_type1(mc.Scenario.from_dict(d))
+
+
+def test_scenario_json_rejects_fractional_sizes():
+    # n, reps, seed and the null's r are whole numbers: 12.0 is one, 12.5, "4", null and true are not
+    d = json.loads(json.dumps(mc.build_scenario("H04", n=12, r=3, reps=4, seed=11).to_dict()))
+    assert mc.Scenario.from_dict({**d, "n": 12.0, "reps": 4.0}).to_dict() == mc.Scenario.from_dict(d).to_dict()
+    for key, bad in [("n", 12.5), ("reps", "4"), ("seed", None), ("seed", True)]:
+        with pytest.raises(ValueError, match=f"'{key}' must be a whole number"):
+            mc.Scenario.from_dict({**d, key: bad})
+    with pytest.raises(ValueError, match="'r' must be a whole number"):
+        mc.Scenario.from_dict({**d, "null": {**d["null"], "r": 3.5}})
+    with pytest.raises(ValueError, match="'alphas' must be a list of numbers"):
+        mc.Scenario.from_dict({**d, "alphas": ["0.05"]})
+    # the Python API still takes any sequence of levels
+    s = mc.Scenario.from_dict(d)
+    assert dataclasses.replace(s, alphas=np.array([0.05, 0.1])).alphas == s.alphas
 
 
 def test_run_type1_guards_null():
