@@ -28,7 +28,6 @@ from .core import (
     class_tallies,
     fit_by_classes,
     pair_expected,
-    pair_indices,
     pair_information,
     pair_log_likelihood,
     pair_variances,
@@ -133,7 +132,7 @@ def bn_cn(beta) -> ModelDiagnostics:
     n = b.size
     if n < 2:
         raise ValueError("need at least two parameters")
-    i, j = pair_indices(n)
+    i, j = np.triu_indices(n, k=1)
     x = np.abs(b[i] + b[j])
     if x.max() > LARGEST_LOGIT:
         raise ValueError(f"pair logit {x.max():.6g} is too large: its reciprocal variance 2 + 2 cosh overflows")
@@ -205,7 +204,7 @@ def simulate_graph(beta, rng):
     n = b.size
     if n < 3:
         raise ValueError("need at least three nodes")
-    i, j = pair_indices(n)
+    i, j = np.triu_indices(n, k=1)
     p = expit(b[i] + b[j])
     one = isinstance(rng, np.random.Generator)
     graphs = []

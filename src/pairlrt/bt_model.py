@@ -25,7 +25,6 @@ from .core import (
     fit_by_classes,
     nonexistent_fit,
     pair_expected,
-    pair_indices,
     pair_information,
     pair_log_likelihood,
 )
@@ -129,7 +128,7 @@ def _fit(data, null: Optional[NullHypothesis], tol: float, connected=True):
             lead = np.concatenate([lead, null.values])
         else:
             tied = null.r - 1
-    i, j = pair_indices(n)
+    i, j = np.triu_indices(n, k=1)
     pairs = t.totals[..., i, j]
     maps, fixed = class_maps(t.degrees, lead, tied, (pairs[..., 0] > 0) & (pairs == pairs[..., :1]).all(axis=-1))
     ready = [None if e else nonexistent_fit(np.zeros(n)) for e in np.broadcast_to(connected, (k,))]
@@ -178,7 +177,7 @@ def simulate_comparisons(beta, k, rng):
         raise ValueError("comparison counts must be symmetric and nonnegative")
     if not np.all(np.isfinite(totals) & (totals == np.round(totals))):
         raise ValueError("comparison counts must be whole numbers")
-    i, j = pair_indices(n)
+    i, j = np.triu_indices(n, k=1)
     pair_totals = totals[i, j].astype(np.int64)
     p = expit(b[i] - b[j])
     one = isinstance(rng, np.random.Generator)

@@ -262,11 +262,12 @@ def qq(reference, workers, out, **design) -> None:
 @main.command()
 @click.option("--stat", type=click.Choice(["quadratic", "cubic", "mixed"]), required=True)
 @click.option("--beta-file", required=True, help="Parameter vector, one value per line.")
-@click.option("--r", type=int, default=None, help="Leading block size (defaults to n).")
+@click.option("--r", type=click.IntRange(min=0), default=None, help="Leading block size (defaults to n).")
 @click.option("--weights", default="ones", show_default=True,
               help="ones, recip-var (1/v_ii), or a file of r values.")
 @click.option("--enumerate", "do_enum", is_flag=True, help="Cross-check by exhaustive enumeration (n <= 5).")
-@click.option("--mc-reps", type=int, default=0, show_default=True, help="Monte Carlo check replicates.")
+@click.option("--mc-reps", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Monte Carlo check replicates.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard

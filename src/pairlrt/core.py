@@ -7,7 +7,6 @@ count, otherwise it is inferred as one plus the largest id seen.
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 from collections import namedtuple
@@ -226,26 +225,6 @@ def sum_bins(x: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
     return out.reshape(lead + (size,))
 
 
-# sizes up to this keep their pair indices (at most 2 MiB a size, 4 sizes);
-# a larger n rebuilds them, O(n^2) like any use of them
-_CACHED_PAIRS_N = 512
-
-
-def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column indices of the pairs i < j of n nodes, in row-major order."""
-    return _cached_pair_indices(n) if n <= _CACHED_PAIRS_N else _build_pair_indices(n)
-
-
-def _build_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    iu = np.triu_indices(n, k=1)
-    for a in iu:
-        a.setflags(write=False)
-    return iu
-
-
-_cached_pair_indices = functools.lru_cache(maxsize=4)(_build_pair_indices)
-
-
 class Tallies(NamedTuple):
     """Class totals ``degrees`` (..., c) and pair trial counts ``totals`` (..., c, c) of a pair model.
 
@@ -273,19 +252,13 @@ def pair_log_likelihood(b: np.ndarray, t: Tallies, sign: int) -> np.ndarray:
     A trial's log-normaliser, log(1 + e^x) for a graph pair and
     log(e^u + e^w) for a comparison, is the mean of its two outcomes' logits
     plus g(|x|), g(y) = y/2 + log1p(e^-y), and the means add up to
-    b . rowsum(T) / 2.  The pairs a < b and the diagonal, halved, carry g.
+    b . rowsum(T) / 2.  T counts each trial twice, so the g terms add up to
+    1/2 sum_ab T_ab g(|x_ab|).
     """
-    totals, c = t.totals, b.shape[-1]
-    i, j = pair_indices(c)
-    # np.take lays a stack's pairs out row by row (an index gather would lay
-    # them out column by column), so each member's sums add its terms in the
-    # same order alone or in a stack
-    x = np.take(b, i, axis=-1) + sign * np.take(b, j, axis=-1)
-    y = np.abs(np.concatenate([x, (1 + sign) * b], axis=-1))
-    pairs = np.take(totals.reshape(totals.shape[:-2] + (c * c,)), i * c + j, axis=-1)
-    trials = np.concatenate([pairs, 0.5 * np.diagonal(totals, axis1=-2, axis2=-1)], axis=-1)
-    linear = ((t.degrees - 0.5 * totals.sum(axis=-1)) * b).sum(axis=-1)
-    return linear - (trials * (0.5 * y + np.log1p(np.exp(-y)))).sum(axis=-1)
+    y = np.abs(pair_logits(b, sign))
+    g = (0.5 * y + np.log1p(np.exp(-y))) * t.totals
+    linear = ((t.degrees - 0.5 * t.totals.sum(axis=-1)) * b).sum(axis=-1)
+    return linear - 0.5 * g.sum(axis=(-2, -1))
 
 
 def pair_expected(b: np.ndarray, t: Tallies, sign: int) -> np.ndarray:
@@ -652,9 +625,7 @@ class NullHypothesis:
     def from_dict(cls, d: dict) -> "NullHypothesis":
         if not isinstance(d, dict) or "r" not in d:
             raise ValueError("a null hypothesis must be a JSON object with an 'r'")
-        if d.get("kind") == "specified":
-            return cls.specified(whole_number(d["r"], "r"), d.get("values", []))
-        return cls.homogeneous(whole_number(d["r"], "r"))
+        return cls(d.get("kind"), whole_number(d["r"], "r"), d.get("values"))
 
 
 def whole_number(value, key: str) -> int:

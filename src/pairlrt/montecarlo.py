@@ -109,6 +109,8 @@ class Scenario:
         k = d.get("k")
         if isinstance(k, list):
             k = np.asarray(k)
+        elif k is not None:
+            k = whole_number(k, "k")
         alphas = d.get("alphas", DEFAULT_ALPHAS)
         if not isinstance(alphas, (list, tuple)) or not all(isinstance(a, (int, float)) for a in alphas):
             raise ValueError(f"'alphas' must be a list of numbers, got {alphas!r}")

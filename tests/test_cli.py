@@ -366,6 +366,17 @@ def test_oracle_cubic_and_mixed(runner, tmp_path):
     assert short.exit_code == 2
 
 
+@pytest.mark.parametrize("option, value", [("--mc-reps", "-5"), ("--r", "-1")])
+def test_oracle_rejects_negative_counts(runner, tmp_path, option, value):
+    # a negative --mc-reps used to skip the Monte Carlo check, a negative --r to fail inside numpy
+    bfile = tmp_path / "beta.txt"
+    bfile.write_text("0.2\n-0.1\n0.0\n0.3\n")
+    res = runner.invoke(main, ["oracle", "--stat", "quadratic", "--beta-file", str(bfile), option, value])
+    assert res.exit_code == 2
+    assert f"{value} is not in the range x>=0" in res.stderr
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("stat", ["quadratic", "cubic"])
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_oracle_rejects_weights_that_are_not_finite(runner, tmp_path, stat, bad):
@@ -436,10 +447,15 @@ def test_comparison_count_past_2_52_exits_2(runner, tmp_path, records):
         ("n in a list", "'n' must be a whole number"),
         ("null r in a list", "'r' must be a whole number"),
         ("one alpha", "'alphas' must be a list of numbers"),
+        ("misspelled null kind", "unknown null kind 'specifed'"),
+        ("no null kind", "unknown null kind None"),
+        ("k as a string", "'k' must be a whole number"),
+        ("k as a bool", "'k' must be a whole number"),
     ],
 )
 def test_malformed_scenario_file_exits_2(runner, tmp_path, verb, case, fragment):
-    d = mc.build_scenario("H04", n=12, r=3, reps=4, seed=11).to_dict()
+    comparison = {"model": "bt", "k": 1} if case.startswith("k ") else {}
+    d = mc.build_scenario("H04", n=12, r=3, reps=4, seed=11, **comparison).to_dict()
     if case == "no model":
         del d["model"]
     elif case == "no null r":
@@ -450,6 +466,14 @@ def test_malformed_scenario_file_exits_2(runner, tmp_path, verb, case, fragment)
         d["null"]["r"] = [3]
     elif case == "one alpha":
         d["alphas"] = 0.05
+    elif case == "misspelled null kind":
+        d["null"] = {"kind": "specifed", "r": 2, "values": [0.5, 0.5]}
+    elif case == "no null kind":
+        del d["null"]["kind"]
+    elif case == "k as a string":
+        d["k"] = "3"
+    elif case == "k as a bool":
+        d["k"] = True
     else:
         d = [d]
     sfile = tmp_path / "scenario.json"

@@ -556,6 +556,43 @@ def test_pair_kernel_matches_node_pair_loops(sign):
             assert np.abs(info[t] - member.T @ node_info @ member).max() <= 1e-10
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pair_kernels_give_each_member_its_bits_alone(sign):
+    # the four kernels read one (..., c, c) layout, so a member's sums add its terms in the
+    # same order in a stack as alone, on tallies from both class_tallies routes
+    rng = np.random.default_rng(60 + sign)
+    kernels = {
+        "loglik": pair_log_likelihood,
+        "expected": pair_expected,
+        "info": pair_information,
+        "saturated": lambda b, t, s: pair_saturated(b, t, s, TOL_SCORE),
+    }
+    count, n = 12, 60
+    d = rng.integers(0, 2 * (n - 1) + 1, (count, n))
+    trials = rng.integers(0, 4, (count, n, n))
+    trials = np.triu(trials, 1) + np.swapaxes(np.triu(trials, 1), -1, -2)
+    for c in (1, 5, 17, 40):
+        maps = _class_maps(rng, count, n, c)
+        values = rng.uniform(-12.0, 12.0, (count, c))
+        routes = {"sizes": class_tallies(Tallies(d, 2), maps), "products": class_tallies(Tallies(d, trials), maps)}
+        for route, t in routes.items():
+            for name, kernel in kernels.items():
+                stacked = kernel(values, t, sign)
+                for i in range(count):
+                    for alone in (kernel(values[i:i + 1], Tallies(*(x[i:i + 1] for x in t)), sign)[0],
+                                  kernel(values[i], Tallies(*(x[i] for x in t)), sign)):
+                        assert stacked[i].tobytes() == np.asarray(alone).tobytes(), (route, name, c, i)
+
+
+def test_kernels_keep_no_module_state():
+    # one pair layout and no pair-index cache kept between calls; the package's one use of
+    # functools is the CLI error guard's functools.wraps
+    sources = {p.name: p.read_text() for p in Path(pairlrt.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items() if re.search(r"\b(pair_indices|lru_cache)\b", text)] == []
+    uses = {name: set(re.findall(r"\bfunctools\b\.?(\w*)", text)) for name, text in sources.items()}
+    assert {name: found for name, found in uses.items() if found} == {"cli.py": {"", "wraps"}}
+
+
 def test_pair_saturation_matches_the_node_rules():
     # the class rule flags a member exactly when the parent node rule does, on its node values
     edge = -np.log(TOL_SCORE)

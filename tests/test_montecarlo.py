@@ -111,9 +111,11 @@ def test_scenario_roundtrip_json():
 
 def test_scenario_json_rejects_fractional_counts():
     s = mc.build_scenario("H03", model="bt", n=4, values=[0.0, 0.0], k=2, reps=1)
-    for k in (2.7, np.where(np.eye(4) == 1, 0.0, 2.5).tolist()):
+    # a scalar k is checked as the file is read, a matrix when the scenario runs
+    matrix = np.where(np.eye(4) == 1, 0.0, 2.5).tolist()
+    for k, fragment in ((2.7, "'k' must be a whole number"), (matrix, "whole numbers")):
         d = json.loads(json.dumps({**s.to_dict(), "k": k}))
-        with pytest.raises(ValueError, match="whole numbers"):
+        with pytest.raises(ValueError, match=fragment):
             mc.run_type1(mc.Scenario.from_dict(d))
 
 
