@@ -34,6 +34,7 @@ from .core import (
 )
 
 LARGEST_LOGIT = math.acosh(np.finfo(float).max / 2)  # 2 + 2 cosh(x) is finite up to here
+PAIR_BLOCK = 2**16  # node pairs that simulate_graph draws at a time
 
 
 def edge_probabilities(beta) -> np.ndarray:
@@ -151,27 +152,29 @@ def _fit(g, lead, tied: int, tol: float, check=None):
     """Fit with the first nodes fixed at ``lead`` and the next ``tied`` tied (core.class_maps).
 
     ``g`` is a graph, which gives one Fit, or a sequence of graphs on the
-    same nodes, which gives their Fits, fitted together.  ``check(n)``
-    validates the constraint for n nodes.  Every pair of nodes is one
-    trial, so free nodes of equal degree share a class.
+    same nodes or the degree stack Tallies(degrees, 1) of k graphs (as
+    simulate_graph draws it), which give their Fits, fitted together.
+    ``check(n)`` validates the constraint for n nodes.  Every pair of nodes
+    is one trial, so free nodes of equal degree share a class.
     """
-    graphs = [g] if isinstance(g, UndirectedGraph) else list(g)
-    if not graphs:
+    one = isinstance(g, UndirectedGraph)
+    degrees = g.degrees if isinstance(g, Tallies) else np.array([x.degrees for x in ([g] if one else g)])
+    if not len(degrees):
         return Fits()
-    degrees = np.array([x.degrees for x in graphs])
     if check is not None:
         check(degrees.shape[1])
     maps, fixed = class_maps(degrees, lead, tied, True)
-    fits = fit_by_classes(class_model(), Tallies(degrees, 1), maps, fixed, tied > 0, [None] * len(graphs), tol)
-    return fits[0] if isinstance(g, UndirectedGraph) else fits
+    fits = fit_by_classes(class_model(), Tallies(degrees, 1), maps, fixed, tied > 0, [None] * len(degrees), tol)
+    return fits[0] if one else fits
 
 
 def fit_mle(g, *, tol: float = TOL_SCORE):
     """Fit all n parameters by Newton steps over the degree classes.
 
-    ``g`` is a graph, which gives one Fit, or a sequence of graphs, which
-    gives their Fits, fitted together.  A degree of 0 or n-1 means the
-    maximizer does not exist and is reported without iterating.
+    ``g`` is a graph, which gives one Fit, or a sequence of graphs or their
+    degree stack (see _fit), which gives their Fits, fitted together.  A
+    degree of 0 or n-1 means the maximizer does not exist and is reported
+    without iterating.
     """
     return _fit(g, [], 0, tol)
 
@@ -197,19 +200,37 @@ def simulate_graph(beta, rng):
     """Draw a graph with independent edges at probabilities expit(b_i + b_j).
 
     ``rng`` is one Generator, which gives an UndirectedGraph, or a sequence
-    of them, which gives a list of graphs, the i-th drawn from rng[i]
-    exactly as one graph from it.
+    of them, which gives the degree stack Tallies(degrees, 1) of their
+    graphs, degrees of shape (len(rng), n), row t drawn from rng[t] exactly
+    as one graph from it.  The pairs i < j are drawn in row order, a block
+    of whole rows at a time (at most PAIR_BLOCK pairs, or one row), each
+    generator's uniforms for a block in turn: a draw holds its edges, or
+    its degree rows, and one block, never an array of n^2 entries.
     """
     b = as_model_params(beta, "beta")
     n = b.size
     if n < 3:
         raise ValueError("need at least three nodes")
-    i, j = np.triu_indices(n, k=1)
-    p = expit(b[i] + b[j])
     one = isinstance(rng, np.random.Generator)
-    graphs = []
-    for gen in [rng] if one else rng:
-        drawn = np.flatnonzero(gen.random(p.size) < p)
-        # the pairs i < j come distinct and in order, as from_edges leaves them
-        graphs.append(UndirectedGraph(n, np.column_stack((i[drawn], j[drawn]))))
-    return graphs[0] if one else graphs
+    gens = [rng] if one else list(rng)
+    lengths = np.arange(n - 1, 0, -1)  # pairs of rows 0..n-2
+    first = np.concatenate([[0], np.cumsum(lengths)])  # index of each row's first pair
+    edges, degrees = [], np.zeros((len(gens), n), dtype=np.int64)
+    top = 0
+    while top < n - 1:
+        end = max(top + 1, int(np.searchsorted(first, first[top] + PAIR_BLOCK, side="right")) - 1)
+        rows, starts = np.arange(top, end), first[top:end] - first[top]
+        i = np.repeat(rows, lengths[top:end])
+        j = np.arange(i.size) + np.repeat(rows + 1 - starts, lengths[top:end])
+        p = expit(b[i] + b[j])
+        for t, gen in enumerate(gens):
+            keep = gen.random(p.size) < p
+            drawn = np.flatnonzero(keep)  # faster than masking i and j with keep
+            if one:
+                edges.append(np.column_stack((i[drawn], j[drawn])))
+            else:
+                degrees[t, top:end] += np.add.reduceat(keep, starts)
+                degrees[t] += np.bincount(j[drawn], minlength=n)
+        top = end
+    # the pairs i < j come distinct and in order, as from_edges leaves them
+    return UndirectedGraph(n, np.concatenate(edges)) if one else Tallies(degrees, 1)

@@ -159,6 +159,21 @@ def bt_fit_restricted(data, null: NullHypothesis, *, tol: float = TOL_SCORE):
     return _fit(data, null, tol)
 
 
+def comparison_counts(k, n: int) -> np.ndarray:
+    """The n-by-n matrix of comparisons per pair that k gives, a scalar or a matrix.
+
+    A ValueError names k unless its counts are symmetric, nonnegative whole numbers.
+    """
+    totals = np.full((n, n), k) if np.isscalar(k) else np.asarray(k)
+    if totals.shape != (n, n):
+        raise ValueError(f"comparison counts 'k' must be a number or an {n}-by-{n} matrix, got shape {totals.shape}")
+    if totals.dtype.kind not in "iuf" or not np.all(np.isfinite(totals) & (totals == np.round(totals))):
+        raise ValueError("comparison counts 'k' must be whole numbers")
+    if not np.array_equal(totals, totals.T) or np.any(totals < 0):
+        raise ValueError("comparison counts 'k' must be symmetric and nonnegative")
+    return totals
+
+
 def simulate_comparisons(beta, k, rng):
     """Draw win counts for every pair with totals k (a scalar or a symmetric matrix).
 
@@ -170,13 +185,7 @@ def simulate_comparisons(beta, k, rng):
     n = b.size
     if n < 3:
         raise ValueError("need at least three subjects")
-    totals = np.full((n, n), k) if np.isscalar(k) else np.asarray(k)
-    if totals.shape != (n, n):
-        raise ValueError("totals matrix shape must match the parameter length")
-    if not np.array_equal(totals, totals.T) or np.any(totals < 0):
-        raise ValueError("comparison counts must be symmetric and nonnegative")
-    if not np.all(np.isfinite(totals) & (totals == np.round(totals))):
-        raise ValueError("comparison counts must be whole numbers")
+    totals = comparison_counts(k, n)
     i, j = np.triu_indices(n, k=1)
     pair_totals = totals[i, j].astype(np.int64)
     p = expit(b[i] - b[j])

@@ -75,8 +75,8 @@ class UndirectedGraph:
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        d = np.bincount(self.edges.ravel(), minlength=self.n)  # before setflags: bincount copies a read-only array
         self.edges.setflags(write=False)
-        d = np.bincount(self.edges.ravel(), minlength=self.n)
         d.setflags(write=False)
         object.__setattr__(self, "degrees", d)
 
@@ -579,7 +579,7 @@ class NullHypothesis:
         if self.r < 0:
             raise ValueError("r must be nonnegative")
         if self.kind == "specified":
-            v = np.asarray(self.values if self.values is not None else [], dtype=float)
+            v = float_array(self.values if self.values is not None else [], "values")
             if v.ndim != 1:
                 raise ValueError("null values must be one-dimensional")
             if not np.all(np.isfinite(v)):
@@ -594,7 +594,7 @@ class NullHypothesis:
 
     @classmethod
     def specified(cls, r: int, values) -> "NullHypothesis":
-        return cls(kind="specified", r=r, values=np.asarray(values, dtype=float))
+        return cls(kind="specified", r=r, values=values)
 
     @classmethod
     def homogeneous(cls, r: int) -> "NullHypothesis":
@@ -626,6 +626,14 @@ class NullHypothesis:
         if not isinstance(d, dict) or "r" not in d:
             raise ValueError("a null hypothesis must be a JSON object with an 'r'")
         return cls(d.get("kind"), whole_number(d["r"], "r"), d.get("values"))
+
+
+def float_array(value, key: str) -> np.ndarray:
+    """``value`` as a float array; a ValueError naming ``key`` unless it holds only numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key!r} must hold numbers, got {value!r}") from None
 
 
 def whole_number(value, key: str) -> int:

@@ -132,9 +132,11 @@ def reference_distribution(model: str, null: NullHypothesis, regime: str) -> Ref
 def fit_pair(data, null: NullHypothesis, tol: float = TOL_SCORE) -> tuple:
     """The (full, restricted) maximum-likelihood fits of the data's model under null.
 
-    ``data`` is a graph or a sequence of graphs, or a ComparisonTable or a
-    (k, n, n) stack of win matrices.  One dataset gives two Fits, a stack
-    two lists of them, each fitted together.
+    ``data`` is a graph, a sequence of graphs or the degree stack
+    Tallies(degrees, 1) of k graphs (beta_model.simulate_graph), passed to
+    the graph fits as it is; or a ComparisonTable or a (k, n, n) stack of
+    win matrices.  One dataset gives two Fits, a stack two lists of them,
+    each fitted together.
     """
     if isinstance(data, (ComparisonTable, np.ndarray)):
         return bt_model.bt_fit_mle(data, tol=tol), bt_model.bt_fit_restricted(data, null, tol=tol)
@@ -260,7 +262,7 @@ def bootstrap_tail(
 def p_value(
     reference: Reference,
     stat: float,
-    data: Union[UndirectedGraph, ComparisonTable],
+    data: Union[UndirectedGraph, ComparisonTable, None],
     null: NullHypothesis,
     beta_null: np.ndarray,
     rng: np.random.Generator,
@@ -268,9 +270,10 @@ def p_value(
 ) -> tuple[float, Optional[int]]:
     """p-value of stat under reference, and the number of usable bootstrap replicates.
 
-    The growing regime reads the chi-square(r) surrogate.  A bootstrap draws
-    from the restricted fit beta_null (see bootstrap_tail); without one the
-    replicate count is None.
+    The growing regime reads the chi-square(r) surrogate.  A bootstrap
+    redraws the table ``data`` from the restricted fit beta_null (see
+    bootstrap_tail); no other reference reads ``data``, and without a
+    bootstrap the replicate count is None.
     """
     if isinstance(reference, NormalizedGaussian):
         return chi_square_sf(stat, null.r), None

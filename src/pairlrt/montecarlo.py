@@ -30,10 +30,12 @@ from typing import Optional, Union
 import numpy as np
 
 from . import beta_model, bt_model, lrt
-from .core import TOL_SCORE, ComparisonTable, NullHypothesis, whole_number
+from .core import TOL_SCORE, ComparisonTable, NullHypothesis, float_array, whole_number
 
 # Replicates drawn and fitted together: as many as fit in this many n-by-n
-# cells, so a chunk's memory is fixed whatever the replicate count.
+# cells, so a chunk's memory is fixed whatever the replicate count.  A chunk
+# of comparison tables holds that many win counts; a chunk of graphs holds
+# only its degree rows and one block of pairs (beta_model.PAIR_BLOCK).
 CHUNK_CELLS = 2**20
 
 PRESETS = ("H01", "H02", "H03", "H04", "PowerBeta", "PowerBT", "NBASmall")
@@ -63,13 +65,15 @@ class Scenario:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.reps < 1:
             raise ValueError("reps must be positive")
-        b = np.asarray(self.true_beta, dtype=float)
+        b = float_array(self.true_beta, "true_beta")
         if b.shape != (self.n,):
             raise ValueError("true_beta length must equal n")
         if self.model == "bt" and b[0] != 0.0:
             raise ValueError("comparison-model scenarios need true_beta[0] = 0")
-        if self.model == "bt" and self.k is None:
-            raise ValueError("comparison-model scenarios need pair totals k")
+        if self.model == "bt":
+            if self.k is None:
+                raise ValueError("comparison-model scenarios need pair totals k")
+            bt_model.comparison_counts(self.k, self.n)
         b.setflags(write=False)
         object.__setattr__(self, "true_beta", b)
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
@@ -119,7 +123,7 @@ class Scenario:
             model=d["model"],
             n=whole_number(d["n"], "n"),
             null=NullHypothesis.from_dict(d["null"]),
-            true_beta=np.asarray(d["true_beta"], dtype=float),
+            true_beta=d["true_beta"],
             regime=d["regime"],
             kind=d.get("kind", "type1"),
             reps=whole_number(d["reps"], "reps"),
@@ -238,16 +242,20 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
 def simulate(scenario: Scenario, rng):
     """One dataset drawn from the scenario's generating parameters.
 
-    A sequence of generators gives one dataset per generator: a list of
-    graphs, or a stack of win matrices.
+    A sequence of generators gives one dataset per generator: the degree
+    stack Tallies(degrees, 1) of the graphs, or a stack of win matrices.
     """
     if scenario.model == "beta":
         return beta_model.simulate_graph(scenario.true_beta, rng)
     return bt_model.simulate_comparisons(scenario.true_beta, scenario.k, rng)
 
 
-def _outcome(scenario: Scenario, data, full, restr, rng, stats_only: bool) -> tuple:
-    """(statistic, p-value, unconverged) of one replicate, NaN where undefined."""
+def _outcome(scenario: Scenario, wins, full, restr, rng, stats_only: bool) -> tuple:
+    """(statistic, p-value, unconverged) of one replicate, NaN where undefined.
+
+    ``wins`` is a table's win matrix, which a bootstrap p-value reads, or
+    None for a graph, whose p-value reads only the statistic.
+    """
     nan = float("nan")
     if not (full.exists and restr.exists):
         return nan, nan, False
@@ -256,10 +264,9 @@ def _outcome(scenario: Scenario, data, full, restr, rng, stats_only: bool) -> tu
     stat = lrt.lrt_statistic(full, restr)
     if stats_only:
         return stat, nan, False
-    if scenario.model == "bt":
-        data = ComparisonTable(data)
+    table = None if wins is None else ComparisonTable(wins)
     reference = lrt.reference_distribution(scenario.model, scenario.null, scenario.regime)
-    p, _ = lrt.p_value(reference, stat, data, scenario.null, restr.beta_hat, rng, TOL_SCORE)
+    p, _ = lrt.p_value(reference, stat, table, scenario.null, restr.beta_hat, rng, TOL_SCORE)
     return stat, p, False
 
 
@@ -268,7 +275,9 @@ def _replicate_batch(args):
 
     The replicates are drawn and fitted a chunk at a time, each chunk's
     datasets through one fit_pair; replicate i draws from its own stream,
-    which then feeds its bootstrap, if any.
+    which then feeds its bootstrap, if any.  A chunk of graphs is its
+    degree stack, which only the fits read; only a table's own data is
+    indexed per replicate.
     """
     scenario, indices, stats_only = args
     size = max(1, CHUNK_CELLS // scenario.n**2)
@@ -279,7 +288,8 @@ def _replicate_batch(args):
         data = simulate(scenario, rngs)
         full, restr = lrt.fit_pair(data, scenario.null)
         for t, i in enumerate(chunk):
-            out.append((i,) + _outcome(scenario, data[t], full[t], restr[t], rngs[t], stats_only))
+            wins = data[t] if scenario.model == "bt" else None
+            out.append((i,) + _outcome(scenario, wins, full[t], restr[t], rngs[t], stats_only))
     return out
 
 

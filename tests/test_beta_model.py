@@ -1,7 +1,11 @@
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from pairlrt import beta_model as bm
 from pairlrt.core import Fits, NullHypothesis, Tallies, UndirectedGraph, class_tallies
@@ -350,7 +354,7 @@ def test_stack_members_equal_their_solo_fits(kind):
     # a steep profile on 8 nodes: members of several class counts, members with a
     # degree of 0, and members whose fit saturates, fitted in one stack
     fit = STACK_FITS[kind]
-    graphs = bm.simulate_graph(np.linspace(-1.5, 1.5, 8), np.random.default_rng(3).spawn(60))
+    graphs = [bm.simulate_graph(np.linspace(-1.5, 1.5, 8), g) for g in np.random.default_rng(3).spawn(60)]
     fits = fit(graphs)
     assert isinstance(fits, Fits) and fits.iterations == sum(f.iterations for f in fits)
     for got, g in zip(fits, graphs):
@@ -366,3 +370,71 @@ def test_stack_members_equal_their_solo_fits(kind):
         _assert_bitwise(got, fit(g, tol=1e-300))
     assert any(f.exists and not f.converged for f in stalled)
     assert len({f.iterations for f in stalled if f.exists}) > 1
+
+
+@pytest.mark.parametrize("kind", sorted(STACK_FITS))
+def test_a_degree_stack_fits_as_its_graphs(kind):
+    # a stacked draw is its degree stack, and its fits are bitwise those of the
+    # list of its members' solo draws, converged or stalled
+    fit, beta = STACK_FITS[kind], np.linspace(-1.5, 1.5, 8)
+    stack = bm.simulate_graph(beta, np.random.default_rng(3).spawn(60))
+    graphs = [bm.simulate_graph(beta, g) for g in np.random.default_rng(3).spawn(60)]
+    assert isinstance(stack, Tallies)
+    for tol in (1e-8, 1e-300):
+        fits = fit(stack, tol=tol)
+        assert isinstance(fits, Fits) and len(fits) == len(graphs)
+        for got, solo in zip(fits, fit(graphs, tol=tol)):
+            _assert_bitwise(got, solo)
+
+
+def _one_shot_edges(beta, gen):
+    """Every pair i < j drawn at once, in row order: the draw simulate_graph takes in blocks."""
+    i, j = np.triu_indices(beta.size, k=1)
+    keep = gen.random(i.size) < expit(beta[i] + beta[j])
+    return np.column_stack((i[keep], j[keep]))
+
+
+@pytest.mark.parametrize("budget", [1, 5, 37])
+@pytest.mark.parametrize("n", [9, 50])
+def test_a_draw_in_blocks_is_the_one_shot_draw(n, budget, monkeypatch):
+    # any block budget, even one below a row, reads each generator's uniforms in one order
+    monkeypatch.setattr(bm, "PAIR_BLOCK", budget)
+    beta = np.random.default_rng(n).uniform(-1.5, 1.5, n)
+    for seed in range(3):
+        g = bm.simulate_graph(beta, np.random.default_rng(seed))
+        edges = _one_shot_edges(beta, np.random.default_rng(seed))
+        assert g.edges.dtype == edges.dtype and np.array_equal(g.edges, edges)
+        assert np.array_equal(g.degrees, np.bincount(edges.ravel(), minlength=n))
+
+
+@pytest.mark.parametrize("budget", [1, 37, bm.PAIR_BLOCK])
+def test_stack_members_have_their_solo_degrees(budget, monkeypatch):
+    monkeypatch.setattr(bm, "PAIR_BLOCK", budget)
+    beta = np.linspace(-1.0, 1.0, 50)
+    stack = bm.simulate_graph(beta, np.random.default_rng(8).spawn(5))
+    assert isinstance(stack, Tallies) and stack.degrees.shape == (5, 50) and stack.totals == 1
+    for row, gen in zip(stack.degrees, np.random.default_rng(8).spawn(5)):
+        solo = bm.simulate_graph(beta, gen).degrees
+        assert row.dtype == solo.dtype and np.array_equal(row, solo)
+
+
+def test_draws_hold_no_n_squared_array():
+    # n = 3000 has 4.5 million pairs, 34 MiB of doubles each time they are held whole: a
+    # stack holds its degree rows and one block of pairs, a solo draw its edges and one block
+    beta = np.linspace(-1.0, 1.0, 3000)
+    tracemalloc.start()
+    try:
+        bm.simulate_graph(beta, np.random.default_rng(1).spawn(2))
+        stacked = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        g = bm.simulate_graph(beta, np.random.default_rng(1))
+        solo = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stacked < 8 * 2**20
+    assert solo < 3 * g.edges.nbytes
+
+
+def test_simulate_graph_indexes_no_whole_triangle():
+    # the pair indices are built a block at a time, never for every pair at once
+    assert "triu_indices" not in inspect.getsource(bm.simulate_graph)

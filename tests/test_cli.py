@@ -274,6 +274,54 @@ def test_scenario_file_rejects_design_options(runner, tmp_path, verb, option):
     assert option[0] in res.stderr
 
 
+def _scenario_file(tmp_path, scenario, **changes):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**scenario.to_dict(), **changes}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "verb, key",
+    [("simulate", "true_beta"), ("simulate", "values"), ("simulate", "k"), ("power", "k")],
+)
+def test_scenario_values_of_the_wrong_type_exit_2(runner, tmp_path, verb, key):
+    # an object where numbers belong, or a matrix of strings, names its key instead of a traceback
+    if key == "true_beta":
+        path = _scenario_file(tmp_path, mc.build_scenario("H04", n=12, reps=4), true_beta={"a": 1})
+    elif key == "values":
+        s = mc.build_scenario("H03", n=12, values=[0.0, 0.5], reps=4)
+        path = _scenario_file(tmp_path, s, null={**s.null.to_dict(), "values": {"a": 1}})
+    else:
+        path = _scenario_file(tmp_path, mc.build_scenario("H04", model="bt", n=6, r=3, k=2, reps=4), k=[["1"] * 6] * 6)
+    res = runner.invoke(main, [verb, "--scenario", path])
+    assert res.exit_code == 2, res.output
+    assert f"'{key}'" in res.stderr
+
+
+NEXT = np.eye(6, k=1, dtype=int)
+BAD_K = {  # a 6-subject k matrix, 2 comparisons a pair, spoilt four ways
+    "shape": (np.full((5, 5), 2), "6-by-6"),
+    "asymmetric": (2 + NEXT, "symmetric"),
+    "negative": (2 - 3 * (NEXT + NEXT.T), "nonnegative"),
+    "fractional": (np.full((6, 6), 2.5), "whole numbers"),
+}
+
+
+@pytest.mark.parametrize("verb", ["power", "qq", "simulate"])
+@pytest.mark.parametrize("kind", sorted(BAD_K))
+def test_a_bad_k_matrix_is_rejected_before_any_replicate(runner, tmp_path, monkeypatch, verb, kind):
+    def fail(*args, **kwargs):
+        raise AssertionError("a replicate was drawn before k was checked")
+
+    monkeypatch.setattr(mc, "run_scenario", fail)
+    monkeypatch.setattr(mc, "simulate", fail)
+    k, message = BAD_K[kind]
+    s = mc.build_scenario("H04", model="bt", n=6, r=3, k=2, reps=4)
+    res = runner.invoke(main, [verb, "--scenario", _scenario_file(tmp_path, s, k=k.tolist())])
+    assert res.exit_code == 2, res.output
+    assert message in res.stderr and "'k'" in res.stderr
+
+
 def test_power_requires_some_design(runner):
     res = runner.invoke(main, ["power", "--reps", "5"])
     assert res.exit_code == 2

@@ -665,7 +665,7 @@ def _stack_and_alone(kind):
         "homogeneous": lambda w: btm.bt_fit_restricted(w, NullHypothesis.homogeneous(3)),
         "specified": lambda w: btm.bt_fit_restricted(w, NullHypothesis.specified(3, [0.4, -0.3])),
     }[kind]
-    graphs = bm.simulate_graph(np.linspace(-1.0, 1.0, 9), np.random.default_rng(5).spawn(30))
+    graphs = [bm.simulate_graph(np.linspace(-1.0, 1.0, 9), g) for g in np.random.default_rng(5).spawn(30)]
     wins = btm.simulate_comparisons(np.linspace(0.0, 1.5, 8), 2, np.random.default_rng(6).spawn(30))
     wins[1::2, 4, 6] += 1  # every other table unbalanced, so fitted per subject
     tables = [ComparisonTable(w) for w in wins]
@@ -692,7 +692,7 @@ def test_fully_pinned_fits_take_no_step():
     rng = np.random.default_rng(34)
     n = 6
     beta = np.array([0.0, 0.3, 0.3, 0.0, -0.7, 1.1])
-    graphs = bm.simulate_graph(beta, rng.spawn(4)) + [UndirectedGraph.from_edges(n, [])]
+    graphs = [bm.simulate_graph(beta, g) for g in rng.spawn(4)] + [UndirectedGraph.from_edges(n, [])]
     wins = btm.simulate_comparisons(beta, 2, rng.spawn(4))
     cases = [
         (graphs, bm.fit_restricted_specified(graphs, NullHypothesis.specified(n, beta)), bm.log_likelihood),
@@ -714,7 +714,7 @@ def test_newton_cap_stops_members_mid_stack(model, monkeypatch):
     rng = np.random.default_rng(3)
     beta = rng.normal(0.0, 1.2, 30)
     if model == "beta":
-        fit, stack = bm.fit_mle, bm.simulate_graph(beta, rng.spawn(40))
+        fit, stack = bm.fit_mle, [bm.simulate_graph(beta, g) for g in rng.spawn(40)]
     else:
         fit, stack = btm.bt_fit_mle, btm.simulate_comparisons(beta - beta[0], 2, rng.spawn(40))
     uncapped = fit(stack)

@@ -111,7 +111,7 @@ def test_scenario_roundtrip_json():
 
 def test_scenario_json_rejects_fractional_counts():
     s = mc.build_scenario("H03", model="bt", n=4, values=[0.0, 0.0], k=2, reps=1)
-    # a scalar k is checked as the file is read, a matrix when the scenario runs
+    # a scalar k is checked as the file is read, a matrix when the scenario is built
     matrix = np.where(np.eye(4) == 1, 0.0, 2.5).tolist()
     for k, fragment in ((2.7, "'k' must be a whole number"), (matrix, "whole numbers")):
         d = json.loads(json.dumps({**s.to_dict(), "k": k}))
@@ -343,7 +343,7 @@ def test_unconverged_replicates_are_tallied(model, monkeypatch):
 
 
 def test_a_chunk_holds_its_own_graphs_only():
-    # at n = 1000 a chunk is one replicate, whose edge list alone is about 4 MiB
+    # at n = 1000 a chunk is one replicate, held as one degree row while a block of pairs is drawn
     def peak(reps):
         s = mc.build_scenario("H04", n=1000, r=5, reps=reps, seed=1)
         tracemalloc.start()
