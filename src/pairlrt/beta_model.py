@@ -151,14 +151,14 @@ def class_model() -> ClassModel:
 def _fit(g, lead, tied: int, tol: float, check=None):
     """Fit with the first nodes fixed at ``lead`` and the next ``tied`` tied (core.class_maps).
 
-    ``g`` is a graph, which gives one Fit, or a sequence of graphs on the
-    same nodes or the degree stack Tallies(degrees, 1) of k graphs (as
-    simulate_graph draws it), which give their Fits, fitted together.
-    ``check(n)`` validates the constraint for n nodes.  Every pair of nodes
-    is one trial, so free nodes of equal degree share a class.
+    ``g`` is a graph, which gives one Fit, or the degree stack
+    Tallies(degrees, 1) of k graphs on the same nodes, degrees of shape
+    (k, n) as simulate_graph draws them, which gives their Fits, fitted
+    together.  ``check(n)`` validates the constraint for n nodes.  Every
+    pair of nodes is one trial, so free nodes of equal degree share a class.
     """
     one = isinstance(g, UndirectedGraph)
-    degrees = g.degrees if isinstance(g, Tallies) else np.array([x.degrees for x in ([g] if one else g)])
+    degrees = g.degrees[None] if one else g.degrees
     if not len(degrees):
         return Fits()
     if check is not None:
@@ -171,10 +171,9 @@ def _fit(g, lead, tied: int, tol: float, check=None):
 def fit_mle(g, *, tol: float = TOL_SCORE):
     """Fit all n parameters by Newton steps over the degree classes.
 
-    ``g`` is a graph, which gives one Fit, or a sequence of graphs or their
-    degree stack (see _fit), which gives their Fits, fitted together.  A
-    degree of 0 or n-1 means the maximizer does not exist and is reported
-    without iterating.
+    ``g`` is a graph, which gives one Fit, or a degree stack (see _fit),
+    which gives its members' Fits, fitted together.  A degree of 0 or n-1
+    means the maximizer does not exist and is reported without iterating.
     """
     return _fit(g, [], 0, tol)
 

@@ -215,7 +215,7 @@ def simulate(index, out, **design) -> None:
 @main.command()
 @_with_scenario_options
 @click.option("--alpha", "alphas", type=float, multiple=True, help="Rejection levels (repeatable).")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--stats-csv", type=click.Path(dir_okay=False), default=None, help="Dump replicate statistics.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
@@ -239,7 +239,7 @@ def power(alphas, workers, stats_csv, out, **design) -> None:
 @main.command()
 @_with_scenario_options
 @click.option("--reference", default=None, help="chi2:<df> or normal; default follows the dispatch.")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
 def qq(reference, workers, out, **design) -> None:

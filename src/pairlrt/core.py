@@ -647,17 +647,20 @@ def _plain_edges(text: str) -> Optional[tuple[Optional[int], np.ndarray]]:
     """(declared n, id pairs) of a plain, well-formed edge list, or None to
     leave the text to the line scan, which accepts the same edges and names
     the first bad line of everything else.  Checks on the bytes prove the
-    text plain (see load_edge_list), so np.fromstring reads the ids as int()
-    does, with no overflow."""
-    first = next(_content_lines(text), None)
-    if first is None:
+    text plain (see load_edge_list).  np.fromstring reads an id below 2**63
+    as int() does and a larger one as 2**63 - 1, so an id at that cap goes
+    to the scan, which names its line."""
+    lineno, pos, body = 0, 0, ""
+    while not body and pos <= len(text):  # the first content line, as _content_lines finds it
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        lineno, body, pos = lineno + 1, text[pos:end].split("#", 1)[0].strip(), end + 1
+    if not body:
         return None
-    lineno, body = first
     declared = None
     if body.startswith("n="):
         declared = _parse_header(body, lineno)
-        lines = text.split("\n", lineno)
-        text = lines[lineno] if len(lines) > lineno else ""
+        text = text[pos:]
     # two newlines before and one after let the id flags below start and end
     # on a newline; a non-ASCII character becomes '?', which fails the check
     raw = b"\n\n%s\n" % text.encode("ascii", "replace")
@@ -665,18 +668,15 @@ def _plain_edges(text: str) -> Optional[tuple[Optional[int], np.ndarray]]:
         return None
     a = np.frombuffer(raw, dtype=np.uint8)
     digit = a >= ord("0")
-    run = digit  # after the loop, run[i] says bytes i to i+18 are all digits
-    for step in (1, 2, 4, 8, 3):
-        run = run[:-step] & run[step:]
     start = digit[1:] > digit[:-1]  # the first digit of an id, in a[1:]
     # one flag per id (True) and newline (False) in text order: an id on a
     # line of one id, or of three or more, has two neighbours of one kind
     ids = start[np.flatnonzero(start | (a[1:] == ord("\n")))]
-    if run.any() or not ids.any() or (ids[1:-1] & (ids[:-2] == ids[2:])).any():
+    if not ids.any() or (ids[1:-1] & (ids[:-2] == ids[2:])).any():
         return None
     rows = np.fromstring(raw, dtype=np.int64, sep=" ").reshape(-1, 2)
-    valid = (rows[:, 0] != rows[:, 1]).all() and (declared is None or rows.max() < declared)
-    return (declared, rows) if valid else None
+    limit = 2**63 - 1 if declared is None else declared
+    return (declared, rows) if (rows[:, 0] != rows[:, 1]).all() and rows.max() < limit else None
 
 
 # per file format: what the first two fields identify, and how a message
@@ -739,9 +739,9 @@ def load_edge_list(text: str) -> UndirectedGraph:
     Lines hold two ids separated by whitespace or a comma.  Duplicate edges
     collapse to one.  Rejects self-loops, ids outside a declared n, and empty
     input.  A text that after the header holds only ASCII digits, spaces,
-    tabs and newlines, exactly two ids on each content line and at most 18
-    digits in each id is read in one np.fromstring pass; any other text is
-    scanned line by line, with the same edges and the same error messages.
+    tabs and newlines, and exactly two ids below 2**63 - 1 on each content
+    line, is read in one np.fromstring pass; any other text is scanned line
+    by line, with the same edges and the same error messages.
     """
     plain = _plain_edges(text)
     declared, rows = plain if plain is not None else _scan_records(text, "edges")

@@ -132,11 +132,10 @@ def reference_distribution(model: str, null: NullHypothesis, regime: str) -> Ref
 def fit_pair(data, null: NullHypothesis, tol: float = TOL_SCORE) -> tuple:
     """The (full, restricted) maximum-likelihood fits of the data's model under null.
 
-    ``data`` is a graph, a sequence of graphs or the degree stack
-    Tallies(degrees, 1) of k graphs (beta_model.simulate_graph), passed to
-    the graph fits as it is; or a ComparisonTable or a (k, n, n) stack of
-    win matrices.  One dataset gives two Fits, a stack two lists of them,
-    each fitted together.
+    ``data`` is a graph or the degree stack Tallies(degrees, 1) of k graphs
+    (beta_model.simulate_graph), passed to the graph fits as it is; or a
+    ComparisonTable or a (k, n, n) stack of win matrices.  One dataset gives
+    two Fits, a stack two lists of them, each fitted together.
     """
     if isinstance(data, (ComparisonTable, np.ndarray)):
         return bt_model.bt_fit_mle(data, tol=tol), bt_model.bt_fit_restricted(data, null, tol=tol)

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import beta_model, lrt
-from .core import NullHypothesis, UndirectedGraph, as_model_params
+from .core import NullHypothesis, Tallies, as_model_params
 
 ENUMERATION_MAX_NODES = 5
 
@@ -185,7 +185,7 @@ class LRTDistribution:
 
 
 def _enumerate_graphs(beta: np.ndarray):
-    """All adjacency configurations with probabilities and degree matrix."""
+    """The probability and the degree sequence of every adjacency configuration, one row each."""
     n = beta.size
     m = n * (n - 1) // 2
     iu = np.triu_indices(n, k=1)
@@ -194,11 +194,8 @@ def _enumerate_graphs(beta: np.ndarray):
     bits = ((np.arange(count)[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
     logp = bits @ np.log(p) + (1.0 - bits) @ np.log1p(-p)
     probs = np.exp(logp)
-    deg = np.zeros((count, n))
-    for k in range(m):
-        deg[:, iu[0][k]] += bits[:, k]
-        deg[:, iu[1][k]] += bits[:, k]
-    return bits, probs, deg, iu
+    ends = (iu[0][:, None] == np.arange(n)) | (iu[1][:, None] == np.arange(n))  # each pair's two nodes
+    return probs, bits @ ends
 
 
 def enumerate_exact_moments(
@@ -223,14 +220,12 @@ def enumerate_exact_moments(
         )
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
-    bits, probs, deg, iu = _enumerate_graphs(b)
+    probs, deg = _enumerate_graphs(b)
     if statistic == LRT_STAT:
         if null is None:
             raise ValueError("the likelihood-ratio statistic needs a null hypothesis")
         null.validate_for("beta", n)
-        pairs = np.column_stack(iu)
-        graphs = [UndirectedGraph.from_edges(n, pairs[row == 1]) for row in bits]
-        fits = list(zip(*lrt.fit_pair(graphs, null, tol=1e-11)))
+        fits = list(zip(*lrt.fit_pair(Tallies(deg, 1), null, tol=1e-11)))
         exists = np.array([full.exists and restr.exists for full, restr in fits])
         stats = [lrt.lrt_statistic(*pair) for pair, ok in zip(fits, exists) if ok]
         return LRTDistribution(

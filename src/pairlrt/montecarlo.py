@@ -65,6 +65,7 @@ class Scenario:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.reps < 1:
             raise ValueError("reps must be positive")
+        self.null.validate_for(self.model, self.n)
         b = float_array(self.true_beta, "true_beta")
         if b.shape != (self.n,):
             raise ValueError("true_beta length must equal n")
@@ -80,7 +81,6 @@ class Scenario:
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise ValueError("alpha levels must be inside (0, 1)")
-        self.null.validate_for(self.model, self.n)
 
     def null_holds(self) -> bool:
         """Whether true_beta satisfies the null exactly."""
@@ -112,7 +112,10 @@ class Scenario:
                 raise ValueError(f"scenario has no {key!r}")
         k = d.get("k")
         if isinstance(k, list):
-            k = np.asarray(k)
+            try:
+                k = np.asarray(k)
+            except ValueError:  # numpy's "inhomogeneous shape"
+                raise ValueError("'k' must be a number or a matrix, but its rows differ in length") from None
         elif k is not None:
             k = whole_number(k, "k")
         alphas = d.get("alphas", DEFAULT_ALPHAS)

@@ -26,6 +26,13 @@ def random_existing_graph(rng, n, scale=0.8, attempts=200):
     raise RuntimeError("no existing instance found")
 
 
+def degree_stack(graphs):
+    """The degree stack Tallies(degrees, 1) of graphs on the same nodes, the graph fits' input for many graphs."""
+    from pairlrt.core import Tallies
+
+    return Tallies(np.array([g.degrees for g in graphs]), 1)
+
+
 def random_connected_table(rng, n, k=4, scale=0.8, attempts=200):
     """A simulated comparison table that is strongly connected."""
     from pairlrt import bt_model

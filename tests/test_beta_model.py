@@ -10,7 +10,7 @@ from scipy.special import expit
 from pairlrt import beta_model as bm
 from pairlrt.core import Fits, NullHypothesis, Tallies, UndirectedGraph, class_tallies
 
-from conftest import random_existing_graph, tied_class_map
+from conftest import degree_stack, random_existing_graph, tied_class_map
 from oracles import adjacency, fd_gradient, fd_hessian, graph_loglik, maximize_graph
 
 EDGE_01 = UndirectedGraph.from_edges(3, [(0, 1)])
@@ -355,7 +355,7 @@ def test_stack_members_equal_their_solo_fits(kind):
     # degree of 0, and members whose fit saturates, fitted in one stack
     fit = STACK_FITS[kind]
     graphs = [bm.simulate_graph(np.linspace(-1.5, 1.5, 8), g) for g in np.random.default_rng(3).spawn(60)]
-    fits = fit(graphs)
+    fits = fit(degree_stack(graphs))
     assert isinstance(fits, Fits) and fits.iterations == sum(f.iterations for f in fits)
     for got, g in zip(fits, graphs):
         _assert_bitwise(got, fit(g))
@@ -365,7 +365,7 @@ def test_stack_members_equal_their_solo_fits(kind):
     assert any(not f.exists and f.iterations > 0 for f in fits)
 
     # at a tolerance the arithmetic cannot reach, members stall after different numbers of steps
-    stalled = fit(graphs, tol=1e-300)
+    stalled = fit(degree_stack(graphs), tol=1e-300)
     for got, g in zip(stalled, graphs):
         _assert_bitwise(got, fit(g, tol=1e-300))
     assert any(f.exists and not f.converged for f in stalled)
@@ -375,7 +375,7 @@ def test_stack_members_equal_their_solo_fits(kind):
 @pytest.mark.parametrize("kind", sorted(STACK_FITS))
 def test_a_degree_stack_fits_as_its_graphs(kind):
     # a stacked draw is its degree stack, and its fits are bitwise those of the
-    # list of its members' solo draws, converged or stalled
+    # degree stack of its members' solo draws, converged or stalled
     fit, beta = STACK_FITS[kind], np.linspace(-1.5, 1.5, 8)
     stack = bm.simulate_graph(beta, np.random.default_rng(3).spawn(60))
     graphs = [bm.simulate_graph(beta, g) for g in np.random.default_rng(3).spawn(60)]
@@ -383,7 +383,7 @@ def test_a_degree_stack_fits_as_its_graphs(kind):
     for tol in (1e-8, 1e-300):
         fits = fit(stack, tol=tol)
         assert isinstance(fits, Fits) and len(fits) == len(graphs)
-        for got, solo in zip(fits, fit(graphs, tol=tol)):
+        for got, solo in zip(fits, fit(degree_stack(graphs), tol=tol)):
             _assert_bitwise(got, solo)
 
 

@@ -299,11 +299,12 @@ def test_scenario_values_of_the_wrong_type_exit_2(runner, tmp_path, verb, key):
 
 
 NEXT = np.eye(6, k=1, dtype=int)
-BAD_K = {  # a 6-subject k matrix, 2 comparisons a pair, spoilt four ways
+BAD_K = {  # a 6-subject k matrix, 2 comparisons a pair, spoilt five ways
     "shape": (np.full((5, 5), 2), "6-by-6"),
     "asymmetric": (2 + NEXT, "symmetric"),
     "negative": (2 - 3 * (NEXT + NEXT.T), "nonnegative"),
     "fractional": (np.full((6, 6), 2.5), "whole numbers"),
+    "ragged": ([[2] * 6] * 5 + [[2] * 5], "rows differ in length"),  # a list: no array is ragged
 }
 
 
@@ -317,7 +318,7 @@ def test_a_bad_k_matrix_is_rejected_before_any_replicate(runner, tmp_path, monke
     monkeypatch.setattr(mc, "simulate", fail)
     k, message = BAD_K[kind]
     s = mc.build_scenario("H04", model="bt", n=6, r=3, k=2, reps=4)
-    res = runner.invoke(main, [verb, "--scenario", _scenario_file(tmp_path, s, k=k.tolist())])
+    res = runner.invoke(main, [verb, "--scenario", _scenario_file(tmp_path, s, k=k if isinstance(k, list) else k.tolist())])
     assert res.exit_code == 2, res.output
     assert message in res.stderr and "'k'" in res.stderr
 
@@ -360,6 +361,27 @@ def test_qq_rejects_a_bad_reference_before_any_replicate(runner, monkeypatch):
     res = runner.invoke(main, ["qq", "--preset", "H04", "--n", "20", "--reps", "400", "--reference", "chi2:0"])
     assert res.exit_code == 2
     assert "df must be a positive integer" in res.stderr
+
+
+@pytest.mark.parametrize("verb", ["power", "qq"])
+@pytest.mark.parametrize("design", [["--n", "10", "--r", "11"], ["--n", "3"]])
+def test_a_null_past_n_is_named_as_such(runner, verb, design):
+    # the preset's true_beta holds the null's r entries, which pass n, but the null is the cause
+    res = runner.invoke(main, [verb, "--preset", "H04", "--reps", "4", *design])
+    assert res.exit_code == 2, res.output
+    assert "null touches" in res.stderr and "true_beta" not in res.stderr
+
+
+@pytest.mark.parametrize("verb", ["power", "qq"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_must_be_positive(runner, monkeypatch, verb, workers):
+    def fail(*args, **kwargs):
+        raise AssertionError("replicates ran with a worker count below one")
+
+    monkeypatch.setattr(mc, "run_scenario", fail)
+    res = runner.invoke(main, [verb, "--preset", "H04", "--n", "20", "--reps", "4", "--workers", workers])
+    assert res.exit_code == 2
+    assert "--workers" in res.stderr
 
 
 def test_oracle_quadratic_with_enumeration(runner, tmp_path):

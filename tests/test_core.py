@@ -34,6 +34,7 @@ from pairlrt.core import (
     pair_saturated,
 )
 
+from conftest import degree_stack
 from oracles import (
     adjacency,
     class_maps_by_node,
@@ -129,7 +130,8 @@ def test_edge_list_parsers_agree(text):
     [
         ("n=4\n0 1\n1 2\n\n2 3\n", True), ("0 1 \n 2 3", True), ("0\t1\n \t \n2\t3", True),
         ("n=3\n000000000000000001 2\n", True), ("n=3 # h\n\n 2 0\n", True),
-        ("n=3\n0000000000000000001 2\n", False), ("0 \n1\n", False), ("0 1 2\n3 4\n", False),
+        ("n=3\n0000000000000000001 2\n", True), ("n=3\n9223372036854775808 1\n", False),
+        ("0 \n1\n", False), ("0 1 2\n3 4\n", False),
         ("0 1\n2\n", False), ("0 1\r\n2 3\r\n", False), ("0 1\n# c\n", False), ("n=3\n", False),
     ],
 )
@@ -410,9 +412,10 @@ def test_class_rule_matches_the_graph_checks():
         elif t % 4 == 2:
             edges = np.concatenate([edges, [(i, j) for i in range(r) for j in range(i + 1, n)]])
         graphs.append(UndirectedGraph.from_edges(n, edges))
-    full = bm.fit_mle(graphs)
-    pinned = bm.fit_restricted_specified(graphs, NullHypothesis.specified(r, [0.0, -0.5, 0.5]))
-    tied = bm.fit_restricted_homogeneous(graphs, r)
+    stack = degree_stack(graphs)
+    full = bm.fit_mle(stack)
+    pinned = bm.fit_restricted_specified(stack, NullHypothesis.specified(r, [0.0, -0.5, 0.5]))
+    tied = bm.fit_restricted_homogeneous(stack, r)
     seen = set()
     for g, f, p, h in zip(graphs, full, pinned, tied):
         d = g.degrees.tolist()
@@ -463,10 +466,11 @@ def test_empty_stacks_give_empty_fits():
     totals = np.full((n, n), 2)
     np.fill_diagonal(totals, 0)
     empty = Tallies(np.zeros((0, n)), totals)
+    no_graphs = Tallies(np.zeros((0, n), dtype=np.int64), 1)
     fits = [
-        bm.fit_mle([]),
-        bm.fit_restricted_specified([], NullHypothesis.specified(2, [0.0, 0.1])),
-        bm.fit_restricted_homogeneous([], 2),
+        bm.fit_mle(no_graphs),
+        bm.fit_restricted_specified(no_graphs, NullHypothesis.specified(2, [0.0, 0.1])),
+        bm.fit_restricted_homogeneous(no_graphs, 2),
         btm.bt_fit_mle(empty),
         btm.bt_fit_mle(np.zeros((0, n, n), dtype=int)),
         btm.bt_fit_restricted(empty, NullHypothesis.specified(2, [0.1])),
@@ -669,7 +673,7 @@ def _stack_and_alone(kind):
     wins = btm.simulate_comparisons(np.linspace(0.0, 1.5, 8), 2, np.random.default_rng(6).spawn(30))
     wins[1::2, 4, 6] += 1  # every other table unbalanced, so fitted per subject
     tables = [ComparisonTable(w) for w in wins]
-    yield from zip(graph_fit(graphs), map(graph_fit, graphs), graphs, [bm.log_likelihood] * len(graphs))
+    yield from zip(graph_fit(degree_stack(graphs)), map(graph_fit, graphs), graphs, [bm.log_likelihood] * len(graphs))
     yield from zip(table_fit(wins), map(table_fit, tables), tables, [btm.bt_log_likelihood] * len(tables))
 
 
@@ -694,8 +698,9 @@ def test_fully_pinned_fits_take_no_step():
     beta = np.array([0.0, 0.3, 0.3, 0.0, -0.7, 1.1])
     graphs = [bm.simulate_graph(beta, g) for g in rng.spawn(4)] + [UndirectedGraph.from_edges(n, [])]
     wins = btm.simulate_comparisons(beta, 2, rng.spawn(4))
+    pins = NullHypothesis.specified(n, beta)
     cases = [
-        (graphs, bm.fit_restricted_specified(graphs, NullHypothesis.specified(n, beta)), bm.log_likelihood),
+        (graphs, bm.fit_restricted_specified(degree_stack(graphs), pins), bm.log_likelihood),
         (map(ComparisonTable, wins), btm.bt_fit_restricted(wins, NullHypothesis.specified(n, beta[1:])),
          btm.bt_log_likelihood),
     ]
@@ -714,9 +719,11 @@ def test_newton_cap_stops_members_mid_stack(model, monkeypatch):
     rng = np.random.default_rng(3)
     beta = rng.normal(0.0, 1.2, 30)
     if model == "beta":
-        fit, stack = bm.fit_mle, [bm.simulate_graph(beta, g) for g in rng.spawn(40)]
+        graphs = [bm.simulate_graph(beta, g) for g in rng.spawn(40)]
+        fit, stack, solos = bm.fit_mle, degree_stack(graphs), graphs
     else:
-        fit, stack = btm.bt_fit_mle, btm.simulate_comparisons(beta - beta[0], 2, rng.spawn(40))
+        wins = btm.simulate_comparisons(beta - beta[0], 2, rng.spawn(40))
+        fit, stack, solos = btm.bt_fit_mle, wins, map(ComparisonTable, wins)
     uncapped = fit(stack)
     steps = [f.iterations for f in uncapped if f.exists]
     assert all(f.converged for f in uncapped if f.exists)
@@ -724,8 +731,8 @@ def test_newton_cap_stops_members_mid_stack(model, monkeypatch):
     assert min(steps) <= cap < max(steps)
     monkeypatch.setattr(pairlrt.core, "MAX_NEWTON", cap)
     capped = fit(stack)
-    for got, free, x in zip(capped, uncapped, stack):
-        solo = fit(x if model == "beta" else ComparisonTable(x))
+    for got, free, x in zip(capped, uncapped, solos):
+        solo = fit(x)
         assert (got.exists, got.converged, got.iterations) == (solo.exists, solo.converged, solo.iterations)
         assert np.array_equal(got.beta_hat, solo.beta_hat)
         assert np.array_equal([got.loglik, got.gradient_norm], [solo.loglik, solo.gradient_norm], equal_nan=True)

@@ -90,7 +90,7 @@ def test_lrt_enumeration_distribution():
     assert np.all(dist.values >= 0)
     assert dist.nonexist_mass + dist.probs.sum() == pytest.approx(1.0, abs=1e-10)
     # corner degrees are a lower bound on the nonexistence mass
-    bits, probs, deg, _ = mo._enumerate_graphs(np.zeros(4))
+    probs, deg = mo._enumerate_graphs(np.zeros(4))
     corner = probs[np.any((deg == 0) | (deg == 3), axis=1)].sum()
     assert dist.nonexist_mass >= corner - 1e-12
     # at n = 4 a maximizer exists only for the 6 regular graphs, whose full fit
