@@ -9,6 +9,8 @@ graph is strongly connected.
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Optional, Union
 
 import numpy as np
@@ -117,7 +119,9 @@ def _fit(data, null: Optional[NullHypothesis], tol: float, connected=True):
     any pinned subjects are fixed and a homogeneous null's subjects 2..r
     tied (core.class_maps).  A table whose pairs are all compared the same
     k > 0 times is balanced, and its free subjects of equal win total share
-    a class.  A table that is not ``connected`` has no maximizer.
+    a class; when every table is balanced with one k, their tallies hold k
+    alone, which core.class_tallies sums by class sizes.  A table that is
+    not ``connected`` has no maximizer.
     """
     t = subject_tallies(data)
     k, n = t.degrees.shape
@@ -131,6 +135,8 @@ def _fit(data, null: Optional[NullHypothesis], tol: float, connected=True):
     i, j = np.triu_indices(n, k=1)
     pairs = t.totals[..., i, j]
     maps, fixed = class_maps(t.degrees, lead, tied, (pairs[..., 0] > 0) & (pairs == pairs[..., :1]).all(axis=-1))
+    if pairs.size and pairs.flat[0] > 0 and np.all(pairs == pairs.flat[0]):
+        t = Tallies(t.degrees, pairs.flat[0])  # one count for every pair: class_tallies sums by class sizes
     ready = [None if e else nonexistent_fit(np.zeros(n)) for e in np.broadcast_to(connected, (k,))]
     fits = fit_by_classes(class_model(), t, maps, fixed, tied > 0, ready, tol)
     return fits[0] if isinstance(data, ComparisonTable) else fits
@@ -174,12 +180,84 @@ def comparison_counts(k, n: int) -> np.ndarray:
     return totals
 
 
+def _inversion_row(g, doubles, n, s, q, qn, bound) -> list:
+    """numpy's inversion loop run pair by pair for one generator, on ``doubles`` and then on g.random()."""
+    stream = itertools.chain(doubles.tolist(), iter(g.random, None))
+    out = []
+    for count, sc, qc, start, top in zip(n.tolist(), s.tolist(), q.tolist(), qn.tolist(), bound.tolist()):
+        x, px, u = 0, start, next(stream)
+        while u > px:
+            x += 1
+            if x > top:
+                x, px, u = 0, start, next(stream)
+            else:
+                u -= px
+                px = ((count - x + 1) * sc * px) / (x * qc)
+        out.append(x)
+    return out
+
+
+def _binomial_rows(counts: np.ndarray, p: np.ndarray, gens: list) -> np.ndarray:
+    """The draws [g.binomial(counts, p) for g in gens], bit for bit, each g left as that call leaves it.
+
+    Generator.binomial (random_binomial in numpy's distributions.c) draws
+    the pairs in turn.  A pair with n = 0 or p = 0 is 0 and reads nothing.
+    The others draw X ~ Bin(n, s), s = min(p, 1 - p), and give n - X when
+    p > 1/2.  When n s <= 30 that is an inversion of one double u: from
+    X = 0 and px = exp(n log1p(-s)), while u > px, X += 1, u -= px and
+    px = (n - X + 1) s px / (X q), q = 1 - s.  A pair whose X passes
+    min(n, n s + 10 sqrt(n s q + 1)) starts again on a fresh double.
+    Here each generator's doubles come in one g.random call and the loop
+    runs on all of them at once.  exp and log1p are the C library's,
+    through the math module, as numpy's C code calls them; numpy's
+    vectorised ones may differ in the last bit.  A row that starts a pair
+    again is redone alone from its doubles, then reads on from its
+    generator.  With any pair at n s > 30, numpy's other sampler, each
+    row is one g.binomial call.
+    """
+    flip = p > 0.5
+    s = np.where(flip, 1.0 - p, p)
+    if np.any(s * counts > 30.0):
+        return np.array([g.binomial(counts, p) for g in gens], dtype=np.int64).reshape(len(gens), counts.size)
+    reads = np.flatnonzero((counts > 0) & (p != 0))
+    n, s, m = counts[reads], s[reads], reads.size
+    q = 1.0 - s
+    qn = np.fromiter(map(math.exp, (n * np.fromiter(map(math.log1p, (-s).tolist()), float, m)).tolist()), float, m)
+    mean = n * s
+    bound = np.minimum(n, mean + 10.0 * np.sqrt(mean * q + 1.0)).astype(np.int64)
+    u = np.array([g.random(m) for g in gens]).reshape(len(gens), m)
+    # an entry still going takes step X = step, px is the same for a pair in
+    # every row, and an entry that stops keeps X whatever left does after
+    left, px = u.copy(), qn
+    going = left > px
+    x = going.astype(np.int8)  # X <= bound < 30 + 10 sqrt(31)
+    redo = np.zeros(len(gens), dtype=bool)
+    step, low = 1, bound.min(initial=0)
+    while going.any():
+        if step > low:
+            over = going & (step > bound)
+            redo |= over.any(axis=1)
+            going &= ~over
+        left -= px
+        px = ((n - step + 1) * s * px) / (step * q)
+        going &= left > px
+        x += going
+        step += 1
+    for r in np.flatnonzero(redo):
+        x[r] = _inversion_row(gens[r], u[r], n, s, q, qn, bound)
+    out = np.zeros((len(gens), counts.size), dtype=np.int64)
+    out[:, reads] = np.where(flip[reads], n - x, x)
+    return out
+
+
 def simulate_comparisons(beta, k, rng):
     """Draw win counts for every pair with totals k (a scalar or a symmetric matrix).
 
     ``rng`` is one Generator, which gives a ComparisonTable, or a sequence
     of them, which gives a (len(rng), n, n) stack of win matrices, the i-th
-    drawn from rng[i] exactly as one table from it.
+    drawn from rng[i] exactly as one table from it: each generator draws
+    its upper-triangle pairs in row order as one Generator.binomial call
+    would, with the same bits and the same state after (_binomial_rows).
     """
     b = as_model_params(beta, "bt")
     n = b.size
@@ -190,7 +268,7 @@ def simulate_comparisons(beta, k, rng):
     pair_totals = totals[i, j].astype(np.int64)
     p = expit(b[i] - b[j])
     one = isinstance(rng, np.random.Generator)
-    upper = np.array([g.binomial(pair_totals, p) for g in ([rng] if one else rng)])
+    upper = _binomial_rows(pair_totals, p, [rng] if one else list(rng))
     wins = np.zeros((len(upper), n, n), dtype=np.int64)
     wins[:, i, j] = upper
     wins[:, j, i] = pair_totals - upper

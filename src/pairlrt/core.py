@@ -537,7 +537,10 @@ def fit_by_classes(model: ClassModel, data: Tallies, maps, fixed: list, tied: bo
                 continue
 
             def on(evaluate):
-                return lambda b, live: evaluate(b, Tallies(*(x[live] for x in tallies)))
+                # while every member of the batch is live, the tallies go as they are, uncopied
+                return lambda b, live: evaluate(
+                    b, tallies if live.size == rows.size else Tallies(*(x[live] for x in tallies))
+                )
 
             per = sum_bins(np.ones(classes.shape), classes, c)[:, f:]
             if tied:
@@ -733,19 +736,30 @@ def _node_count(declared: Optional[int], ids: np.ndarray, noun: str) -> int:
     return n
 
 
+def _too_many(n: int, declared: Optional[int], noun: str) -> DataFormatError:
+    """The error for an n whose arrays numpy refuses to size (a ValueError, raised before any allocation)."""
+    where = "the declared count" if declared is not None else f"one plus the largest {noun} id"
+    return DataFormatError(f"n={n}, {where}, is too large")
+
+
 def load_edge_list(text: str) -> UndirectedGraph:
     """Parse an undirected edge list.
 
     Lines hold two ids separated by whitespace or a comma.  Duplicate edges
-    collapse to one.  Rejects self-loops, ids outside a declared n, and empty
-    input.  A text that after the header holds only ASCII digits, spaces,
-    tabs and newlines, and exactly two ids below 2**63 - 1 on each content
-    line, is read in one np.fromstring pass; any other text is scanned line
-    by line, with the same edges and the same error messages.
+    collapse to one.  Rejects self-loops, ids outside a declared n, empty
+    input, and an n too large for numpy to size.  A text that after the
+    header holds only ASCII digits, spaces, tabs and newlines, and exactly
+    two ids below 2**63 - 1 on each content line, is read in one
+    np.fromstring pass; any other text is scanned line by line, with the
+    same edges and the same error messages.
     """
     plain = _plain_edges(text)
     declared, rows = plain if plain is not None else _scan_records(text, "edges")
-    return UndirectedGraph.from_edges(_node_count(declared, rows, "node"), rows)
+    n = _node_count(declared, rows, "node")
+    try:
+        return UndirectedGraph.from_edges(n, rows)
+    except ValueError:  # the edges are checked, so only the n-cell degree count can fail
+        raise _too_many(n, declared, "node") from None
 
 
 def load_comparisons(text: str) -> ComparisonTable:
@@ -756,7 +770,10 @@ def load_comparisons(text: str) -> ComparisonTable:
     """
     declared, rows = _scan_records(text, "comparisons")
     n = _node_count(declared, rows[:, :2], "subject")
-    wins = np.zeros((n, n), dtype=object)
+    try:
+        wins = np.zeros((n, n), dtype=object)
+    except ValueError:
+        raise _too_many(n, declared, "subject") from None
     np.add.at(wins, (rows[:, 0], rows[:, 1]), rows[:, 2].astype(object))
     return ComparisonTable(np.minimum(wins, MAX_TABLE_COMPARISONS + 1).astype(np.int64))
 

@@ -419,6 +419,140 @@ def test_simulate_determinism():
     assert np.array_equal(a.wins, b.wins)
 
 
+@pytest.mark.parametrize("matrix", [False, True])
+def test_no_generators_give_an_empty_stack(matrix):
+    beta = np.array([0.0, 0.4, -0.3, 1.0])
+    k = 2 * (1 - np.eye(4, dtype=np.int64)) if matrix else 2
+    wins = btm.simulate_comparisons(beta, k, [])
+    assert wins.shape == (0, 4, 4) and wins.dtype == np.int64
+
+
+def _draw_design(rng):
+    """Merits and pair counts of one random design, and which cases of numpy's binomial it reaches."""
+    n = int(rng.integers(3, 9))
+    beta = rng.normal(0.0, 1.5, n) * (rng.random(n) < 0.8)  # equal merits give p = 1/2
+    far = rng.random(n) < 0.15
+    beta[far] = rng.choice([-800.0, 800.0], far.sum())  # p is exactly 0 or 1
+    beta[0] = 0.0
+    shape = int(rng.integers(4))
+    if shape == 0:
+        k = int(rng.integers(0, 5))
+    else:
+        k = np.triu(rng.integers(0, [4, 40, 200][shape - 1], (n, n)) * (rng.random((n, n)) < 0.7), 1)
+        k = k + k.T
+    i, j = np.triu_indices(n, k=1)
+    counts = btm.comparison_counts(k, n)[i, j].astype(np.int64)
+    p = expit(beta[i] - beta[j])
+    s = np.minimum(p, 1.0 - p)
+    cases = {
+        "scalar k" if shape == 0 else "matrix k": True,
+        "a pair never compared": bool(np.any(counts == 0)),
+        "p = 0": bool(np.any((p == 0.0) & (counts > 0))),
+        "p = 1": bool(np.any((p == 1.0) & (counts > 0))),
+        "p = 1/2": bool(np.any((p == 0.5) & (counts > 0))),
+        "numpy's other sampler": bool(np.any(s * counts > 30.0)),
+    }
+    return beta, k, counts, p, cases
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_draws_are_the_bits_of_one_binomial_call_per_generator(seed):
+    # each generator gives the wins of g.binomial(counts, p) and is left where that call
+    # leaves it, drawn alone or in a stack
+    rng = np.random.default_rng(900 + seed)
+    reached = set()
+    for _ in range(120):
+        beta, k, counts, p, cases = _draw_design(rng)
+        n = beta.size
+        alone = rng.random() < 0.25
+        seeds = rng.integers(0, 2**63, 1 if alone else int(rng.integers(1, 5)))
+        ours, theirs = ([np.random.default_rng(x) for x in seeds] for _ in range(2))
+        want = np.array([g.binomial(counts, p) for g in theirs])
+        drawn = btm.simulate_comparisons(beta, k, ours[0] if alone else ours)
+        wins = drawn.wins[None] if alone else drawn
+        i, j = np.triu_indices(n, k=1)
+        assert wins.dtype == np.int64 and wins.shape == (len(seeds), n, n)
+        assert np.array_equal(wins[:, i, j], want) and np.array_equal(wins[:, j, i], counts - want)
+        assert [g.random() for g in ours] == [g.random() for g in theirs]
+        reached |= {case for case, hit in cases.items() if hit} | ({"one generator"} if alone else set())
+    assert reached == {
+        "scalar k", "matrix k", "a pair never compared", "p = 0", "p = 1", "p = 1/2", "numpy's other sampler",
+        "one generator",
+    }
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _generator_starting_at(u):
+    """A numpy Generator whose next double is u, a multiple of 2**-53 in [0, 1).
+
+    PCG64 steps its 128-bit state to state * multiplier + inc, then outputs
+    the xor of its two words rotated right by its top six bits, so a
+    stepped state below 2**64 outputs itself; a double is the top 53 bits
+    of one output.
+    """
+    inc = 2 * 12345 + 1
+    state = ((int(u * 2**53) << 11) - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    g = np.random.Generator(np.random.PCG64())
+    g.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0,
+                             "uinteger": 0}
+    return g
+
+
+TOP = 1.0 - 2.0**-53  # the largest double a generator gives
+# (count, p) of pairs whose inversion from the double TOP runs past its bound
+PAST_THE_BOUND = [(10, 0.27479684383652975), (4, 0.1515974146458225), (4, 0.4903685999006193),
+                  (11, 0.2706134277737171)]
+# (count, p) of pairs whose inversion from TOP stops at X = count, just short of starting
+# again, with numpy's start value exp(count log1p(-p)); from exp(count log(1 - p)) it would not
+AT_THE_BOUND = [(6, 0.07207980635981687), (4, 0.20459956818458064), (10, 0.13115667022092475)]
+
+
+@pytest.mark.parametrize(
+    "count, first, again", [(*c, True) for c in PAST_THE_BOUND] + [(*c, False) for c in AT_THE_BOUND]
+)
+def test_draws_at_and_past_the_bound_are_numpy_s(count, first, again):
+    counts = np.array([count, 3, 0, 5], dtype=np.int64)
+    p = np.array([first, 0.6, 0.3, 0.5])
+    ours, theirs = ([np.random.default_rng(1), _generator_starting_at(TOP), np.random.default_rng(2)] for _ in range(2))
+    got = btm._binomial_rows(counts, p, ours)
+    want = np.array([g.binomial(counts, p) for g in theirs])
+    assert np.array_equal(got, want)
+    assert (want[1, 0] == count) != again
+    # three pairs read a double each, and a first pair that starts again one more
+    plain = _generator_starting_at(TOP)
+    assert plain.random() == TOP
+    plain.random(2 + again)
+    assert ours[1].bit_generator.state == theirs[1].bit_generator.state == plain.bit_generator.state
+    assert [g.random() for g in ours] == [g.random() for g in theirs]
+
+
+class _Doubles:
+    """A stand-in generator that hands out the given doubles in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+def test_a_row_that_starts_again_reads_on_from_its_generator():
+    # the first pair starts again twice and stops on 0.25; the other two then read 0.5
+    # and 0.75, past the doubles the row took up front
+    count, first = PAST_THE_BOUND[0]
+    counts = np.array([count, 3, 5], dtype=np.int64)
+    p = np.array([first, 0.6, 0.5])
+    stub = _Doubles([TOP, TOP, 0.25, 0.5, 0.75])
+    got = btm._binomial_rows(counts, p, [stub])
+    want = [_generator_starting_at(u).binomial(c, q) for u, c, q in zip([0.25, 0.5, 0.75], counts, p)]
+    assert got.tolist() == [want] and stub.values == []
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(4, 8))
 def test_fit_stationarity_property(seed, n):

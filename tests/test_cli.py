@@ -111,6 +111,15 @@ def test_integers_beyond_int64_are_format_errors(runner, tmp_path, args, text, l
     assert "data format error" in res.stderr and line in res.stderr
 
 
+def test_an_n_too_large_to_size_is_a_format_error(runner, tmp_path):
+    # numpy refuses a degree count of 2**63 - 1 cells before allocating anything
+    path = tmp_path / "huge.txt"
+    path.write_text("9223372036854775806 2\n")
+    res = runner.invoke(main, ["fit", "--model", "beta", "--input", str(path)])
+    assert res.exit_code == 4, res.output
+    assert res.stderr == "data format error: n=9223372036854775807, one plus the largest node id, is too large\n"
+
+
 @pytest.mark.parametrize("which", ["edges", "comparisons", "null"])
 def test_bytes_that_are_not_utf8_are_format_errors(runner, tmp_path, which):
     files = {

@@ -24,6 +24,7 @@ from pairlrt.core import (
     as_model_params,
     class_maps,
     class_tallies,
+    fit_by_classes,
     load_comparisons,
     load_edge_list,
     load_vector,
@@ -92,6 +93,24 @@ def test_edge_list_round_trip():
 def test_edge_list_errors(text, fragment):
     with pytest.raises(DataFormatError, match=fragment):
         load_edge_list(text)
+
+
+HUGE = "n=9223372036854775807"  # 2**63 - 1: numpy refuses any array of this many cells
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (load_edge_list, "9223372036854775806 2\n", f"{HUGE}, one plus the largest node id, is too large"),
+        (load_edge_list, "2,9223372036854775806\n", f"{HUGE}, one plus the largest node id, is too large"),
+        (load_edge_list, "n=9223372036854775807\n0 1\n", f"{HUGE}, the declared count, is too large"),
+        (load_comparisons, "9223372036854775806,2,1\n", f"{HUGE}, one plus the largest subject id, is too large"),
+    ],
+)
+def test_an_n_too_large_to_size_is_named(load, text, message):
+    with pytest.raises(DataFormatError) as err:
+        load(text)
+    assert str(err.value) == message
 
 
 def _assert_parsers_agree(text):
@@ -534,6 +553,35 @@ def test_shared_count_tallies_match_membership_products(k):
     for totals in (k, pairs, np.zeros((0, n, n), dtype=np.int64)):
         got = class_tallies(Tallies(empty, totals), empty)
         assert got.degrees.shape == (0, 0) and got.totals.shape == (0, 0, 0)
+
+
+def _fit_bits(f):
+    return f.beta_hat.tobytes(), np.float64(f.loglik).tobytes(), f.iterations, f.converged, f.exists, \
+        np.float64(f.gradient_norm).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["full", "specified", "homogeneous"])
+def test_balanced_tables_fit_alike_from_one_count_and_from_their_totals(kind):
+    # Tallies(wins, k) sums classes by class sizes and Tallies(wins, totals) by membership
+    # products; a table alone and a stack get Fits of the same bits from either
+    k, n, count = 2, 8, 40
+    wins = btm.simulate_comparisons(np.linspace(0.0, 1.5, n), k, np.random.default_rng(8).spawn(count))
+    degrees = wins.sum(axis=-1)
+    lead, tied = {"full": ([0.0], 0), "specified": ([0.0, 0.4, -0.3], 0), "homogeneous": ([0.0], 2)}[kind]
+    maps, fixed = class_maps(degrees, lead, tied, True)
+    totals = k * (1 - np.eye(n, dtype=np.int64))
+    stepped = 0
+    for rows in (slice(0, 1), slice(None)):
+        bits = [
+            [_fit_bits(f) for f in fit_by_classes(
+                btm.class_model(), Tallies(degrees[rows], t), maps[rows], fixed[rows], tied > 0,
+                [None] * len(maps[rows]), TOL_SCORE,
+            )]
+            for t in (k, totals, np.repeat(totals[None], count, axis=0)[rows])
+        ]
+        assert bits[0] == bits[1] == bits[2]
+        stepped += sum(b[2] > 0 for b in bits[0])
+    assert stepped > count // 2
 
 
 @pytest.mark.parametrize("sign", [1, -1])
