@@ -77,7 +77,12 @@ def _guard(fn):
 
 def _parse_null(spec: str, model: str, n: int) -> NullHypothesis:
     if spec.startswith("homogeneous:"):
-        null = NullHypothesis.homogeneous(int(spec.split(":", 1)[1]))
+        text = spec.split(":", 1)[1]
+        try:
+            r = int(text)
+        except ValueError:
+            raise ValueError(f"--null homogeneous:<r> needs a whole number r, got {text!r}") from None
+        null = NullHypothesis.homogeneous(r)
     elif spec.startswith("specified:"):
         values = load_vector(_read_source(spec.split(":", 1)[1]))
         r = values.size if model == "beta" else values.size + 1

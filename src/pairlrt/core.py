@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import expit
 
 MIN_NODES = 3
 MAX_NEWTON = 100
@@ -262,10 +261,16 @@ def pair_log_likelihood(b: np.ndarray, t: Tallies, sign: int) -> np.ndarray:
 
 
 def pair_expected(b: np.ndarray, t: Tallies, sign: int) -> np.ndarray:
-    """Each class's expected total, rowsum(T * expit(x)), one row per member of a stack."""
-    p = pair_logits(b, sign)
-    expit(p, out=p)
-    p *= t.totals
+    """Each class's expected total, rowsum(T / (1 + exp(-x))), one row per member of a stack.
+
+    The logits of -b are exactly -x.  Where exp(-x) overflows, past x = -709,
+    the term is T / inf = 0.
+    """
+    p = pair_logits(-b, sign)
+    with np.errstate(over="ignore"):
+        np.exp(p, out=p)
+    p += 1.0
+    np.divide(t.totals, p, out=p)
     return p.sum(axis=-1)
 
 
@@ -294,9 +299,14 @@ def pair_saturated(b: np.ndarray, t: Tallies, sign: int, tol: float) -> np.ndarr
 
     Such a pair leaves a residual of about tol, which the score test cannot
     tell from zero, so the point is no certified interior maximizer; values
-    escaping jointly stall exactly there, inside the divergence cap.
+    escaping jointly stall exactly there, inside the divergence cap.  No
+    logit is larger than 2 max|b|, doubled exactly, so while that is below
+    -log(tol) for every member the c x c pass is skipped.
     """
-    return np.where(t.totals > 0, np.abs(pair_logits(b, sign)), -np.inf).max(axis=(-2, -1)) >= -math.log(tol)
+    edge = -math.log(tol)
+    if not (2 * np.abs(b).max(axis=-1, initial=0.0) >= edge).any():
+        return np.zeros(np.broadcast_shapes(b.shape[:-1], np.shape(t.totals)[:-2]), dtype=bool)
+    return np.where(t.totals > 0, np.abs(pair_logits(b, sign)), -np.inf).max(axis=(-2, -1)) >= edge
 
 
 def nonexistent_fit(beta: np.ndarray, iterations: int = 0) -> Fit:
@@ -332,75 +342,91 @@ def mean_field_start(t: Tallies, fixed: np.ndarray, sign: int) -> np.ndarray:
     return np.concatenate([fixed, logit[:, f:] - m[:, None]], axis=1)
 
 
-def newton_ascent(loglik, score, info, start: np.ndarray, per: np.ndarray, tol: float):
+def newton_ascent(loglik, score, info, data: tuple, start: np.ndarray, per: np.ndarray, tol: float):
     """Damped Newton ascent over the fitted classes of a node-to-class map, for a batch of fits.
 
     Every member starts at its row of ``start``, the values of every class
-    with the fixed ones first; the fixed classes take no step.  loglik,
-    score and info take ``(values, rows)``: the values of every class of the
-    batch members ``rows``, one row each.  They return each member's
-    log-likelihood, gradient and information matrix over every class; the
-    ascent reads the fitted entries.  A member's gradient norm is the max of
-    |score / per| over its fitted classes, 0 without any, so ``per``, one
-    row per member and one column per fitted class, scales each class score
-    to the coordinate it reports.  The state is one full-size array per
-    quantity, a row per member, and an index of the members still stepping;
-    a member stops by leaving that index.  Every member steps on its own:
-    its step halves until it stays inside the divergence cap and lowers the
-    gradient norm or raises the log-likelihood, and it stops when its norm
-    is within tol, its information is singular, no step is accepted, or
-    after MAX_NEWTON steps.  The log-likelihood is evaluated only where the
-    norm did not fall, and at the end for every member that never needed
-    it.  Returns per member the values of every class, their
-    log-likelihood, the gradient norm and the number of Newton steps.
+    with the fixed ones first; the fixed classes take no step.  ``data`` is
+    a named tuple of arrays with one row per member, such as Tallies.  loglik,
+    score and info take ``(values, data)`` of some members, one row each,
+    and return each one's log-likelihood, gradient and information matrix
+    over every class; the ascent reads the fitted entries.  The rows of the
+    live members are gathered once per set of live members and handed on
+    uncopied while all of them are evaluated.  A member's gradient norm is
+    the max of |score / per| over its fitted classes, 0 without any, so
+    ``per``, one row per member and one column per fitted class, scales
+    each class score to the coordinate it reports.  The state is one
+    full-size array per quantity, a row per member, and an index of the
+    members still stepping; a member stops by leaving that index.  Every
+    member steps on its own: its step halves until it stays inside the
+    divergence cap and lowers the gradient norm or raises the
+    log-likelihood, and it stops when its norm is within tol, its
+    information is singular, no step is accepted, or after MAX_NEWTON
+    steps.  The usual step, where every live member's full step stays
+    inside the cap and lowers its norm, is accepted whole.  The
+    log-likelihood is evaluated only where the norm did not fall, and at
+    the end for every member that never needed it.  Returns per member the
+    values of every class, their log-likelihood, the gradient norm and the
+    number of Newton steps.
     """
     k, m = per.shape
     f = start.shape[-1] - m
 
-    def evaluate(b, rows):
-        s = score(b, rows)[:, f:]
-        return s, np.abs(s / per[rows]).max(axis=1, initial=0.0)
+    def pick(x, rows):
+        return type(x)(*(a[rows] for a in x))
+
+    def evaluate(b, d, p):
+        s = score(b, d)[:, f:]
+        return s, np.abs(s / p).max(axis=1, initial=0.0)
 
     # per member: values, log-likelihood (NaN until needed), fitted scores, norm, steps
     live = np.arange(k)
     b, ll, iters = start.copy(), np.full(k, np.nan), np.zeros(k, dtype=int)
-    s, g = evaluate(b, live)
+    s, g = evaluate(b, data, per)
+    # the data and scales of the live members; the live set only shrinks, so a size names it
+    here, scale = data, per
 
     def fill(which):
         """Evaluate the log-likelihoods still unknown among the members ``which``."""
         which = which[np.isnan(ll[which])]
         if which.size:
-            ll[which] = loglik(b[which], which)
+            ll[which] = loglik(b[which], pick(data, which))
 
     for _ in range(MAX_NEWTON):
         live = live[g[live] > tol]
         if not live.size:
             break
-        H = info(b[live], live)[:, f:, f:]
+        if live.size < len(scale):
+            here, scale = pick(data, live), per[live]
+        H = info(b[live], here)[:, f:, f:]
         try:
             delta = np.linalg.solve(H, s[live, :, None])[..., 0]
         except np.linalg.LinAlgError:
             delta, solvable = _solve_each(H, s[live])
             live, delta = live[solvable], delta[solvable]
+            here, scale = pick(data, live), per[live]
         iters[live] += 1
-        # each member halves its own step, from the full one; todo indexes live
+        # each member halves its own step, from the full one; todo and at index live
         todo = np.arange(live.size)
         for step in _HALVINGS:
-            rows = live[todo]
-            cand = b[rows]
+            cand = b[live[todo]]
             cand[:, f:] += step * delta[todo]
             inside = np.abs(cand[:, f:]).max(axis=1) <= DIVERGENCE_CAP
-            tried = rows[inside]
-            if tried.size:
-                cand = cand[inside]
-                cand_s, cand_g = evaluate(cand, tried)
-                cand_ll = np.full(tried.size, np.nan)
+            at, cand = (todo, cand) if inside.all() else (todo[inside], cand[inside])
+            if at.size:
+                whole = at.size == live.size
+                tried = live[at]
+                cand_s, cand_g = evaluate(cand, here if whole else pick(here, at), scale if whole else scale[at])
                 up = cand_g < g[tried]
+                if whole and up.all():  # the usual step
+                    b[live], ll[live], s[live], g[live] = cand, np.nan, cand_s, cand_g
+                    break
+                cand_ll = np.full(at.size, np.nan)
                 # where the norm did not fall, a step must raise the log-likelihood
                 ask = np.flatnonzero(~up)
                 if ask.size:
                     fill(tried[ask])
-                    cand_ll[ask] = loglik(cand[ask], tried[ask])
+                    cand_ll[ask] = loglik(cand[ask], pick(here, at[ask]))
                     up[ask] = cand_ll[ask] > ll[tried[ask]]
                 won = tried[up]
                 b[won], ll[won], s[won], g[won] = cand[up], cand_ll[up], cand_s[up], cand_g[up]
@@ -531,32 +557,26 @@ def fit_by_classes(model: ClassModel, data: Tallies, maps, fixed: list, tied: bo
             bound = ((d <= w) | (d >= tallies.totals.sum(axis=-1) - w))[:, f:].any(axis=1)
             for i in np.flatnonzero(bound):
                 fits[rows[i]] = nonexistent_fit(np.concatenate([head[i], np.zeros(c - f)])[classes[i]])
-            keep = ~bound
-            rows, classes, head, tallies = rows[keep], classes[keep], head[keep], Tallies(*(x[keep] for x in tallies))
-            if not rows.size:
-                continue
-
-            def on(evaluate):
-                # while every member of the batch is live, the tallies go as they are, uncopied
-                return lambda b, live: evaluate(
-                    b, tallies if live.size == rows.size else Tallies(*(x[live] for x in tallies))
-                )
+            if bound.any():
+                keep = ~bound
+                rows, classes, head = rows[keep], classes[keep], head[keep]
+                tallies = Tallies(*(x[keep] for x in tallies))
+                if not rows.size:
+                    continue
 
             per = sum_bins(np.ones(classes.shape), classes, c)[:, f:]
             if tied:
                 per[:, 0] = 1.0
             values, ll, gnorm, iters = newton_ascent(
-                on(model.loglik), on(lambda b, t: t.degrees - model.expected(b, t)), on(model.info),
+                model.loglik, lambda b, t: t.degrees - model.expected(b, t), model.info, tallies,
                 mean_field_start(tallies, head, model.sign), per, tol,
             )
             beta = np.take_along_axis(values, classes, axis=1)
             converged = gnorm <= tol
             lost = converged & (c > f) & pair_saturated(values, tallies, model.sign, tol)
-            for i, t in enumerate(rows):
-                fits[t] = (
-                    nonexistent_fit(beta[i], int(iters[i])) if lost[i]
-                    else Fit(beta[i], float(ll[i]), int(iters[i]), bool(converged[i]), True, float(gnorm[i]))
-                )
+            scalars = (x.tolist() for x in (rows, lost, ll, iters, converged, gnorm))
+            for (t, gone, loglik, steps, done, norm), row in zip(zip(*scalars), beta):
+                fits[t] = nonexistent_fit(row, steps) if gone else Fit(row, loglik, steps, done, True, norm)
     return Fits(fits)
 
 
@@ -737,7 +757,8 @@ def _node_count(declared: Optional[int], ids: np.ndarray, noun: str) -> int:
 
 
 def _too_many(n: int, declared: Optional[int], noun: str) -> DataFormatError:
-    """The error for an n whose arrays numpy refuses to size (a ValueError, raised before any allocation)."""
+    """The error for an n whose arrays numpy refuses to size (a ValueError, raised before any
+    allocation) or the system refuses to allocate (a MemoryError)."""
     where = "the declared count" if declared is not None else f"one plus the largest {noun} id"
     return DataFormatError(f"n={n}, {where}, is too large")
 
@@ -747,18 +768,18 @@ def load_edge_list(text: str) -> UndirectedGraph:
 
     Lines hold two ids separated by whitespace or a comma.  Duplicate edges
     collapse to one.  Rejects self-loops, ids outside a declared n, empty
-    input, and an n too large for numpy to size.  A text that after the
-    header holds only ASCII digits, spaces, tabs and newlines, and exactly
-    two ids below 2**63 - 1 on each content line, is read in one
-    np.fromstring pass; any other text is scanned line by line, with the
-    same edges and the same error messages.
+    input, and an n too large for numpy to size or for memory to hold.  A
+    text that after the header holds only ASCII digits, spaces, tabs and
+    newlines, and exactly two ids below 2**63 - 1 on each content line, is
+    read in one np.fromstring pass; any other text is scanned line by line,
+    with the same edges and the same error messages.
     """
     plain = _plain_edges(text)
     declared, rows = plain if plain is not None else _scan_records(text, "edges")
     n = _node_count(declared, rows, "node")
     try:
         return UndirectedGraph.from_edges(n, rows)
-    except ValueError:  # the edges are checked, so only the n-cell degree count can fail
+    except (ValueError, MemoryError):  # the edges are checked, so only the n-cell degree count can fail
         raise _too_many(n, declared, "node") from None
 
 
@@ -772,7 +793,7 @@ def load_comparisons(text: str) -> ComparisonTable:
     n = _node_count(declared, rows[:, :2], "subject")
     try:
         wins = np.zeros((n, n), dtype=object)
-    except ValueError:
+    except (ValueError, MemoryError):
         raise _too_many(n, declared, "subject") from None
     np.add.at(wins, (rows[:, 0], rows[:, 1]), rows[:, 2].astype(object))
     return ComparisonTable(np.minimum(wins, MAX_TABLE_COMPARISONS + 1).astype(np.int64))

@@ -120,6 +120,40 @@ def test_an_n_too_large_to_size_is_a_format_error(runner, tmp_path):
     assert res.stderr == "data format error: n=9223372036854775807, one plus the largest node id, is too large\n"
 
 
+@pytest.mark.parametrize(
+    "model, text, noun", [("beta", "1000000000000 2\n", "node"), ("bt", "1000000000000,2,1\n", "subject")],
+    ids=["beta", "bt"],
+)
+def test_an_n_memory_refuses_is_a_format_error(runner, tmp_path, monkeypatch, model, text, noun):
+    # an n-cell degree count or n x n win table that the system cannot allocate raises
+    # MemoryError; stand-ins raise it here in place of an allocation of many GiB
+    n = 10**12 + 1
+    bincount, zeros = np.bincount, np.zeros
+
+    def refuse(real, size):
+        def alloc(*args, **kwargs):
+            if size(*args, **kwargs):
+                raise MemoryError
+            return real(*args, **kwargs)
+        return alloc
+
+    monkeypatch.setattr(core.np, "bincount", refuse(bincount, lambda *a, minlength=0, **k: minlength == n))
+    monkeypatch.setattr(core.np, "zeros", refuse(zeros, lambda shape, *a, **k: shape == (n, n)))
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    res = runner.invoke(main, ["fit", "--model", model, "--input", str(path)])
+    assert res.exit_code == 4, res.output
+    assert res.stderr == f"data format error: n={n}, one plus the largest {noun} id, is too large\n"
+
+
+@pytest.mark.parametrize("r", ["x", "2.5"])
+def test_a_homogeneous_null_needs_a_whole_number(runner, cycle_graph, r):
+    res = runner.invoke(main, ["test", "--model", "beta", "--input", cycle_graph[1], "--null", f"homogeneous:{r}",
+                               "--regime", "fixed"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == f"error: --null homogeneous:<r> needs a whole number r, got '{r}'\n"
+
+
 @pytest.mark.parametrize("which", ["edges", "comparisons", "null"])
 def test_bytes_that_are_not_utf8_are_format_errors(runner, tmp_path, which):
     files = {

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -786,3 +787,131 @@ def test_newton_cap_stops_members_mid_stack(model, monkeypatch):
         assert np.array_equal([got.loglik, got.gradient_norm], [solo.loglik, solo.gradient_norm], equal_nan=True)
         assert got.iterations == min(free.iterations, cap)
         assert got.converged == (free.converged and free.iterations <= cap)
+
+
+class _Members(NamedTuple):
+    id: np.ndarray
+    kind: np.ndarray
+
+
+def _synthetic_ascent(members: _Members, start, per, log):
+    """core.newton_ascent on one fixed class and one fitted class x per member, logging every call.
+
+    Kinds 0-2 maximize -log cosh(x), whose full Newton step overshoots from
+    |x| > 1.09; kind 3 has a constant score 1 and log-likelihood -(x - 2)^2,
+    so its steps never lower the norm; kind 4 has zero information.
+    """
+    def record(name, b, d):
+        log.append((name, d.id.tolist(), [v.tobytes() for v in b]))
+
+    def loglik(b, d):
+        record("loglik", b, d)
+        x = b[:, 1]
+        return np.where(d.kind == 3, -(x - 2.0) ** 2, -np.log(np.cosh(x)))
+
+    def score(b, d):
+        record("score", b, d)
+        s = np.full(b.shape, 7.0)  # the fixed class's entry, which the ascent ignores
+        s[:, 1] = np.where(d.kind == 3, 1.0, -np.tanh(b[:, 1]))
+        return s
+
+    def info(b, d):
+        record("info", b, d)
+        h = np.zeros(b.shape + (2,))
+        h[:, 1, 1] = np.where(d.kind == 4, 0.0, np.where(d.kind == 3, 1.0, 1.0 / np.cosh(b[:, 1]) ** 2))
+        return h
+
+    return pairlrt.core.newton_ascent(loglik, score, info, members, start, per, TOL_SCORE)
+
+
+def test_every_branch_of_the_step_loop_gives_each_member_its_bits_alone(monkeypatch):
+    solves = []
+    solve_each = pairlrt.core._solve_each
+    monkeypatch.setattr(pairlrt.core, "_solve_each", lambda H, s: solves.append(len(H)) or solve_each(H, s))
+    kind = np.array([0, 1, 2, 3, 4, 0, 2])
+    members = _Members(np.arange(kind.size), kind)
+    start = np.column_stack([np.linspace(-3.0, 3.0, kind.size), [1.0, 1.5, 3.0, 0.0, 0.5, -0.9, -3.2]])
+    per = np.array([[1.0], [2.0], [1.0], [1.0], [1.0], [3.0], [1.0]])
+    log = []
+    stacked = _synthetic_ascent(members, start, per, log)
+    assert solves == [kind.size]  # the batched solve failed once, on every live member
+    for i in range(kind.size):
+        alone = _synthetic_ascent(_Members(*(x[i:i + 1] for x in members)), start[i:i + 1], per[i:i + 1], [])
+        for got, want in zip(stacked, alone):
+            assert got[i].tobytes() == want[0].tobytes(), i
+    values, ll, norm, steps = stacked
+    assert np.array_equal(values[:, 0], start[:, 0])
+
+    def seen(name, member):
+        """The fitted values at which ``name`` evaluated a member, in order."""
+        return [np.frombuffer(v[member])[1] for n, ids, v in
+                ((n, ids, dict(zip(ids, v))) for n, ids, v in log) if n == name and member in ids]
+
+    # singular information: the batched solve fails, the member stops at its start
+    assert steps[4] == 0 and np.array_equal(values[4], start[4]) and norm[4] == np.tanh(0.5)
+    # log-likelihood rising, the norm not falling: two steps accepted on it, then none
+    assert steps[3] == 3 and values[3, 1] == 2.0 and norm[3] == 1.0 and ll[3] == 0.0
+    assert seen("loglik", 3)[:3] == [0.0, 1.0, 2.0]
+    for i in (0, 1, 2, 5, 6):
+        assert norm[i] <= TOL_SCORE and np.isfinite(ll[i]) and steps[i] > 2, i
+        assert abs(ll[i] + np.log(np.cosh(values[i, 1]))) == 0.0
+    # the first steps: a full step whose norm fell, a step halved once, and steps halved
+    # until they come inside the divergence cap; the ascent never evaluates outside it
+    full = [start[i, 1] - np.sinh(start[i, 1]) * np.cosh(start[i, 1]) for i in range(kind.size)]
+    first = {i: seen("score", i)[1:] for i in (0, 1, 2)}
+    assert abs(first[0][0] - full[0]) <= 1e-12 and abs(np.tanh(first[0][0])) < np.tanh(1.0)
+    assert [abs(x - 1.5) / abs(full[1] - 1.5) for x in first[1][:2]] == pytest.approx([1.0, 0.5], rel=1e-12)
+    assert abs(full[2]) > 2 * pairlrt.core.DIVERGENCE_CAP
+    assert abs(first[2][0] - 3.0) / abs(full[2] - 3.0) == pytest.approx(0.25, rel=1e-12)
+    assert max(abs(x) for i in range(kind.size) for x in seen("score", i)) <= pairlrt.core.DIVERGENCE_CAP
+    # the usual step: every live member's full step lowers its norm and is taken whole, so
+    # the next step starts where the one score call of this step evaluated
+    calls = [(n, dict(zip(ids, v))) for n, ids, v in log if n != "loglik"]
+    usual = [
+        a for a, b, c in zip(calls, calls[1:], calls[2:])
+        if (a[0], b[0], c[0]) == ("info", "score", "info") and a[1].keys() == b[1].keys()
+        and all(b[1][i] == v for i, v in c[1].items())
+    ]
+    assert len(usual) >= 2
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_saturation_shortcut_gives_the_full_rule_s_flags(sign):
+    # pair_saturated skips its c x c pass while 2 max|value| < -log(tol) for every member;
+    # members whose largest |value|, a fixed one, sits an ulp below, at and an ulp above
+    # -log(tol)/2, of either sign, get the flags of the full rule, alone and stacked
+    half = -np.log(TOL_SCORE) / 2
+    edges = [np.nextafter(half, 0.0), half, np.nextafter(half, np.inf)]
+    values = edges + [-v for v in edges]
+    if sign > 0:
+        # nodes 0 and 1 share a fixed class at v, whose one pair has logit 2v; the free nodes
+        # have an edge to both when v > 0 and to neither when v < 0
+        lead = [[v, v] for v in values]
+        degrees = np.array([[5, 5, 4, 3, 4, 3] if v > 0 else [0, 0, 2, 1, 2, 1] for v in values])
+        totals, model = 1, bm.class_model()
+        node_totals = np.broadcast_to(1 - np.eye(6, dtype=np.int64), (len(values), 6, 6))
+    else:
+        # subjects 1 and 2, fixed at v and -v, meet twice: a logit of 2v
+        lead = [[0.0, v, -v] for v in values]
+        degrees = np.repeat([[5, 1, 9, 4, 5, 6]], len(values), axis=0)
+        totals, model = 2 * (1 - np.eye(6, dtype=np.int64)), btm.class_model()
+        node_totals = np.broadcast_to(totals, (len(values), 6, 6))
+    cases = [class_maps(d[None], head, 0, True) for d, head in zip(degrees, lead)]
+    maps, fixed = np.concatenate([m for m, _ in cases]), [f[0] for _, f in cases]
+
+    def fit(rows):
+        return fit_by_classes(model, Tallies(degrees[rows], totals), maps[rows], [fixed[i] for i in rows], False,
+                              [None] * len(rows), TOL_SCORE)
+
+    every = fit(list(range(len(values))))
+    below = fit([0, 3])  # no member reaches the edge, so the pass is skipped for the whole stack
+    alone = [fit([i])[0] for i in range(len(values))]
+    assert [_fit_bits(f) for f in below] == [_fit_bits(alone[i]) for i in (0, 3)]
+    assert [_fit_bits(f) for f in every] == [_fit_bits(f) for f in alone]
+    beta = np.array([f.beta_hat for f in every])
+    full = graph_saturated(beta, TOL_SCORE) if sign > 0 else comparison_saturated(beta, node_totals, TOL_SCORE)
+    assert full.tolist() == [False, True, True] * 2
+    assert [f.exists for f in every] == [not s for s in full.tolist()]
+    for f, v in zip(every, values):
+        assert np.abs(f.beta_hat).max() == abs(v)  # the largest |value| is the fixed one
+        assert f.iterations > 0 and f.converged == f.exists
