@@ -19,7 +19,6 @@ from scipy.special import expit
 from .core import (
     TOL_SCORE,
     ClassModel,
-    Fits,
     NullHypothesis,
     Tallies,
     UndirectedGraph,
@@ -30,6 +29,7 @@ from .core import (
     pair_expected,
     pair_information,
     pair_log_likelihood,
+    pair_rows,
     pair_variances,
 )
 
@@ -159,12 +159,10 @@ def _fit(g, lead, tied: int, tol: float, check=None):
     """
     one = isinstance(g, UndirectedGraph)
     degrees = g.degrees[None] if one else g.degrees
-    if not len(degrees):
-        return Fits()
     if check is not None:
         check(degrees.shape[1])
     maps, fixed = class_maps(degrees, lead, tied, True)
-    fits = fit_by_classes(class_model(), Tallies(degrees, 1), maps, fixed, tied > 0, [None] * len(degrees), tol)
+    fits = fit_by_classes(class_model(), Tallies(degrees, 1), maps, fixed, tied > 0, False, tol)
     return fits[0] if one else fits
 
 
@@ -202,9 +200,10 @@ def simulate_graph(beta, rng):
     of them, which gives the degree stack Tallies(degrees, 1) of their
     graphs, degrees of shape (len(rng), n), row t drawn from rng[t] exactly
     as one graph from it.  The pairs i < j are drawn in row order, a block
-    of whole rows at a time (at most PAIR_BLOCK pairs, or one row), each
-    generator's uniforms for a block in turn: a draw holds its edges, or
-    its degree rows, and one block, never an array of n^2 entries.
+    of whole rows at a time (at most PAIR_BLOCK pairs, or one row,
+    core.pair_rows), each generator's uniforms for a block in turn: a draw
+    holds its edges, or its degree rows, and one block, never an array of
+    n^2 entries.
     """
     b = as_model_params(beta, "beta")
     n = b.size
@@ -212,15 +211,9 @@ def simulate_graph(beta, rng):
         raise ValueError("need at least three nodes")
     one = isinstance(rng, np.random.Generator)
     gens = [rng] if one else list(rng)
-    lengths = np.arange(n - 1, 0, -1)  # pairs of rows 0..n-2
-    first = np.concatenate([[0], np.cumsum(lengths)])  # index of each row's first pair
     edges, degrees = [], np.zeros((len(gens), n), dtype=np.int64)
-    top = 0
-    while top < n - 1:
-        end = max(top + 1, int(np.searchsorted(first, first[top] + PAIR_BLOCK, side="right")) - 1)
-        rows, starts = np.arange(top, end), first[top:end] - first[top]
-        i = np.repeat(rows, lengths[top:end])
-        j = np.arange(i.size) + np.repeat(rows + 1 - starts, lengths[top:end])
+    for top, i, j, starts in pair_rows(n, PAIR_BLOCK):
+        end = top + starts.size
         p = expit(b[i] + b[j])
         for t, gen in enumerate(gens):
             keep = gen.random(p.size) < p
@@ -230,6 +223,5 @@ def simulate_graph(beta, rng):
             else:
                 degrees[t, top:end] += np.add.reduceat(keep, starts)
                 degrees[t] += np.bincount(j[drawn], minlength=n)
-        top = end
     # the pairs i < j come distinct and in order, as from_edges leaves them
     return UndirectedGraph(n, np.concatenate(edges)) if one else Tallies(degrees, 1)

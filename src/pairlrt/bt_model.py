@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.special import expit
@@ -25,24 +25,26 @@ from .core import (
     as_model_params,
     class_maps,
     fit_by_classes,
-    nonexistent_fit,
     pair_expected,
     pair_information,
     pair_log_likelihood,
+    pair_rows,
 )
 
+PAIR_BLOCK = 2**16  # subject pairs that simulate_comparisons draws at a time, at most
+DRAW_BLOCK = 32  # generators that simulate_comparisons draws together, at most
 
-def subject_tallies(data) -> Tallies:
-    """Per-subject tallies of a ComparisonTable or a (k, n, n) stack of win matrices, as a stack.
 
-    Tallies are returned as they are.
+class ComparisonStack(NamedTuple):
+    """Tables drawn on one design, as their win totals: Tallies(wins (k, n), totals) and a mask of the strongly connected ones.
+
+    ``totals`` is the design's pair counts, a number for every pair or an
+    (n, n) matrix (comparison_counts); simulate_comparisons draws a stack
+    for a list of generators.
     """
-    if isinstance(data, Tallies):
-        return data
-    if isinstance(data, ComparisonTable):
-        return Tallies(data.degrees[None], data.totals)
-    w = np.asarray(data)
-    return Tallies(w.sum(axis=-1), w + np.swapaxes(w, -1, -2))
+
+    tallies: Tallies
+    connected: np.ndarray
 
 
 def _params(beta, table: Union[ComparisonTable, Tallies]) -> np.ndarray:
@@ -107,12 +109,24 @@ def strongly_connected(wins):
     return bool(every) if every.ndim == 0 else every
 
 
+def landau_connected(wins: np.ndarray, k) -> np.ndarray:
+    """Whether each table of win totals ``wins`` (..., n), every pair compared k times, is strongly connected.
+
+    A set of m subjects wins at least its k m(m-1)/2 comparisons within,
+    and exactly that when it beats no one outside, so a table is strongly
+    connected iff its m lowest win totals sum to more than k m(m-1)/2 for
+    every 1 <= m < n (Landau 1953).
+    """
+    m = np.arange(1, wins.shape[-1])
+    return (np.cumsum(np.sort(wins, axis=-1), axis=-1)[..., :-1] > k * (m * (m - 1) // 2)).all(axis=-1)
+
+
 def class_model() -> ClassModel:
     """The comparison model's functions for core.fit_by_classes, read anew on each call so wrappers take effect."""
     return ClassModel(bt_log_likelihood, bt_expected_wins, bt_fisher_info, -1)
 
 
-def _fit(data, null: Optional[NullHypothesis], tol: float, connected=True):
+def _fit(data, null: Optional[NullHypothesis], tol: float):
     """Fit a table, or each table of a stack, under ``null``, or with only the reference fixed when it is None.
 
     One Fit for a ComparisonTable ``data``, else Fits.  The reference and
@@ -120,10 +134,15 @@ def _fit(data, null: Optional[NullHypothesis], tol: float, connected=True):
     tied (core.class_maps).  A table whose pairs are all compared the same
     k > 0 times is balanced, and its free subjects of equal win total share
     a class; when every table is balanced with one k, their tallies hold k
-    alone, which core.class_tallies sums by class sizes.  A table that is
-    not ``connected`` has no maximizer.
+    alone, which core.class_tallies sums by class sizes.  Without a null, a
+    table that is not strongly connected has no maximizer.
     """
-    t = subject_tallies(data)
+    if isinstance(data, ComparisonTable):
+        t, connected = Tallies(data.degrees[None], data.totals), null is not None or strongly_connected(data)
+    elif isinstance(data, ComparisonStack):
+        t, connected = data.tallies, null is not None or data.connected
+    else:
+        t, connected = data, True
     k, n = t.degrees.shape
     lead, tied = np.zeros(1), 0
     if null is not None:
@@ -132,26 +151,31 @@ def _fit(data, null: Optional[NullHypothesis], tol: float, connected=True):
             lead = np.concatenate([lead, null.values])
         else:
             tied = null.r - 1
-    i, j = np.triu_indices(n, k=1)
-    pairs = t.totals[..., i, j]
-    maps, fixed = class_maps(t.degrees, lead, tied, (pairs[..., 0] > 0) & (pairs == pairs[..., :1]).all(axis=-1))
-    if pairs.size and pairs.flat[0] > 0 and np.all(pairs == pairs.flat[0]):
-        t = Tallies(t.degrees, pairs.flat[0])  # one count for every pair: class_tallies sums by class sizes
-    ready = [None if e else nonexistent_fit(np.zeros(n)) for e in np.broadcast_to(connected, (k,))]
-    fits = fit_by_classes(class_model(), t, maps, fixed, tied > 0, ready, tol)
+    if np.ndim(t.totals) == 0:
+        balanced = t.totals > 0
+    else:
+        i, j = np.triu_indices(n, k=1)
+        pairs = t.totals[..., i, j]
+        balanced = (pairs[..., 0] > 0) & (pairs == pairs[..., :1]).all(axis=-1)
+        if pairs.size and pairs.flat[0] > 0 and np.all(pairs == pairs.flat[0]):
+            t = Tallies(t.degrees, pairs.flat[0])  # one count for every pair: class_tallies sums by class sizes
+    maps, fixed = class_maps(t.degrees, lead, tied, balanced)
+    fits = fit_by_classes(class_model(), t, maps, fixed, tied > 0, ~np.asarray(connected), tol)
     return fits[0] if isinstance(data, ComparisonTable) else fits
 
 
 def bt_fit_mle(data, *, tol: float = TOL_SCORE):
     """Fit the n-1 free merit parameters of a table, or of each table of a stack.
 
-    ``data`` is a ComparisonTable, which gives one Fit, or a (k, n, n)
-    stack of win matrices or the per-subject Tallies of k tables, which
-    give their Fits, fitted together.  Existence is decided up front by
-    strong connectivity, which Tallies, holding no direction of wins, are
-    taken to have.  The reference is fixed at zero.
+    ``data`` is a ComparisonTable, which gives one Fit, or a
+    ComparisonStack or the Tallies of k tables (win totals (k, n) and pair
+    counts: a number, an (n, n) matrix or a (k, n, n) stack), which give
+    their Fits, fitted together.  Existence is decided up front by strong
+    connectivity: a table's own, a stack's mask, and Tallies, holding no
+    direction of wins, are taken to have it.  The reference is fixed at
+    zero.
     """
-    return _fit(data, None, tol, isinstance(data, Tallies) or strongly_connected(data))
+    return _fit(data, None, tol)
 
 
 def bt_fit_restricted(data, null: NullHypothesis, *, tol: float = TOL_SCORE):
@@ -165,18 +189,24 @@ def bt_fit_restricted(data, null: NullHypothesis, *, tol: float = TOL_SCORE):
     return _fit(data, null, tol)
 
 
-def comparison_counts(k, n: int) -> np.ndarray:
-    """The n-by-n matrix of comparisons per pair that k gives, a scalar or a matrix.
+def comparison_counts(k, n: int):
+    """The comparisons per pair that k gives: a whole number for every pair, or an n-by-n matrix.
 
-    A ValueError names k unless its counts are symmetric, nonnegative whole numbers.
+    A number gives an int; a matrix gives an int64 copy with a zero
+    diagonal, which no pair reads.  A ValueError names k unless its counts
+    are symmetric, nonnegative whole numbers.
     """
-    totals = np.full((n, n), k) if np.isscalar(k) else np.asarray(k)
-    if totals.shape != (n, n):
+    totals = np.asarray(k)
+    if totals.ndim and totals.shape != (n, n):
         raise ValueError(f"comparison counts 'k' must be a number or an {n}-by-{n} matrix, got shape {totals.shape}")
     if totals.dtype.kind not in "iuf" or not np.all(np.isfinite(totals) & (totals == np.round(totals))):
         raise ValueError("comparison counts 'k' must be whole numbers")
     if not np.array_equal(totals, totals.T) or np.any(totals < 0):
         raise ValueError("comparison counts 'k' must be symmetric and nonnegative")
+    if not totals.ndim:
+        return int(totals)
+    totals = totals.astype(np.int64)
+    np.fill_diagonal(totals, 0)
     return totals
 
 
@@ -197,8 +227,8 @@ def _inversion_row(g, doubles, n, s, q, qn, bound) -> list:
     return out
 
 
-def _binomial_rows(counts: np.ndarray, p: np.ndarray, gens: list) -> np.ndarray:
-    """The draws [g.binomial(counts, p) for g in gens], bit for bit, each g left as that call leaves it.
+def _binomial_rows(counts: np.ndarray, p: np.ndarray):
+    """The draw gens -> [g.binomial(counts, p) for g in gens], bit for bit, each g left as that call leaves it.
 
     Generator.binomial (random_binomial in numpy's distributions.c) draws
     the pairs in turn.  A pair with n = 0 or p = 0 is 0 and reads nothing.
@@ -207,69 +237,127 @@ def _binomial_rows(counts: np.ndarray, p: np.ndarray, gens: list) -> np.ndarray:
     X = 0 and px = exp(n log1p(-s)), while u > px, X += 1, u -= px and
     px = (n - X + 1) s px / (X q), q = 1 - s.  A pair whose X passes
     min(n, n s + 10 sqrt(n s q + 1)) starts again on a fresh double.
-    Here each generator's doubles come in one g.random call and the loop
+    These constants are set up here, once for every call of the draw.
+    There each generator's doubles come in one g.random call and the loop
     runs on all of them at once.  exp and log1p are the C library's,
     through the math module, as numpy's C code calls them; numpy's
     vectorised ones may differ in the last bit.  A row that starts a pair
     again is redone alone from its doubles, then reads on from its
     generator.  With any pair at n s > 30, numpy's other sampler, each
-    row is one g.binomial call.
+    row is one g.binomial call.  Any cache numpy keeps between pairs holds
+    only their constants, so consecutive calls on consecutive pairs draw
+    as one call on all of them.
     """
     flip = p > 0.5
     s = np.where(flip, 1.0 - p, p)
     if np.any(s * counts > 30.0):
-        return np.array([g.binomial(counts, p) for g in gens], dtype=np.int64).reshape(len(gens), counts.size)
+        return lambda gens: np.array([g.binomial(counts, p) for g in gens], dtype=np.int64).reshape(len(gens), -1)
     reads = np.flatnonzero((counts > 0) & (p != 0))
     n, s, m = counts[reads], s[reads], reads.size
     q = 1.0 - s
     qn = np.fromiter(map(math.exp, (n * np.fromiter(map(math.log1p, (-s).tolist()), float, m)).tolist()), float, m)
     mean = n * s
     bound = np.minimum(n, mean + 10.0 * np.sqrt(mean * q + 1.0)).astype(np.int64)
-    u = np.array([g.random(m) for g in gens]).reshape(len(gens), m)
-    # an entry still going takes step X = step, px is the same for a pair in
-    # every row, and an entry that stops keeps X whatever left does after
-    left, px = u.copy(), qn
-    going = left > px
-    x = going.astype(np.int8)  # X <= bound < 30 + 10 sqrt(31)
-    redo = np.zeros(len(gens), dtype=bool)
-    step, low = 1, bound.min(initial=0)
-    while going.any():
-        if step > low:
-            over = going & (step > bound)
-            redo |= over.any(axis=1)
-            going &= ~over
-        left -= px
-        px = ((n - step + 1) * s * px) / (step * q)
-        going &= left > px
-        x += going
-        step += 1
-    for r in np.flatnonzero(redo):
-        x[r] = _inversion_row(gens[r], u[r], n, s, q, qn, bound)
-    out = np.zeros((len(gens), counts.size), dtype=np.int64)
-    out[:, reads] = np.where(flip[reads], n - x, x)
-    return out
+    low = bound.min(initial=0)
+
+    def draw(gens: list) -> np.ndarray:
+        u = np.array([g.random(m) for g in gens]).reshape(len(gens), m)
+        # an entry still going takes step X = step, px is the same for a pair in
+        # every row, and an entry that stops keeps X whatever left does after
+        left, px = u.copy(), qn
+        going = left > px
+        x = going.astype(np.int8)  # X <= bound < 30 + 10 sqrt(31)
+        redo = np.zeros(len(gens), dtype=bool)
+        step = 1
+        while going.any():
+            if step > low:
+                over = going & (step > bound)
+                redo |= over.any(axis=1)
+                going &= ~over
+            left -= px
+            px = ((n - step + 1) * s * px) / (step * q)
+            going &= left > px
+            x += going
+            step += 1
+        for r in np.flatnonzero(redo):
+            x[r] = _inversion_row(gens[r], u[r], n, s, q, qn, bound)
+        del u, left  # freed before the draws' array, which the flips then fill in place
+        out = np.zeros((len(gens), counts.size), dtype=np.int64)
+        out[:, reads] = x
+        return np.subtract(counts, out, out=out, where=flip)
+
+    return draw
+
+
+def _pair_block(b: np.ndarray, counts, top: int, i: np.ndarray, j: np.ndarray, starts: np.ndarray):
+    """The draw of one block of whole rows of pairs (i, j), rows top.., as a function of a block of generators.
+
+    ``draw(gens, wins, tables)`` adds the block's share of each
+    generator's win totals to ``wins`` (len(gens), n), taken from its
+    upper-triangle draws, and, unless ``tables`` is None, writes its wins
+    into those (len(gens), n, n) win matrices.  A row's pairs are
+    consecutive, so its wins sum by np.add.reduceat; a column's come in one
+    stable sort of j, the same for every generator.
+    """
+    pair = counts[i, j] if np.ndim(counts) else np.full(i.size, counts, dtype=np.int64)
+    binomial = _binomial_rows(pair, expit(b[i] - b[j]))
+    by_col = np.argsort(j, kind="stable")
+    cols = np.flatnonzero(np.diff(j[by_col], prepend=-1))  # where each column top+1..n-1 starts
+    lost = np.add.reduceat(pair[by_col], cols)
+
+    def draw(gens: list, wins: np.ndarray, tables: Optional[np.ndarray]) -> None:
+        upper = binomial(gens)
+        wins[:, top:top + starts.size] += np.add.reduceat(upper, starts, axis=1)
+        wins[:, top + 1:] += lost - np.add.reduceat(upper[:, by_col], cols, axis=1)
+        if tables is not None:
+            tables[:, i, j] = upper
+            tables[:, j, i] = pair - upper
+
+    return draw
 
 
 def simulate_comparisons(beta, k, rng):
-    """Draw win counts for every pair with totals k (a scalar or a symmetric matrix).
+    """Draw win counts for every pair with totals k, a number or a symmetric matrix (comparison_counts).
 
-    ``rng`` is one Generator, which gives a ComparisonTable, or a sequence
-    of them, which gives a (len(rng), n, n) stack of win matrices, the i-th
-    drawn from rng[i] exactly as one table from it: each generator draws
-    its upper-triangle pairs in row order as one Generator.binomial call
-    would, with the same bits and the same state after (_binomial_rows).
+    ``rng`` is one Generator, which gives a ComparisonTable, or an iterable
+    of them, which gives the ComparisonStack of their tables, the i-th
+    drawn from the i-th generator exactly as one table from it: each
+    generator draws its upper-triangle pairs in row order as one
+    Generator.binomial call would, with the same bits and the same state
+    after (_binomial_rows).  The generators are read and drawn DRAW_BLOCK
+    at a time, so a stack keeps only one block of them; the pairs are drawn
+    a block of whole rows at a time (at most PAIR_BLOCK pairs, or one row,
+    core.pair_rows), each generator's in turn.  Each block's set-up
+    (expit, the inversion constants, the row and column sums) is made once
+    per call when the pairs fit in one block, else once per block of
+    generators.  A stack holds each table's win totals and whether it is
+    strongly connected: on a design with one count for every pair, by
+    landau_connected on the totals, and on any other by
+    strongly_connected on one block of generators' win matrices at a time.
     """
     b = as_model_params(beta, "bt")
     n = b.size
     if n < 3:
         raise ValueError("need at least three subjects")
-    totals = comparison_counts(k, n)
-    i, j = np.triu_indices(n, k=1)
-    pair_totals = totals[i, j].astype(np.int64)
-    p = expit(b[i] - b[j])
+    counts = comparison_counts(k, n)
     one = isinstance(rng, np.random.Generator)
-    upper = _binomial_rows(pair_totals, p, [rng] if one else list(rng))
-    wins = np.zeros((len(upper), n, n), dtype=np.int64)
-    wins[:, i, j] = upper
-    wins[:, j, i] = pair_totals - upper
-    return ComparisonTable(wins[0]) if one else wins
+    shared = counts if np.ndim(counts) == 0 else counts[0, 1]  # the count of every pair, if one
+    if np.ndim(counts) and np.any((counts != shared) & ~np.eye(n, dtype=bool)):
+        shared = None
+
+    def blocks():
+        return (_pair_block(b, counts, *rows) for rows in pair_rows(n, PAIR_BLOCK))
+
+    ready = list(blocks()) if n * (n - 1) // 2 <= PAIR_BLOCK else None
+    gens = iter([rng] if one else rng)
+    wins, connected = [np.zeros((0, n), dtype=np.int64)], [np.zeros(0, dtype=bool)]
+    while block := list(itertools.islice(gens, DRAW_BLOCK)):
+        w = np.zeros((len(block), n), dtype=np.int64)
+        tables = np.zeros((len(block), n, n), dtype=np.int64) if one or shared is None else None
+        for draw in ready or blocks():
+            draw(block, w, tables)
+        if one:
+            return ComparisonTable(tables[0])
+        wins.append(w)
+        connected.append(strongly_connected(tables) if shared is None else landau_connected(w, shared))
+    return ComparisonStack(Tallies(np.concatenate(wins), counts), np.concatenate(connected))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
@@ -85,9 +86,16 @@ class UndirectedGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "UndirectedGraph":
-        """Graph on n nodes from (i, j) pairs of integer ids; duplicate edges collapse."""
+        """Graph on n nodes from (i, j) pairs of integer ids; duplicate edges collapse.
+
+        Pairs are ordered by the int64 key i*n + j, whose largest value,
+        n(n - 1) - 1, must not wrap: a larger n is a ValueError, raised
+        before any n-sized allocation.
+        """
         if n < MIN_NODES:
             raise ValueError(f"need at least {MIN_NODES} nodes, got {n}")
+        if int(n) * (int(n) - 1) > 2**63:
+            raise ValueError(f"n={n} is too large: pair keys i*n + j would pass the 64-bit integer range")
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if e.shape == (0,):
             e = np.zeros((0, 2), dtype=np.int64)
@@ -203,13 +211,35 @@ class Fit:
         return {name: getattr(self, name) for name in ("loglik", "iterations", "converged", "exists", "gradient_norm")}
 
 
-class Fits(list):
-    """The fits of a stack of datasets, one per dataset, in the stack's order."""
+class Fits(Sequence):
+    """The fits of a stack of datasets as columns, one entry per member in the stack's order.
+
+    ``values`` holds each member's parameters, a row per member, and the
+    other columns the Fit fields of the same names (``steps`` its
+    iterations).  ``fits[t]`` is member t's Fit, built when indexed, and
+    ``fits[rows]``, with rows a mask, indices or a slice, the Fits of those
+    members.
+    """
+
+    def __init__(self, values, loglik, steps, converged, exists, gradient_norm):
+        self.values, self.loglik, self.steps = values, loglik, steps
+        self.converged, self.exists, self.gradient_norm = converged, exists, gradient_norm
+
+    def __len__(self) -> int:
+        return len(self.loglik)
+
+    def __getitem__(self, t):
+        if isinstance(t, (int, np.integer)):
+            return Fit(self.values[t], *(x[t].item() for x in self._columns()[1:]))
+        return Fits(*(x[t] for x in self._columns()))
+
+    def _columns(self) -> tuple:
+        return self.values, self.loglik, self.steps, self.converged, self.exists, self.gradient_norm
 
     @property
     def iterations(self) -> int:
         """Newton steps of every member together."""
-        return sum(f.iterations for f in self)
+        return int(self.steps.sum())
 
 
 def sum_bins(x: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
@@ -222,6 +252,23 @@ def sum_bins(x: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
     offsets = np.arange(math.prod(lead)).reshape(lead + (1,)) * size
     out = np.bincount((offsets + index).ravel(), weights=x.ravel(), minlength=math.prod(lead) * size)
     return out.reshape(lead + (size,))
+
+
+def pair_rows(n: int, size: int) -> Iterator[tuple]:
+    """The pairs i < j of n nodes in row order, a block of whole rows at a time (at most ``size`` pairs, or one row).
+
+    Yields (top, i, j, starts) per block: its first row, its pairs, and
+    where each of its rows starts among them.
+    """
+    lengths = np.arange(n - 1, 0, -1)  # pairs of rows 0..n-2
+    first = np.concatenate([[0], np.cumsum(lengths)])  # index of each row's first pair
+    top = 0
+    while top < n - 1:
+        end = max(top + 1, int(np.searchsorted(first, first[top] + size, side="right")) - 1)
+        rows, starts = np.arange(top, end), first[top:end] - first[top]
+        i = np.repeat(rows, lengths[top:end])
+        yield top, i, np.arange(i.size) + np.repeat(rows + 1 - starts, lengths[top:end]), starts
+        top = end
 
 
 class Tallies(NamedTuple):
@@ -307,11 +354,6 @@ def pair_saturated(b: np.ndarray, t: Tallies, sign: int, tol: float) -> np.ndarr
     if not (2 * np.abs(b).max(axis=-1, initial=0.0) >= edge).any():
         return np.zeros(np.broadcast_shapes(b.shape[:-1], np.shape(t.totals)[:-2]), dtype=bool)
     return np.where(t.totals > 0, np.abs(pair_logits(b, sign)), -np.inf).max(axis=(-2, -1)) >= edge
-
-
-def nonexistent_fit(beta: np.ndarray, iterations: int = 0) -> Fit:
-    """The report of a fit whose maximizer does not exist; beta is the last iterate."""
-    return Fit(beta.copy(), float("nan"), iterations, False, False, float("inf"))
 
 
 _HALVINGS = 0.5 ** np.arange(30)
@@ -516,36 +558,40 @@ def class_tallies(t: Tallies, classes: np.ndarray) -> Tallies:
     return Tallies(degrees, np.swapaxes(member, -1, -2) @ np.asarray(t.totals, dtype=float) @ member)
 
 
-def fit_by_classes(model: ClassModel, data: Tallies, maps, fixed: list, tied: bool, ready: list, tol: float):
+def fit_by_classes(model: ClassModel, data: Tallies, maps, fixed: list, tied: bool, absent, tol: float) -> Fits:
     """Fit each member of a stack with one parameter per class of its node-to-class map.
 
     ``data`` holds the node Tallies, a row per member.  Member t has map
     ``maps[t]`` (see class_maps), its fixed classes first, holding the
     values ``fixed[t]``; with ``tied`` the next class is a block tied to one
-    unknown value, and every later class is fitted freely.  A
-    member whose entry of ``ready`` is a Fit keeps it.  Members of equal
-    class and fixed-class count are fitted together, in ascents of at most
-    BATCH_CELLS cells, so none is padded and each runs the arithmetic of its
-    fit alone.  Before any step, a member has no maximizer when a fitted
-    class's total sits at its least or its most, d_a <= w_a or d_a >=
-    rowsum(T)_a - w_a, where w_a = (1 - sign)/4 T_aa counts the wins within
-    the class, which no value moves.  A member with no fitted class is a
-    converged fit at its fixed values; the others start at their mean-field
-    points (mean_field_start).  A class's reduced score, its total less
-    model.expected, is over its node count, or whole for a tied block.  A
-    converged member whose fitted values saturate (pair_saturated) has no
-    maximizer.
-    Returns the Fits in the stack's order.
+    unknown value, and every later class is fitted freely.  A member marked
+    in ``absent``, a mask or one flag for all, has no maximizer and is not
+    fitted; its values are zero.  Members of equal class and fixed-class
+    count are fitted together, in ascents of at most BATCH_CELLS cells, so
+    none is padded and each runs the arithmetic of its fit alone.  Before
+    any step, a member has no maximizer when a fitted class's total sits at
+    its least or its most, d_a <= w_a or d_a >= rowsum(T)_a - w_a, where
+    w_a = (1 - sign)/4 T_aa counts the wins within the class, which no
+    value moves; its values are then its fixed values and zeros.  A member
+    with no fitted class is a converged fit at its fixed values; the others
+    start at their mean-field points (mean_field_start).  A class's reduced
+    score, its total less model.expected, is over its node count, or whole
+    for a tied block.  A converged member whose fitted values saturate
+    (pair_saturated) has no maximizer and keeps its last values and steps.
+    Returns the Fits in the stack's order; a member without a maximizer
+    has a NaN log-likelihood and an infinite gradient norm.
     """
     if not 0 < tol < 1:
         raise ValueError(f"score tolerance must be in (0, 1), got {tol}")
     maps = np.asarray(maps)
-    fits = list(ready)
-    count = maps.max(axis=-1, initial=0) + 1
+    k, n = maps.shape
+    values, steps = np.zeros((k, n)), np.zeros(k, dtype=int)
+    loglik, gnorm = np.full(k, np.nan), np.full(k, np.inf)
+    exists, converged = ~np.broadcast_to(absent, (k,)), np.zeros(k, dtype=bool)
+    count = (maps.max(axis=-1, initial=0) + 1).tolist()
     groups: dict = {}
-    for t, decided in enumerate(ready):
-        if decided is None:
-            groups.setdefault((int(count[t]), fixed[t].size), []).append(t)
+    for t in np.flatnonzero(exists).tolist():
+        groups.setdefault((count[t], fixed[t].size), []).append(t)
     for (c, f), members in groups.items():
         size = max(1, BATCH_CELLS // c**2)
         for rows in (np.array(members[i:i + size]) for i in range(0, len(members), size)):
@@ -555,9 +601,10 @@ def fit_by_classes(model: ClassModel, data: Tallies, maps, fixed: list, tied: bo
             w = (1 - model.sign) / 4 * np.diagonal(tallies.totals, axis1=-2, axis2=-1)
             d = tallies.degrees
             bound = ((d <= w) | (d >= tallies.totals.sum(axis=-1) - w))[:, f:].any(axis=1)
-            for i in np.flatnonzero(bound):
-                fits[rows[i]] = nonexistent_fit(np.concatenate([head[i], np.zeros(c - f)])[classes[i]])
             if bound.any():
+                out = rows[bound]
+                exists[out] = False
+                values[out] = np.take_along_axis(np.pad(head[bound], ((0, 0), (0, c - f))), classes[bound], axis=1)
                 keep = ~bound
                 rows, classes, head = rows[keep], classes[keep], head[keep]
                 tallies = Tallies(*(x[keep] for x in tallies))
@@ -567,17 +614,16 @@ def fit_by_classes(model: ClassModel, data: Tallies, maps, fixed: list, tied: bo
             per = sum_bins(np.ones(classes.shape), classes, c)[:, f:]
             if tied:
                 per[:, 0] = 1.0
-            values, ll, gnorm, iters = newton_ascent(
+            fitted, ll, norm, iters = newton_ascent(
                 model.loglik, lambda b, t: t.degrees - model.expected(b, t), model.info, tallies,
                 mean_field_start(tallies, head, model.sign), per, tol,
             )
-            beta = np.take_along_axis(values, classes, axis=1)
-            converged = gnorm <= tol
-            lost = converged & (c > f) & pair_saturated(values, tallies, model.sign, tol)
-            scalars = (x.tolist() for x in (rows, lost, ll, iters, converged, gnorm))
-            for (t, gone, loglik, steps, done, norm), row in zip(zip(*scalars), beta):
-                fits[t] = nonexistent_fit(row, steps) if gone else Fit(row, loglik, steps, done, True, norm)
-    return Fits(fits)
+            done = norm <= tol
+            lost = done & (c > f) & pair_saturated(fitted, tallies, model.sign, tol)
+            values[rows] = np.take_along_axis(fitted, classes, axis=1)
+            steps[rows], exists[rows], converged[rows] = iters, ~lost, done & ~lost
+            loglik[rows], gnorm[rows] = np.where(lost, np.nan, ll), np.where(lost, np.inf, norm)
+    return Fits(values, loglik, steps, converged, exists, gnorm)
 
 
 @dataclass(frozen=True)
@@ -757,8 +803,9 @@ def _node_count(declared: Optional[int], ids: np.ndarray, noun: str) -> int:
 
 
 def _too_many(n: int, declared: Optional[int], noun: str) -> DataFormatError:
-    """The error for an n whose arrays numpy refuses to size (a ValueError, raised before any
-    allocation) or the system refuses to allocate (a MemoryError)."""
+    """The error for an n whose arrays numpy refuses to size, or whose pair keys would wrap
+    (a ValueError, raised before any allocation), or the system refuses to allocate (a
+    MemoryError)."""
     where = "the declared count" if declared is not None else f"one plus the largest {noun} id"
     return DataFormatError(f"n={n}, {where}, is too large")
 
@@ -779,7 +826,7 @@ def load_edge_list(text: str) -> UndirectedGraph:
     n = _node_count(declared, rows, "node")
     try:
         return UndirectedGraph.from_edges(n, rows)
-    except (ValueError, MemoryError):  # the edges are checked, so only the n-cell degree count can fail
+    except (ValueError, MemoryError):  # the edges are checked, so only the size of n can fail
         raise _too_many(n, declared, "node") from None
 
 

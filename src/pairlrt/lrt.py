@@ -28,17 +28,19 @@ from . import beta_model, bt_model
 from .core import (
     TOL_SCORE,
     ComparisonTable,
+    Fits,
     NonexistentMLEError,
     NullHypothesis,
+    Tallies,
     UndirectedGraph,
 )
 
 REGIMES = ("fixed", "growing")
 DEFAULT_BOOTSTRAP_B = 999
-# Bootstrap tables drawn together.  A chunk's n-by-n draws are dropped once its
-# connected tables' win totals are kept; the fits then run over all B tables,
-# grouped by class count (see core.BATCH_CELLS).  Fitting inside chunks of 32
-# was slower, since a chunk's groups by class count are tiny.
+# Bootstrap children spawned at a time, as the draw reads them (bt_model.DRAW_BLOCK
+# draws together); the fits then run over all B tables, grouped by class count (see
+# core.BATCH_CELLS).  Fitting inside chunks of 32 was slower, since a chunk's groups
+# by class count are tiny.
 BOOTSTRAP_CHUNK = 32
 
 
@@ -134,10 +136,11 @@ def fit_pair(data, null: NullHypothesis, tol: float = TOL_SCORE) -> tuple:
 
     ``data`` is a graph or the degree stack Tallies(degrees, 1) of k graphs
     (beta_model.simulate_graph), passed to the graph fits as it is; or a
-    ComparisonTable or a (k, n, n) stack of win matrices.  One dataset gives
-    two Fits, a stack two lists of them, each fitted together.
+    ComparisonTable or the bt_model.ComparisonStack of k tables
+    (bt_model.simulate_comparisons).  One dataset gives two Fits, a stack
+    two Fits stacks, each fitted together.
     """
-    if isinstance(data, (ComparisonTable, np.ndarray)):
+    if isinstance(data, (ComparisonTable, bt_model.ComparisonStack)):
         return bt_model.bt_fit_mle(data, tol=tol), bt_model.bt_fit_restricted(data, null, tol=tol)
     full = beta_model.fit_mle(data, tol=tol)
     if null.kind == "specified":
@@ -145,22 +148,27 @@ def fit_pair(data, null: NullHypothesis, tol: float = TOL_SCORE) -> tuple:
     return full, beta_model.fit_restricted_homogeneous(data, null.r, tol=tol)
 
 
-def lrt_statistic(full, restricted) -> float:
-    """Twice the log-likelihood gap, clamped to zero within rounding slack."""
-    if not (full.exists and restricted.exists):
+def lrt_statistic(full, restricted):
+    """Twice the log-likelihood gap, clamped to zero within rounding slack.
+
+    Two Fits give a float; two Fits stacks give an array, member by member,
+    and every member must qualify.
+    """
+    exists_full, exists_null = bool(np.all(full.exists)), bool(np.all(restricted.exists))
+    if not (exists_full and exists_null):
         raise NonexistentMLEError(
             "likelihood-ratio statistic undefined: maximizer does not exist",
-            exists_full=full.exists,
-            exists_null=restricted.exists,
+            exists_full=exists_full,
+            exists_null=exists_null,
         )
-    if not (full.converged and restricted.converged):
+    if not np.all(np.logical_and(full.converged, restricted.converged)):
         raise RuntimeError("likelihood-ratio statistic from non-converged fits")
     stat = 2.0 * (full.loglik - restricted.loglik)
     # nested fits at score tolerance 1e-8 can disagree by ~1e-8 on flat
     # likelihoods; only a gap beyond that is a solver failure
-    if stat < -1e-6:
-        raise RuntimeError(f"negative likelihood-ratio statistic {stat:.3e}")
-    return max(stat, 0.0)
+    if np.any(stat < -1e-6):
+        raise RuntimeError(f"negative likelihood-ratio statistic {np.min(stat):.3e}")
+    return np.maximum(stat, 0.0) if isinstance(full, Fits) else max(stat, 0.0)
 
 
 @dataclass
@@ -201,7 +209,7 @@ def _normalized(stat: float, center: float) -> float:
 
 
 def bootstrap_distribution(
-    table: ComparisonTable,
+    table,
     null: NullHypothesis,
     beta_null: np.ndarray,
     B: int,
@@ -210,31 +218,30 @@ def bootstrap_distribution(
 ) -> tuple[list, int]:
     """Simulate B tables from the restricted fit; return the usable statistics and B.
 
-    Table i is drawn from the i-th child of rng (successive spawns continue
-    one sequence of children).  The tables are drawn BOOTSTRAP_CHUNK at a
-    time, and a chunk keeps only the win totals of its strongly connected
-    tables: every draw has the observed pair totals, which with the win
-    totals are all a fit reads.  All B tables are then fitted together per
-    model, and the statistics keep the children's order.  A table is
-    dropped unless both of its fits converged, which a fit with no maximizer
-    never does.
+    ``table`` is the observed ComparisonTable, or the pair counts of the
+    design it was drawn on (a number or a matrix, as
+    bt_model.comparison_counts takes them); every draw has its pair
+    counts, which with the win totals are all a fit reads.  Table i is
+    drawn from the i-th child of rng (successive spawns continue one
+    sequence of children), the children spawned BOOTSTRAP_CHUNK at a time
+    as one simulate_comparisons call reads them.  All B tables are then
+    fitted together per model, and the statistics keep the children's
+    order.  A table is dropped unless both of its fits converged, which a
+    fit with no maximizer, such as the full fit of a table that is not
+    strongly connected, never does.
     """
-    totals = table.totals
-
-    def draw(size):
-        wins = bt_model.simulate_comparisons(beta_null, totals, rng.spawn(size))
-        return wins[bt_model.strongly_connected(wins)].sum(axis=-1)
-
-    wins = np.concatenate([draw(min(BOOTSTRAP_CHUNK, B - start)) for start in range(0, B, BOOTSTRAP_CHUNK)])
-    full = bt_model.bt_fit_mle(bt_model.Tallies(wins, totals), tol=tol)
-    kept = np.array([f.converged for f in full], dtype=bool)
-    restricted = bt_model.bt_fit_restricted(bt_model.Tallies(wins[kept], totals), null, tol=tol)
-    full = [f for f in full if f.converged]
-    return [lrt_statistic(f, r) for f, r in zip(full, restricted) if r.converged], B
+    totals = table.totals if isinstance(table, ComparisonTable) else table
+    children = (c for start in range(0, B, BOOTSTRAP_CHUNK) for c in rng.spawn(min(BOOTSTRAP_CHUNK, B - start)))
+    drawn = bt_model.simulate_comparisons(beta_null, totals, children)
+    full = bt_model.bt_fit_mle(drawn, tol=tol)
+    kept = full.converged
+    restricted = bt_model.bt_fit_restricted(Tallies(drawn.tallies.degrees[kept], drawn.tallies.totals), null, tol=tol)
+    both = restricted.converged
+    return lrt_statistic(full[kept][both], restricted[both]).tolist(), B
 
 
 def bootstrap_tail(
-    table: ComparisonTable,
+    table,
     null: NullHypothesis,
     stat: float,
     beta_null: np.ndarray,
@@ -247,7 +254,7 @@ def bootstrap_tail(
     The p-value is (1 + #{bootstrap stat >= stat}) over (#usable + 1).
     Replicates with no converged maximizer are dropped; when more than half
     of them are lost there is no p-value, and it is NaN.  B must be at
-    least 1.
+    least 1.  ``table`` is as bootstrap_distribution takes it.
     """
     if B < 1:
         raise ValueError(f"bootstrap needs at least one replicate, got B={B}")
@@ -261,7 +268,7 @@ def bootstrap_tail(
 def p_value(
     reference: Reference,
     stat: float,
-    data: Union[UndirectedGraph, ComparisonTable, None],
+    data,
     null: NullHypothesis,
     beta_null: np.ndarray,
     rng: np.random.Generator,
@@ -270,9 +277,10 @@ def p_value(
     """p-value of stat under reference, and the number of usable bootstrap replicates.
 
     The growing regime reads the chi-square(r) surrogate.  A bootstrap
-    redraws the table ``data`` from the restricted fit beta_null (see
-    bootstrap_tail); no other reference reads ``data``, and without a
-    bootstrap the replicate count is None.
+    redraws the table ``data``, or tables on the pair counts ``data``, from
+    the restricted fit beta_null (see bootstrap_distribution); no other
+    reference reads ``data``, and without a bootstrap the replicate count is
+    None.
     """
     if isinstance(reference, NormalizedGaussian):
         return chi_square_sf(stat, null.r), None

@@ -30,12 +30,12 @@ from typing import Optional, Union
 import numpy as np
 
 from . import beta_model, bt_model, lrt
-from .core import TOL_SCORE, ComparisonTable, NullHypothesis, float_array, whole_number
+from .core import TOL_SCORE, NullHypothesis, float_array, whole_number
 
 # Replicates drawn and fitted together: as many as fit in this many n-by-n
 # cells, so a chunk's memory is fixed whatever the replicate count.  A chunk
-# of comparison tables holds that many win counts; a chunk of graphs holds
-# only its degree rows and one block of pairs (beta_model.PAIR_BLOCK).
+# holds only its degree or win-total rows and one block of pairs
+# (beta_model.PAIR_BLOCK, bt_model.PAIR_BLOCK).
 CHUNK_CELLS = 2**20
 
 PRESETS = ("H01", "H02", "H03", "H04", "PowerBeta", "PowerBT", "NBASmall")
@@ -246,31 +246,21 @@ def simulate(scenario: Scenario, rng):
     """One dataset drawn from the scenario's generating parameters.
 
     A sequence of generators gives one dataset per generator: the degree
-    stack Tallies(degrees, 1) of the graphs, or a stack of win matrices.
+    stack Tallies(degrees, 1) of the graphs, or the ComparisonStack of the
+    tables.
     """
     if scenario.model == "beta":
         return beta_model.simulate_graph(scenario.true_beta, rng)
     return bt_model.simulate_comparisons(scenario.true_beta, scenario.k, rng)
 
 
-def _outcome(scenario: Scenario, wins, full, restr, rng, stats_only: bool) -> tuple:
-    """(statistic, p-value, unconverged) of one replicate, NaN where undefined.
-
-    ``wins`` is a table's win matrix, which a bootstrap p-value reads, or
-    None for a graph, whose p-value reads only the statistic.
-    """
-    nan = float("nan")
-    if not (full.exists and restr.exists):
-        return nan, nan, False
-    if not (full.converged and restr.converged):
-        return nan, nan, True
-    stat = lrt.lrt_statistic(full, restr)
-    if stats_only:
-        return stat, nan, False
-    table = None if wins is None else ComparisonTable(wins)
-    reference = lrt.reference_distribution(scenario.model, scenario.null, scenario.regime)
-    p, _ = lrt.p_value(reference, stat, table, scenario.null, restr.beta_hat, rng, TOL_SCORE)
-    return stat, p, False
+def _outcomes(full, restr) -> tuple:
+    """The statistic of each replicate of a chunk's Fits, NaN where undefined, and which fits stopped short of tol."""
+    exists = full.exists & restr.exists
+    ok = exists & full.converged & restr.converged
+    stats = np.full(len(full), np.nan)
+    stats[ok] = lrt.lrt_statistic(full[ok], restr[ok])
+    return stats, exists & ~ok
 
 
 def _replicate_batch(args):
@@ -278,21 +268,24 @@ def _replicate_batch(args):
 
     The replicates are drawn and fitted a chunk at a time, each chunk's
     datasets through one fit_pair; replicate i draws from its own stream,
-    which then feeds its bootstrap, if any.  A chunk of graphs is its
-    degree stack, which only the fits read; only a table's own data is
-    indexed per replicate.
+    which then feeds its bootstrap, if any.  A chunk is its degree stack
+    or its win totals, which only the fits read; a bootstrap redraws on the
+    design's pair counts.  A p-value reads only the statistic otherwise.
     """
     scenario, indices, stats_only = args
     size = max(1, CHUNK_CELLS // scenario.n**2)
+    reference = None if stats_only else lrt.reference_distribution(scenario.model, scenario.null, scenario.regime)
     out = []
     for start in range(0, len(indices), size):
         chunk = indices[start:start + size]
         rngs = [replicate_rng(scenario.seed, i) for i in chunk]
-        data = simulate(scenario, rngs)
-        full, restr = lrt.fit_pair(data, scenario.null)
+        full, restr = lrt.fit_pair(simulate(scenario, rngs), scenario.null)
+        stats, unconverged = _outcomes(full, restr)
         for t, i in enumerate(chunk):
-            wins = data[t] if scenario.model == "bt" else None
-            out.append((i,) + _outcome(scenario, wins, full[t], restr[t], rngs[t], stats_only))
+            p = float("nan")
+            if reference is not None and np.isfinite(stats[t]):
+                p, _ = lrt.p_value(reference, stats[t], scenario.k, scenario.null, restr[t].beta_hat, rngs[t], TOL_SCORE)
+            out.append((i, stats[t], p, unconverged[t]))
     return out
 
 

@@ -49,3 +49,22 @@ def random_connected_table(rng, n, k=4, scale=0.8, attempts=200):
 def tied_class_map(n):
     """Node-to-class map: node 0 alone in class 0, nodes 1 and 2 tied in class 1, each later node alone."""
     return np.concatenate([[0, 1, 1], np.arange(2, n - 1)])
+
+
+def win_stack(beta, k, gens):
+    """The (len(gens), n, n) win matrices of one table drawn from each generator."""
+    from pairlrt import bt_model
+
+    n = np.size(beta)
+    return np.array([bt_model.simulate_comparisons(beta, k, g).wins for g in gens]).reshape(-1, n, n)
+
+
+def table_stack(wins):
+    """A (k, n, n) stack of win matrices as the comparison fits take it: win totals, each table's
+    pair totals, and which tables are strongly connected."""
+    from pairlrt import bt_model
+    from pairlrt.core import Tallies
+
+    wins = np.asarray(wins)
+    return bt_model.ComparisonStack(Tallies(wins.sum(axis=-1), wins + np.swapaxes(wins, -1, -2)),
+                                    np.asarray(bt_model.strongly_connected(wins), dtype=bool).reshape(-1))

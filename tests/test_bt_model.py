@@ -7,7 +7,7 @@ from scipy.special import expit
 from pairlrt import bt_model as btm
 from pairlrt.core import TOL_SCORE, ComparisonTable, Fits, NullHypothesis, class_tallies, fit_by_classes
 
-from conftest import random_connected_table, tied_class_map
+from conftest import random_connected_table, table_stack, tied_class_map, win_stack
 from oracles import comparison_loglik, fd_gradient, fd_hessian, maximize_comparison
 
 CYCLE3 = ComparisonTable(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
@@ -113,7 +113,7 @@ def test_strong_connectivity_of_a_stack(rng):
     from scipy.sparse.csgraph import connected_components
 
     # sparse draws: about half the tables are not strongly connected
-    wins = btm.simulate_comparisons(rng.uniform(-2, 2, 6) * [0, 1, 1, 1, 1, 1], 1, rng.spawn(60))
+    wins = win_stack(rng.uniform(-2, 2, 6) * [0, 1, 1, 1, 1, 1], 1, rng.spawn(60))
     got = btm.strongly_connected(wins)
     alone = [btm.strongly_connected(w) for w in wins]
     oracle = [connected_components(w > 0, directed=True, connection="strong")[0] == 1 for w in wins]
@@ -133,11 +133,11 @@ def test_batch_members_stop_on_their_own():
     n = 5
     totals = np.full((n, n), 2)
     np.fill_diagonal(totals, 0)
-    wins = btm.simulate_comparisons(np.zeros(n), totals, np.random.default_rng(3).spawn(60))
+    wins = win_stack(np.zeros(n), totals, np.random.default_rng(3).spawn(60))
     null = NullHypothesis.specified(2, [17.5])
     tables = [ComparisonTable(w) for w in wins]
-    full = btm.bt_fit_mle(wins)
-    restricted = btm.bt_fit_restricted(wins, null)
+    full = btm.bt_fit_mle(table_stack(wins))
+    restricted = btm.bt_fit_restricted(table_stack(wins), null)
     assert isinstance(full, Fits) and full.iterations == sum(f.iterations for f in full)
     for got, table in zip(full, tables):
         _assert_same_fit(got, btm.bt_fit_mle(table))
@@ -147,7 +147,7 @@ def test_batch_members_stop_on_their_own():
     assert {(False, False), (True, False), (True, True)} <= kinds
 
     # at a tolerance the arithmetic cannot reach, members stall after different numbers of steps
-    stalled = btm.bt_fit_mle(wins, tol=1e-300)
+    stalled = btm.bt_fit_mle(table_stack(wins), tol=1e-300)
     for got, table in zip(stalled, tables):
         _assert_same_fit(got, btm.bt_fit_mle(table, tol=1e-300))
     assert any(f.exists and not f.converged for f in stalled)
@@ -166,18 +166,18 @@ def test_batch_members_stop_on_their_own():
         apart[i, j], apart[j, i] = 2, 1
     stack = np.concatenate([wins[:8], lone[None], wins[8:16], apart[None], wins[16:20]])
     tied = NullHypothesis.homogeneous(3)
-    fits = btm.bt_fit_restricted(stack, tied)
+    fits = btm.bt_fit_restricted(table_stack(stack), tied)
     for got, w in zip(fits, stack):
         _assert_same_fit(got, btm.bt_fit_restricted(ComparisonTable(w), tied))
     assert not fits[8].exists and fits[8].iterations == 0
     assert fits[17].exists and not fits[17].converged and fits[17].iterations == 0
-    assert all(f.converged for f in fits[:8] + fits[9:17] + fits[18:] if f.exists)
+    assert all(f.converged for t, f in enumerate(fits) if f.exists and t not in (8, 17))
 
 
 def _fit_on_maps(wins, maps):
     # full fits of a stack of win matrices on the given class maps, the reference fixed at zero
     fixed = [np.zeros(1)] * len(wins)
-    return fit_by_classes(btm.class_model(), btm.subject_tallies(wins), maps, fixed, False, [None] * len(wins), TOL_SCORE)
+    return fit_by_classes(btm.class_model(), table_stack(wins).tallies, maps, fixed, False, False, TOL_SCORE)
 
 
 def test_members_keep_their_own_class_maps():
@@ -186,7 +186,7 @@ def test_members_keep_their_own_class_maps():
     # one class per subject groups its members by class count
     n, k = 12, 2
     beta = np.linspace(0.0, 2.0, n)
-    wins = btm.simulate_comparisons(beta, k, np.random.default_rng(5).spawn(40))
+    wins = win_stack(beta, k, np.random.default_rng(5).spawn(40))
     wins = wins[btm.strongly_connected(wins)][:24]
     merged = [np.concatenate([[0], np.unique(w.sum(axis=1)[1:], return_inverse=True)[1] + 1]) for w in wins]
     maps = [merged[t] if t % 3 else np.arange(n) for t in range(len(wins))]
@@ -220,13 +220,13 @@ def _per_subject_fit(kind, wins):
     head, fixed, tied = PER_SUBJECT[kind]
     n = wins.shape[-1]
     return fit_by_classes(
-        btm.class_model(), btm.subject_tallies(wins[None]), [head(n)], [fixed], tied, [None], TOL_SCORE
+        btm.class_model(), table_stack(wins[None]).tallies, [head(n)], [fixed], tied, False, TOL_SCORE
     )[0]
 
 
 def _balanced_tables(n, k, count, seed):
     beta = np.concatenate([[0.0, 0.0, 0.3, 0.3], np.linspace(-0.5, 1.0, n - 4)])
-    wins = btm.simulate_comparisons(beta, k, np.random.default_rng(seed).spawn(count))
+    wins = win_stack(beta, k, np.random.default_rng(seed).spawn(count))
     return wins[btm.strongly_connected(wins)]
 
 
@@ -274,7 +274,7 @@ def test_stack_mixes_balanced_and_unbalanced_tables(kind):
     # ones on win-total classes and the others per subject
     wins = _balanced_tables(10, 2, 24, 4)[:16]
     wins[1::2, 5, 7] += 1  # every other table gets one pair compared three times
-    fits = _fit_kind(kind, wins)
+    fits = _fit_kind(kind, table_stack(wins))
     assert isinstance(fits, Fits) and len(fits) == len(wins)
     kinds = set()
     for t, got in enumerate(fits):
@@ -423,8 +423,9 @@ def test_simulate_determinism():
 def test_no_generators_give_an_empty_stack(matrix):
     beta = np.array([0.0, 0.4, -0.3, 1.0])
     k = 2 * (1 - np.eye(4, dtype=np.int64)) if matrix else 2
-    wins = btm.simulate_comparisons(beta, k, [])
-    assert wins.shape == (0, 4, 4) and wins.dtype == np.int64
+    stack = btm.simulate_comparisons(beta, k, [])
+    assert stack.tallies.degrees.shape == (0, 4) and stack.tallies.degrees.dtype == np.int64
+    assert stack.connected.shape == (0,) and stack.connected.dtype == bool
 
 
 def _draw_design(rng):
@@ -441,7 +442,7 @@ def _draw_design(rng):
         k = np.triu(rng.integers(0, [4, 40, 200][shape - 1], (n, n)) * (rng.random((n, n)) < 0.7), 1)
         k = k + k.T
     i, j = np.triu_indices(n, k=1)
-    counts = btm.comparison_counts(k, n)[i, j].astype(np.int64)
+    counts = np.broadcast_to(btm.comparison_counts(k, n), (n, n))[i, j].astype(np.int64)
     p = expit(beta[i] - beta[j])
     s = np.minimum(p, 1.0 - p)
     cases = {
@@ -469,10 +470,16 @@ def test_draws_are_the_bits_of_one_binomial_call_per_generator(seed):
         ours, theirs = ([np.random.default_rng(x) for x in seeds] for _ in range(2))
         want = np.array([g.binomial(counts, p) for g in theirs])
         drawn = btm.simulate_comparisons(beta, k, ours[0] if alone else ours)
-        wins = drawn.wins[None] if alone else drawn
         i, j = np.triu_indices(n, k=1)
-        assert wins.dtype == np.int64 and wins.shape == (len(seeds), n, n)
-        assert np.array_equal(wins[:, i, j], want) and np.array_equal(wins[:, j, i], counts - want)
+        tables = np.zeros((len(seeds), n, n), dtype=np.int64)
+        tables[:, i, j], tables[:, j, i] = want, counts - want
+        if alone:
+            assert drawn.wins.dtype == np.int64 and np.array_equal(drawn.wins, tables[0])
+        else:
+            # a stack is its win totals, with the strong connectivity of its tables
+            assert drawn.tallies.degrees.dtype == np.int64
+            assert np.array_equal(drawn.tallies.degrees, tables.sum(axis=-1))
+            assert drawn.connected.tolist() == btm.strongly_connected(tables).tolist()
         assert [g.random() for g in ours] == [g.random() for g in theirs]
         reached |= {case for case, hit in cases.items() if hit} | ({"one generator"} if alone else set())
     assert reached == {
@@ -516,7 +523,7 @@ def test_draws_at_and_past_the_bound_are_numpy_s(count, first, again):
     counts = np.array([count, 3, 0, 5], dtype=np.int64)
     p = np.array([first, 0.6, 0.3, 0.5])
     ours, theirs = ([np.random.default_rng(1), _generator_starting_at(TOP), np.random.default_rng(2)] for _ in range(2))
-    got = btm._binomial_rows(counts, p, ours)
+    got = btm._binomial_rows(counts, p)(ours)
     want = np.array([g.binomial(counts, p) for g in theirs])
     assert np.array_equal(got, want)
     assert (want[1, 0] == count) != again
@@ -548,7 +555,7 @@ def test_a_row_that_starts_again_reads_on_from_its_generator():
     counts = np.array([count, 3, 5], dtype=np.int64)
     p = np.array([first, 0.6, 0.5])
     stub = _Doubles([TOP, TOP, 0.25, 0.5, 0.75])
-    got = btm._binomial_rows(counts, p, [stub])
+    got = btm._binomial_rows(counts, p)([stub])
     want = [_generator_starting_at(u).binomial(c, q) for u, c, q in zip([0.25, 0.5, 0.75], counts, p)]
     assert got.tolist() == [want] and stub.values == []
 
@@ -564,3 +571,97 @@ def test_fit_stationarity_property(seed, n):
     if fit.converged:
         assert fit.gradient_norm <= 1e-8
         assert fit.beta_hat[0] == 0.0
+
+
+def _balanced_table(n, k, upper, losers):
+    """The win matrix of n subjects, k comparisons a pair, the upper-triangle wins ``upper``,
+    where the subjects marked ``losers`` lose every comparison with the others."""
+    i, j = np.triu_indices(n, k=1)
+    upper = np.where(losers[i] & ~losers[j], 0, np.where(~losers[i] & losers[j], k, upper))
+    wins = np.zeros((n, n), dtype=np.int64)
+    wins[i, j], wins[j, i] = upper, k - upper
+    return wins
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_landau_rule_agrees_with_strong_connectivity(data):
+    # on a balanced table the sorted win totals decide strong connectivity: tables with a
+    # subject or a set of subjects that lost every game outside it are not connected
+    n, k = data.draw(st.integers(3, 12)), data.draw(st.integers(1, 4))
+    upper = np.array(data.draw(st.lists(st.integers(0, k), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+    losers = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    wins = _balanced_table(n, k, upper, losers)
+    assert bool(btm.landau_connected(wins.sum(axis=1), k)) == btm.strongly_connected(wins)
+
+
+def test_landau_rule_decides_stacks_of_both_kinds():
+    # random balanced tables, k 1-4 and n 3-12, half of them with a losing set; as a stack
+    # the rule gives each table's answer, and both answers occur
+    rng = np.random.default_rng(61)
+    seen = set()
+    for _ in range(200):
+        n, k = int(rng.integers(3, 13)), int(rng.integers(1, 5))
+        losers = (rng.random(n) < 0.3) & (rng.random() < 0.5)
+        tables = np.array([_balanced_table(n, k, rng.integers(0, k + 1, n * (n - 1) // 2), losers) for _ in range(4)])
+        got = btm.landau_connected(tables.sum(axis=-1), k)
+        assert got.tolist() == btm.strongly_connected(tables).tolist()
+        seen.update(got.tolist())
+    assert seen == {False, True}
+
+
+def _copies(seeds, first=None):
+    """Generators of the given seeds, the first replaced by ``first()`` when given."""
+    gens = [np.random.default_rng(x) for x in seeds]
+    if first is not None:
+        gens[0] = first()
+    return gens
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_drawn_stacks_are_their_tables_across_blocks(seed, monkeypatch):
+    # with generator and pair blocks patched small, a stack is the win totals and strong
+    # connectivity of the tables g.binomial draws on copies of its generators, and each
+    # generator ends where that call leaves it; unbalanced designs are decided by the
+    # matrix rule, on which Landau's rule on the totals can be wrong
+    monkeypatch.setattr(btm, "DRAW_BLOCK", 3)
+    monkeypatch.setattr(btm, "PAIR_BLOCK", 5)
+    redone = []
+    inversion_row = btm._inversion_row
+    monkeypatch.setattr(btm, "_inversion_row", lambda *args: redone.append(1) or inversion_row(*args))
+    rng = np.random.default_rng(800 + seed)
+    reached = set()
+    for _ in range(60):
+        beta, k, counts, p, cases = _draw_design(rng)
+        n = beta.size
+        seeds = rng.integers(0, 2**63, int(rng.integers(1, 9)))
+        # a first pair that starts again from the double TOP, so its row reads on past it
+        restart = n > 3 and rng.random() < 0.3
+        if restart:
+            count, first = PAST_THE_BOUND[int(rng.integers(len(PAST_THE_BOUND)))]
+            beta[1] = -np.log(first / (1.0 - first))
+            k = btm.comparison_counts(k, n).copy() if np.ndim(k) else k * (1 - np.eye(n, dtype=np.int64))
+            k[0, 1] = k[1, 0] = count
+            i, j = np.triu_indices(n, k=1)
+            counts, p = k[i, j], expit(beta[i] - beta[j])
+        start = (lambda: _generator_starting_at(TOP)) if restart else None
+        ours, theirs = _copies(seeds, start), _copies(seeds, start)
+        drawn = btm.simulate_comparisons(beta, k, iter(ours))
+        i, j = np.triu_indices(n, k=1)
+        tables = np.zeros((len(seeds), n, n), dtype=np.int64)
+        tables[:, i, j] = want = np.array([g.binomial(counts, p) for g in theirs])
+        tables[:, j, i] = counts - want
+        connected = btm.strongly_connected(tables)
+        assert np.array_equal(drawn.tallies.degrees, tables.sum(axis=-1))
+        assert drawn.connected.tolist() == connected.tolist()
+        assert [g.bit_generator.state for g in ours] == [g.bit_generator.state for g in theirs]
+        balanced = len(set(counts.tolist())) == 1
+        landau = btm.landau_connected(tables.sum(axis=-1), counts[0]) if counts.size else connected
+        reached |= {case for case, hit in cases.items() if hit}
+        reached |= {"several generator blocks"} if len(seeds) > 3 else set()
+        reached |= {"a row that starts again"} if redone else set()
+        reached |= {"unbalanced, Landau wrong"} if not balanced and landau.tolist() != connected.tolist() else set()
+    assert reached == {
+        "scalar k", "matrix k", "a pair never compared", "p = 0", "p = 1", "p = 1/2", "numpy's other sampler",
+        "several generator blocks", "a row that starts again", "unbalanced, Landau wrong",
+    }

@@ -146,6 +146,31 @@ def test_an_n_memory_refuses_is_a_format_error(runner, tmp_path, monkeypatch, mo
     assert res.stderr == f"data format error: n={n}, one plus the largest {noun} id, is too large\n"
 
 
+def test_an_n_whose_pair_keys_would_wrap_is_a_format_error(runner, tmp_path, monkeypatch):
+    # the key lo * n + hi of the edge (4e9, 4e9 + 1) passes 2**63 at n = 5e9 and wrapped,
+    # silently reading the edge as (310651186, 290448385); such an n is refused before any
+    # n-sized allocation, which the stand-in degree count would report
+    top = 3_037_000_500  # the largest n whose largest key, n(n - 1) - 1, fits
+    bincount = np.bincount
+
+    def degree_count(*args, minlength=0, **kwargs):
+        if minlength >= top:
+            raise AssertionError(f"an n-sized allocation, n={minlength}")
+        return bincount(*args, minlength=minlength, **kwargs)
+
+    monkeypatch.setattr(core.np, "bincount", degree_count)
+    with pytest.raises(AssertionError, match=f"n={top}"):
+        core.UndirectedGraph.from_edges(top, [(top - 2, top - 1), (0, 1)])
+    for n in (top + 1, 5 * 10**9):
+        with pytest.raises(ValueError, match=f"n={n} is too large"):
+            core.UndirectedGraph.from_edges(n, [(4 * 10**9, 4 * 10**9 + 1), (0, 1)])
+    path = tmp_path / "wrap.txt"
+    path.write_text("n=5000000000\n4000000000 4000000001\n0 1\n")
+    res = runner.invoke(main, ["fit", "--model", "beta", "--input", str(path)])
+    assert res.exit_code == 4, res.output
+    assert res.stderr == "data format error: n=5000000000, the declared count, is too large\n"
+
+
 @pytest.mark.parametrize("r", ["x", "2.5"])
 def test_a_homogeneous_null_needs_a_whole_number(runner, cycle_graph, r):
     res = runner.invoke(main, ["test", "--model", "beta", "--input", cycle_graph[1], "--null", f"homogeneous:{r}",

@@ -36,7 +36,7 @@ from pairlrt.core import (
     pair_saturated,
 )
 
-from conftest import degree_stack
+from conftest import degree_stack, table_stack, win_stack
 from oracles import (
     adjacency,
     class_maps_by_node,
@@ -372,11 +372,14 @@ def test_newton_ascent_has_one_caller():
 
 
 def test_nonexistent_fit_is_decided_in_core():
-    # one existence rule, in core; the only check on the model side is strong
-    # connectivity, in bt_model
+    # one existence rule, in core, which alone builds the Fits; the only check on the model
+    # side is strong connectivity, which bt_model hands fit_by_classes as its absent mask
     sources = {p.name: p.read_text() for p in Path(pairlrt.__file__).parent.glob("*.py")}
-    calls = {name: len(re.findall(r"(?<!def )\bnonexistent_fit\(", text)) for name, text in sources.items()}
-    assert {name: count for name, count in calls.items() if count and name != "core.py"} == {"bt_model.py": 1}
+    assert [name for name, text in sources.items() if re.search(r"\bFits?\(", text) and name != "core.py"] == []
+    absent = {name: re.findall(r"fit_by_classes\(.*, (\S+), tol\)", text) for name, text in sources.items()}
+    assert {name: found for name, found in absent.items() if found} == {
+        "beta_model.py": ["False"], "bt_model.py": ["~np.asarray(connected)"],
+    }
 
 
 def test_class_tallies_are_built_in_core():
@@ -462,8 +465,8 @@ def test_class_rule_matches_the_comparison_checks():
     for i, j in [(0, 3), (3, 4), (4, 5), (0, 5)]:
         lone[i, j], lone[j, i] = 2, 1
     wins = np.array(tables + [lone])
-    pinned = btm.bt_fit_restricted(wins, NullHypothesis.specified(r, [0.4, -0.4]))
-    tied = btm.bt_fit_restricted(wins, NullHypothesis.homogeneous(r))
+    pinned = btm.bt_fit_restricted(table_stack(wins), NullHypothesis.specified(r, [0.4, -0.4]))
+    tied = btm.bt_fit_restricted(table_stack(wins), NullHypothesis.homogeneous(r))
     apart = at_bound = 0
     for w, p, h in zip(wins, pinned, tied):
         played = w + w.T
@@ -492,11 +495,11 @@ def test_empty_stacks_give_empty_fits():
         bm.fit_restricted_specified(no_graphs, NullHypothesis.specified(2, [0.0, 0.1])),
         bm.fit_restricted_homogeneous(no_graphs, 2),
         btm.bt_fit_mle(empty),
-        btm.bt_fit_mle(np.zeros((0, n, n), dtype=int)),
+        btm.bt_fit_mle(btm.simulate_comparisons(np.zeros(n), 2, [])),
         btm.bt_fit_restricted(empty, NullHypothesis.specified(2, [0.1])),
         btm.bt_fit_restricted(empty, NullHypothesis.homogeneous(3)),
     ]
-    assert all(isinstance(f, Fits) and f == [] for f in fits)
+    assert all(isinstance(f, Fits) and len(f) == 0 and f.iterations == 0 for f in fits)
 
 
 def _class_maps(rng, k, n, c):
@@ -566,7 +569,7 @@ def test_balanced_tables_fit_alike_from_one_count_and_from_their_totals(kind):
     # Tallies(wins, k) sums classes by class sizes and Tallies(wins, totals) by membership
     # products; a table alone and a stack get Fits of the same bits from either
     k, n, count = 2, 8, 40
-    wins = btm.simulate_comparisons(np.linspace(0.0, 1.5, n), k, np.random.default_rng(8).spawn(count))
+    wins = win_stack(np.linspace(0.0, 1.5, n), k, np.random.default_rng(8).spawn(count))
     degrees = wins.sum(axis=-1)
     lead, tied = {"full": ([0.0], 0), "specified": ([0.0, 0.4, -0.3], 0), "homogeneous": ([0.0], 2)}[kind]
     maps, fixed = class_maps(degrees, lead, tied, True)
@@ -576,7 +579,7 @@ def test_balanced_tables_fit_alike_from_one_count_and_from_their_totals(kind):
         bits = [
             [_fit_bits(f) for f in fit_by_classes(
                 btm.class_model(), Tallies(degrees[rows], t), maps[rows], fixed[rows], tied > 0,
-                [None] * len(maps[rows]), TOL_SCORE,
+                False, TOL_SCORE,
             )]
             for t in (k, totals, np.repeat(totals[None], count, axis=0)[rows])
         ]
@@ -719,11 +722,11 @@ def _stack_and_alone(kind):
         "specified": lambda w: btm.bt_fit_restricted(w, NullHypothesis.specified(3, [0.4, -0.3])),
     }[kind]
     graphs = [bm.simulate_graph(np.linspace(-1.0, 1.0, 9), g) for g in np.random.default_rng(5).spawn(30)]
-    wins = btm.simulate_comparisons(np.linspace(0.0, 1.5, 8), 2, np.random.default_rng(6).spawn(30))
+    wins = win_stack(np.linspace(0.0, 1.5, 8), 2, np.random.default_rng(6).spawn(30))
     wins[1::2, 4, 6] += 1  # every other table unbalanced, so fitted per subject
     tables = [ComparisonTable(w) for w in wins]
     yield from zip(graph_fit(degree_stack(graphs)), map(graph_fit, graphs), graphs, [bm.log_likelihood] * len(graphs))
-    yield from zip(table_fit(wins), map(table_fit, tables), tables, [btm.bt_log_likelihood] * len(tables))
+    yield from zip(table_fit(table_stack(wins)), map(table_fit, tables), tables, [btm.bt_log_likelihood] * len(tables))
 
 
 @pytest.mark.parametrize("kind", ["full", "homogeneous", "specified"])
@@ -746,11 +749,11 @@ def test_fully_pinned_fits_take_no_step():
     n = 6
     beta = np.array([0.0, 0.3, 0.3, 0.0, -0.7, 1.1])
     graphs = [bm.simulate_graph(beta, g) for g in rng.spawn(4)] + [UndirectedGraph.from_edges(n, [])]
-    wins = btm.simulate_comparisons(beta, 2, rng.spawn(4))
+    wins = win_stack(beta, 2, rng.spawn(4))
     pins = NullHypothesis.specified(n, beta)
     cases = [
         (graphs, bm.fit_restricted_specified(degree_stack(graphs), pins), bm.log_likelihood),
-        (map(ComparisonTable, wins), btm.bt_fit_restricted(wins, NullHypothesis.specified(n, beta[1:])),
+        (map(ComparisonTable, wins), btm.bt_fit_restricted(table_stack(wins), NullHypothesis.specified(n, beta[1:])),
          btm.bt_log_likelihood),
     ]
     for data, fits, loglik in cases:
@@ -771,8 +774,8 @@ def test_newton_cap_stops_members_mid_stack(model, monkeypatch):
         graphs = [bm.simulate_graph(beta, g) for g in rng.spawn(40)]
         fit, stack, solos = bm.fit_mle, degree_stack(graphs), graphs
     else:
-        wins = btm.simulate_comparisons(beta - beta[0], 2, rng.spawn(40))
-        fit, stack, solos = btm.bt_fit_mle, wins, map(ComparisonTable, wins)
+        wins = win_stack(beta - beta[0], 2, rng.spawn(40))
+        fit, stack, solos = btm.bt_fit_mle, table_stack(wins), map(ComparisonTable, wins)
     uncapped = fit(stack)
     steps = [f.iterations for f in uncapped if f.exists]
     assert all(f.converged for f in uncapped if f.exists)
@@ -901,7 +904,7 @@ def test_saturation_shortcut_gives_the_full_rule_s_flags(sign):
 
     def fit(rows):
         return fit_by_classes(model, Tallies(degrees[rows], totals), maps[rows], [fixed[i] for i in rows], False,
-                              [None] * len(rows), TOL_SCORE)
+                              False, TOL_SCORE)
 
     every = fit(list(range(len(values))))
     below = fit([0, 3])  # no member reaches the edge, so the pass is skipped for the whole stack

@@ -269,6 +269,11 @@ def test_bootstrap_drops_unconverged_tables(monkeypatch):
     assert B == 40 and 0 < len(stats) < len(uncapped)
     # a table whose fits converge within the cap takes the same steps without it
     assert set(stats) <= set(uncapped)
+    # at a cap of 3 full fits stop short too, and their tables are dropped before any
+    # restricted fit
+    monkeypatch.setattr(core, "MAX_NEWTON", 3)
+    fewer, _ = lrt.bootstrap_distribution(table, null, beta, 40, np.random.default_rng(2), TOL_SCORE)
+    assert 0 < len(fewer) < len(stats) and set(fewer) <= set(uncapped)
 
 
 def test_bootstrap_memory_stays_bounded():
@@ -288,3 +293,27 @@ def test_p_value_monotone_in_statistic():
     ps = [lrt.chi_square_sf(x, 4) for x in (0.0, 1.0, 5.0, 20.0)]
     assert ps == sorted(ps, reverse=True)
     assert ps[0] == 1.0
+
+
+def test_a_bootstrap_holds_no_win_matrices(monkeypatch):
+    # at n = 300 a chunk of 32 win matrices is 23 MB; the draws keep win totals only, and a
+    # balanced design needs no matrix to decide connectivity, so with one generator drawn at
+    # a time the peak does not grow with the children spawned together
+    n, r = 300, 3
+    beta = np.linspace(0.0, 1.0, n)
+    null = NullHypothesis.specified(r, beta[1:r])
+    table = btm.simulate_comparisons(beta, 2, np.random.default_rng(3))
+    beta_null = btm.bt_fit_restricted(table, null).beta_hat
+    monkeypatch.setattr(btm, "DRAW_BLOCK", 1)
+    monkeypatch.setattr(btm, "strongly_connected", None)
+
+    def peak(B):
+        tracemalloc.start()
+        try:
+            stats, _ = lrt.bootstrap_distribution(table, null, beta_null, B, np.random.default_rng(1), TOL_SCORE)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert lrt.BOOTSTRAP_CHUNK * n * n * 8 > 20 * 2**20
+    assert peak(2 * lrt.BOOTSTRAP_CHUNK) < peak(2) + 2**20
