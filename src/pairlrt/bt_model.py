@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .core import (
+    MAX_TABLE_COMPARISONS,
     TOL_SCORE,
     ClassModel,
     ComparisonTable,
@@ -139,10 +140,8 @@ def _fit(data, null: Optional[NullHypothesis], tol: float):
     """
     if isinstance(data, ComparisonTable):
         t, connected = Tallies(data.degrees[None], data.totals), null is not None or strongly_connected(data)
-    elif isinstance(data, ComparisonStack):
-        t, connected = data.tallies, null is not None or data.connected
     else:
-        t, connected = data, True
+        t, connected = data.tallies, null is not None or data.connected
     k, n = t.degrees.shape
     lead, tied = np.zeros(1), 0
     if null is not None:
@@ -167,13 +166,11 @@ def _fit(data, null: Optional[NullHypothesis], tol: float):
 def bt_fit_mle(data, *, tol: float = TOL_SCORE):
     """Fit the n-1 free merit parameters of a table, or of each table of a stack.
 
-    ``data`` is a ComparisonTable, which gives one Fit, or a
-    ComparisonStack or the Tallies of k tables (win totals (k, n) and pair
-    counts: a number, an (n, n) matrix or a (k, n, n) stack), which give
-    their Fits, fitted together.  Existence is decided up front by strong
-    connectivity: a table's own, a stack's mask, and Tallies, holding no
-    direction of wins, are taken to have it.  The reference is fixed at
-    zero.
+    ``data`` is a ComparisonTable, which gives one Fit, or the
+    ComparisonStack of k tables (win totals (k, n) and pair counts: a
+    number, an (n, n) matrix or a (k, n, n) stack), which gives their Fits,
+    fitted together.  Existence is decided up front by strong connectivity:
+    a table's own, or a stack's mask.  The reference is fixed at zero.
     """
     return _fit(data, None, tol)
 
@@ -194,7 +191,8 @@ def comparison_counts(k, n: int):
 
     A number gives an int; a matrix gives an int64 copy with a zero
     diagonal, which no pair reads.  A ValueError names k unless its counts
-    are symmetric, nonnegative whole numbers.
+    are symmetric, nonnegative whole numbers, at most 2**52 over the pairs
+    i < j in all, as a ComparisonTable holds.
     """
     totals = np.asarray(k)
     if totals.ndim and totals.shape != (n, n):
@@ -203,6 +201,12 @@ def comparison_counts(k, n: int):
         raise ValueError("comparison counts 'k' must be whole numbers")
     if not np.array_equal(totals, totals.T) or np.any(totals < 0):
         raise ValueError("comparison counts 'k' must be symmetric and nonnegative")
+    if totals.ndim:  # summed as Python integers, which cannot wrap
+        every = sum(map(int, totals[np.triu_indices(n, k=1)].tolist()))
+    else:
+        every = int(totals) * (n * (n - 1) // 2)
+    if every > MAX_TABLE_COMPARISONS:
+        raise ValueError(f"comparison counts 'k' must number at most 2**52 = {MAX_TABLE_COMPARISONS} in all")
     if not totals.ndim:
         return int(totals)
     totals = totals.astype(np.int64)

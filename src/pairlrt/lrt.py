@@ -31,7 +31,6 @@ from .core import (
     Fits,
     NonexistentMLEError,
     NullHypothesis,
-    Tallies,
     UndirectedGraph,
 )
 
@@ -171,6 +170,17 @@ def lrt_statistic(full, restricted):
     return np.maximum(stat, 0.0) if isinstance(full, Fits) else max(stat, 0.0)
 
 
+def outcomes(full: Fits, restricted: Fits) -> tuple:
+    """Each member's statistic, NaN unless both its fits converged, and whether both exist but one stopped short of tol.
+
+    The one outcome rule for a stack of fit pairs: a bootstrap's tables and a Monte Carlo chunk's replicates.
+    """
+    ok = full.converged & restricted.converged  # a converged fit exists (core.fit_by_classes)
+    stats = np.full(len(full), np.nan)
+    stats[ok] = lrt_statistic(full[ok], restricted[ok])
+    return stats, full.exists & restricted.exists & ~ok
+
+
 @dataclass
 class TestReport:
     model: str
@@ -219,25 +229,18 @@ def bootstrap_distribution(
     """Simulate B tables from the restricted fit; return the usable statistics and B.
 
     ``table`` is the observed ComparisonTable, or the pair counts of the
-    design it was drawn on (a number or a matrix, as
-    bt_model.comparison_counts takes them); every draw has its pair
-    counts, which with the win totals are all a fit reads.  Table i is
-    drawn from the i-th child of rng (successive spawns continue one
-    sequence of children), the children spawned BOOTSTRAP_CHUNK at a time
-    as one simulate_comparisons call reads them.  All B tables are then
-    fitted together per model, and the statistics keep the children's
-    order.  A table is dropped unless both of its fits converged, which a
-    fit with no maximizer, such as the full fit of a table that is not
-    strongly connected, never does.
+    design it was drawn on (a number or a matrix, bt_model.comparison_counts),
+    which every draw has and which with the win totals are all a fit reads.
+    Table i is drawn from the i-th child of rng, the children spawned
+    BOOTSTRAP_CHUNK at a time as one simulate_comparisons call reads them
+    (successive spawns continue one sequence of children).  The stack is
+    fitted and classified as a Monte Carlo chunk is (fit_pair, outcomes),
+    and its finite statistics come in the children's order.
     """
     totals = table.totals if isinstance(table, ComparisonTable) else table
     children = (c for start in range(0, B, BOOTSTRAP_CHUNK) for c in rng.spawn(min(BOOTSTRAP_CHUNK, B - start)))
-    drawn = bt_model.simulate_comparisons(beta_null, totals, children)
-    full = bt_model.bt_fit_mle(drawn, tol=tol)
-    kept = full.converged
-    restricted = bt_model.bt_fit_restricted(Tallies(drawn.tallies.degrees[kept], drawn.tallies.totals), null, tol=tol)
-    both = restricted.converged
-    return lrt_statistic(full[kept][both], restricted[both]).tolist(), B
+    stats, _ = outcomes(*fit_pair(bt_model.simulate_comparisons(beta_null, totals, children), null, tol))
+    return stats[np.isfinite(stats)].tolist(), B
 
 
 def bootstrap_tail(

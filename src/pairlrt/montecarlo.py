@@ -11,6 +11,7 @@ datasets together, the graphs batched by class count.  A member's fit is
 bitwise its fit alone, so no result depends on which replicates share a
 chunk, a job or a worker.
 
+A chunk is classified by lrt.outcomes, as a bootstrap's tables are.
 Replicates whose maximizer does not exist are tallied separately and left
 out of every rejection denominator; the run aborts if they are the majority.
 Replicates whose fit stops short of the score tolerance are tallied as
@@ -254,23 +255,14 @@ def simulate(scenario: Scenario, rng):
     return bt_model.simulate_comparisons(scenario.true_beta, scenario.k, rng)
 
 
-def _outcomes(full, restr) -> tuple:
-    """The statistic of each replicate of a chunk's Fits, NaN where undefined, and which fits stopped short of tol."""
-    exists = full.exists & restr.exists
-    ok = exists & full.converged & restr.converged
-    stats = np.full(len(full), np.nan)
-    stats[ok] = lrt.lrt_statistic(full[ok], restr[ok])
-    return stats, exists & ~ok
-
-
 def _replicate_batch(args):
     """(index, statistic, p-value, unconverged) of each replicate of a job, in index order.
 
     The replicates are drawn and fitted a chunk at a time, each chunk's
-    datasets through one fit_pair; replicate i draws from its own stream,
-    which then feeds its bootstrap, if any.  A chunk is its degree stack
-    or its win totals, which only the fits read; a bootstrap redraws on the
-    design's pair counts.  A p-value reads only the statistic otherwise.
+    datasets through one fit_pair and lrt.outcomes; replicate i draws from
+    its own stream, which then feeds its bootstrap, if any.  A chunk is its
+    degree stack or win totals, which only the fits read; a bootstrap
+    redraws on the design's pair counts, and no other p-value reads data.
     """
     scenario, indices, stats_only = args
     size = max(1, CHUNK_CELLS // scenario.n**2)
@@ -280,7 +272,7 @@ def _replicate_batch(args):
         chunk = indices[start:start + size]
         rngs = [replicate_rng(scenario.seed, i) for i in chunk]
         full, restr = lrt.fit_pair(simulate(scenario, rngs), scenario.null)
-        stats, unconverged = _outcomes(full, restr)
+        stats, unconverged = lrt.outcomes(full, restr)
         for t, i in enumerate(chunk):
             p = float("nan")
             if reference is not None and np.isfinite(stats[t]):

@@ -406,6 +406,24 @@ def test_simulate_rejects_fractional_counts(rng):
     assert btm.simulate_comparisons(beta, np.full((4, 4), 2.0), rng).totals[0, 1] == 2
 
 
+def test_comparison_counts_hold_a_table_s_bound():
+    # a design whose pairs i < j hold more than 2**52 comparisons in all is no table's, as
+    # ComparisonTable holds; the counts are summed as Python integers, so none wraps
+    n, most = 4, 2**52 // 6
+    at_bound = np.array([[0, 2**51, 2**51 - 4, 1], [0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0]])
+    assert btm.comparison_counts(most, n) == most
+    assert btm.comparison_counts(at_bound + at_bound.T, n)[0, 1] == 2**51
+    wraps = np.array([[0, 2**62, 2**62, 2**62], [0, 0, 2**62, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    assert (wraps + wraps.T)[np.triu_indices(n, k=1)].sum() == 0  # four pairs of 2**62 wrap in int64
+    past = at_bound.copy()
+    past[0, 3] += 1
+    for k in (most + 1, 2**50, 2**62, float(2**62), 3 * 2**62, past + past.T, wraps + wraps.T):
+        with pytest.raises(ValueError, match=r"'k' must number at most 2\*\*52"):
+            btm.comparison_counts(k, n)
+    with pytest.raises(ValueError, match="'k'"):
+        btm.simulate_comparisons(np.zeros(n), 2**50, [np.random.default_rng(0)])
+
+
 def test_simulate_mean_wins(rng):
     beta = np.zeros(100)
     tot = [btm.simulate_comparisons(beta, 1, rng).degrees[0] for _ in range(500)]

@@ -576,6 +576,16 @@ def test_comparison_count_past_2_52_exits_2(runner, tmp_path, records):
 
 
 @pytest.mark.parametrize("verb", ["power", "qq", "simulate"])
+@pytest.mark.parametrize("k", ["1125899906842624", "4611686018427387904"])
+def test_a_design_past_2_52_comparisons_exits_2(runner, verb, k):
+    # six pairs of 2**50 comparisons are no table's; at 2**62 a pair the win totals would wrap
+    res = runner.invoke(main, [verb, "--preset", "H04", "--model", "bt", "--n", "4", "--r", "3", "--k", k,
+                               "--reps", "3"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert "'k' must number at most 2**52" in res.stderr
+
+
+@pytest.mark.parametrize("verb", ["power", "qq", "simulate"])
 @pytest.mark.parametrize(
     "case, fragment",
     [

@@ -484,11 +484,10 @@ def test_class_rule_matches_the_comparison_checks():
 
 
 def test_empty_stacks_give_empty_fits():
-    # the bootstrap passes an empty stack when no full fit converges
     n = 5
     totals = np.full((n, n), 2)
     np.fill_diagonal(totals, 0)
-    empty = Tallies(np.zeros((0, n)), totals)
+    empty = btm.ComparisonStack(Tallies(np.zeros((0, n)), totals), np.zeros(0, dtype=bool))
     no_graphs = Tallies(np.zeros((0, n), dtype=np.int64), 1)
     fits = [
         bm.fit_mle(no_graphs),

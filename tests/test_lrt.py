@@ -6,6 +6,7 @@ import pytest
 
 from pairlrt import bt_model as btm
 from pairlrt import core, lrt
+from pairlrt import montecarlo as mc
 from pairlrt.core import TOL_SCORE, ComparisonTable, Fit, NonexistentMLEError, NullHypothesis, UndirectedGraph
 
 from conftest import random_connected_table, random_existing_graph
@@ -269,8 +270,8 @@ def test_bootstrap_drops_unconverged_tables(monkeypatch):
     assert B == 40 and 0 < len(stats) < len(uncapped)
     # a table whose fits converge within the cap takes the same steps without it
     assert set(stats) <= set(uncapped)
-    # at a cap of 3 full fits stop short too, and their tables are dropped before any
-    # restricted fit
+    # at a cap of 3 full fits stop short too, and their tables are dropped whatever
+    # their restricted fits give
     monkeypatch.setattr(core, "MAX_NEWTON", 3)
     fewer, _ = lrt.bootstrap_distribution(table, null, beta, 40, np.random.default_rng(2), TOL_SCORE)
     assert 0 < len(fewer) < len(stats) and set(fewer) <= set(uncapped)
@@ -304,6 +305,29 @@ def test_a_bootstrap_holds_no_win_matrices(monkeypatch):
     null = NullHypothesis.specified(r, beta[1:r])
     table = btm.simulate_comparisons(beta, 2, np.random.default_rng(3))
     beta_null = btm.bt_fit_restricted(table, null).beta_hat
+    # every draw of a balanced stack is handed no win matrices to fill, and an
+    # unbalanced stack's draws are, for strongly_connected
+    draw_block, handed = btm._pair_block, []
+
+    def spied(*args):
+        draw = draw_block(*args)
+
+        def spy(gens, wins, tables):
+            handed.append(tables is not None)
+            return draw(gens, wins, tables)
+
+        return spy
+
+    monkeypatch.setattr(btm, "_pair_block", spied)
+    lrt.bootstrap_distribution(table, null, beta_null, 3, np.random.default_rng(1), TOL_SCORE)
+    assert handed and not any(handed)
+    handed.clear()
+    unbalanced = np.triu(np.random.default_rng(2).integers(1, 4, (6, 6)), 1)
+    lrt.bootstrap_distribution(unbalanced + unbalanced.T, NullHypothesis.specified(2, [0.0]), np.zeros(6), 3,
+                               np.random.default_rng(1), TOL_SCORE)
+    assert handed and all(handed)
+    monkeypatch.setattr(btm, "_pair_block", draw_block)
+
     monkeypatch.setattr(btm, "DRAW_BLOCK", 1)
     monkeypatch.setattr(btm, "strongly_connected", None)
 
@@ -317,3 +341,40 @@ def test_a_bootstrap_holds_no_win_matrices(monkeypatch):
 
     assert lrt.BOOTSTRAP_CHUNK * n * n * 8 > 20 * 2**20
     assert peak(2 * lrt.BOOTSTRAP_CHUNK) < peak(2) + 2**20
+
+
+def test_a_bootstrap_and_a_monte_carlo_chunk_share_one_outcome_rule(monkeypatch):
+    rule, sizes = lrt.outcomes, []
+
+    def spy(full, restricted):
+        sizes.append(len(full))
+        return rule(full, restricted)
+
+    monkeypatch.setattr(lrt, "outcomes", spy)
+    # one chunk of both replicates, then each replicate's B = 999 bootstrap
+    mc.run_type1(mc.build_scenario("H03", model="bt", n=8, values=[0.0, 0.0], k=2, reps=2))
+    assert sizes == [2, lrt.DEFAULT_BOOTSTRAP_B, lrt.DEFAULT_BOOTSTRAP_B]
+
+
+@pytest.mark.parametrize("case", ["no-full-maximizer", "capped"])
+def test_a_bootstrap_is_its_stack_s_fits_and_the_one_rule(case, monkeypatch):
+    if case == "capped":  # full and restricted fits stop short of tol
+        monkeypatch.setattr(core, "MAX_NEWTON", 3)
+        totals, null, B = 2, NullHypothesis.specified(3, [0.0, 0.0]), 40
+        beta_null = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+    else:
+        make, B = BOOTSTRAP_DESIGNS[case]
+        totals, null, beta_null = make()
+    drawn = btm.simulate_comparisons(beta_null, totals, np.random.default_rng(5).spawn(B))
+    full, restricted = lrt.fit_pair(drawn, null, TOL_SCORE)
+    stats, unconverged = lrt.outcomes(full, restricted)
+    got, total = lrt.bootstrap_distribution(totals, null, beta_null, B, np.random.default_rng(5), TOL_SCORE)
+    assert total == B and got == stats[np.isfinite(stats)].tolist()
+    # a statistic where both fits converged; unconverged where both exist but one stopped short
+    both = full.converged & restricted.converged
+    assert np.array_equal(np.isfinite(stats), both) and len(restricted) == B
+    assert np.array_equal(unconverged, full.exists & restricted.exists & ~both)
+    if case == "capped":
+        assert unconverged.any() and both.any()
+    else:
+        assert not full.exists.all() and both.any()
