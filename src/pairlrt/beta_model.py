@@ -59,38 +59,32 @@ def log_likelihood(beta, data: Union[UndirectedGraph, Tallies]):
     """Log-likelihood of a graph, which enters only through its degree sequence.
 
     With a graph, beta holds one value per node, grouped into classes of
-    equal value.  With Tallies, beta holds one value per class, and a stack
-    of tallies with one row of beta each gives one log-likelihood per row.
+    equal value.  With Tallies, beta holds one value per class, unchecked,
+    and a stack of tallies with one row of beta each gives one
+    log-likelihood per row.
     """
-    graph = isinstance(data, UndirectedGraph)
-    b = as_model_params(beta, "beta", stacked=not graph)
-    if graph:
-        if b.size != data.n:
-            raise ValueError(f"parameter length {b.size} does not match n={data.n}")
-        b, _, data = _node_classes(b, data.degrees)
-        return float(pair_log_likelihood(b, data, 1))
-    return pair_log_likelihood(b, data, 1)
+    if isinstance(data, Tallies):
+        return pair_log_likelihood(beta, data, 1)
+    b, _, data = _node_classes(as_model_params(beta, "beta", data.n), data.degrees)
+    return float(pair_log_likelihood(b, data, 1))
 
 
 def expected_degrees(beta, tallies: Optional[Tallies] = None) -> np.ndarray:
     """Expected degree of each node.
 
     With Tallies, beta holds one value per class (see log_likelihood) and
-    the result is each class's expected degree total, row by row for a stack.
+    the result is each class's expected degree total, row by row for a stack;
+    beta is then unchecked.
     """
-    b = as_model_params(beta, "beta", stacked=tallies is not None)
     if tallies is not None:
-        return pair_expected(b, tallies, 1)
-    values, classes, t = _node_classes(b)
+        return pair_expected(beta, tallies, 1)
+    values, classes, t = _node_classes(as_model_params(beta, "beta"))
     return (pair_expected(values, t, 1) / np.bincount(classes))[classes]
 
 
 def score(beta, g: UndirectedGraph) -> np.ndarray:
     """Gradient of the log-likelihood: observed minus expected degrees."""
-    b = as_model_params(beta, "beta")
-    if b.size != g.n:
-        raise ValueError(f"parameter length {b.size} does not match n={g.n}")
-    return g.degrees - expected_degrees(b)
+    return g.degrees - expected_degrees(as_model_params(beta, "beta", g.n))
 
 
 def fisher_info(beta, tallies: Optional[Tallies] = None) -> np.ndarray:
@@ -102,10 +96,10 @@ def fisher_info(beta, tallies: Optional[Tallies] = None) -> np.ndarray:
     totals, the information in one parameter per class, row by row for a
     stack.
     """
-    b = as_model_params(beta, "beta", stacked=tallies is not None)
-    if tallies is None:
-        tallies = class_tallies(Tallies(np.zeros(b.size), 1), np.arange(b.size))
-    return pair_information(b, tallies, 1)
+    if tallies is not None:
+        return pair_information(beta, tallies, 1)
+    b = as_model_params(beta, "beta")
+    return pair_information(b, class_tallies(Tallies(np.zeros(b.size), 1), np.arange(b.size)), 1)
 
 
 def degree_variances(beta) -> np.ndarray:

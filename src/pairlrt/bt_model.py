@@ -48,19 +48,16 @@ class ComparisonStack(NamedTuple):
     connected: np.ndarray
 
 
-def _params(beta, table: Union[ComparisonTable, Tallies]) -> np.ndarray:
-    b = as_model_params(beta, "bt", stacked=True)
-    if b.shape[-1] != table.totals.shape[-1]:
-        raise ValueError(f"parameter length {b.shape[-1]} does not match n={table.totals.shape[-1]}")
-    return b
+def _params(beta, table: Union[ComparisonTable, Tallies]):
+    return beta if isinstance(table, Tallies) else as_model_params(beta, "bt", table.n)
 
 
 def bt_log_likelihood(beta, table: Union[ComparisonTable, Tallies]):
     """Log-likelihood of the win counts.
 
-    Beta holds one value per subject of a ComparisonTable, or one per class
-    of Tallies, the reference's class first.  With a stack of tallies and
-    one row of beta per table, the result holds one log-likelihood per row.
+    Beta holds one value per subject of a ComparisonTable, or, unchecked,
+    one per class of Tallies, the reference's class first.  A stack of
+    tallies with one row of beta each gives one log-likelihood per row.
     """
     return pair_log_likelihood(_params(beta, table), table, -1)
 
@@ -72,8 +69,7 @@ def bt_expected_wins(beta, table: Union[ComparisonTable, Tallies]) -> np.ndarray
 
 def bt_score(beta, table: ComparisonTable) -> np.ndarray:
     """Gradient in the free coordinates (subjects 2..n)."""
-    b = as_model_params(beta, "bt")
-    return (table.degrees - bt_expected_wins(b, table))[1:]
+    return (table.degrees - bt_expected_wins(beta, table))[1:]
 
 
 def bt_fisher_info(beta, table: Union[ComparisonTable, Tallies]) -> np.ndarray:
@@ -127,22 +123,35 @@ def class_model() -> ClassModel:
     return ClassModel(bt_log_likelihood, bt_expected_wins, bt_fisher_info, -1)
 
 
+def shared_count(totals):
+    """A design's pair counts ``totals`` as the one count every pair i != j shares, if any, else as given.
+
+    A design is balanced iff this is a number above zero.
+    """
+    if np.ndim(totals) == 0:
+        return totals
+    pairs = totals[np.triu_indices(len(totals), k=1)]
+    return pairs[0] if pairs.size and np.all(pairs == pairs[0]) else totals
+
+
 def _fit(data, null: Optional[NullHypothesis], tol: float):
     """Fit a table, or each table of a stack, under ``null``, or with only the reference fixed when it is None.
 
     One Fit for a ComparisonTable ``data``, else Fits.  The reference and
     any pinned subjects are fixed and a homogeneous null's subjects 2..r
-    tied (core.class_maps).  A table whose pairs are all compared the same
-    k > 0 times is balanced, and its free subjects of equal win total share
-    a class; when every table is balanced with one k, their tallies hold k
-    alone, which core.class_tallies sums by class sizes.  Without a null, a
-    table that is not strongly connected has no maximizer.
+    tied (core.class_maps).  A stack's pair counts are one number or one
+    (n, n) matrix, else a ValueError.  On a balanced design (shared_count)
+    free subjects of equal win total share a class, and the tallies hold
+    the one count, summed by class sizes.  Without a null, a table that is
+    not strongly connected has no maximizer.
     """
     if isinstance(data, ComparisonTable):
         t, connected = Tallies(data.degrees[None], data.totals), null is not None or strongly_connected(data)
     else:
         t, connected = data.tallies, null is not None or data.connected
     k, n = t.degrees.shape
+    if np.ndim(t.totals) and np.shape(t.totals) != (n, n):
+        raise ValueError(f"a stack's pair counts must be a number or an {n}-by-{n} matrix, got {np.shape(t.totals)}")
     lead, tied = np.zeros(1), 0
     if null is not None:
         null.validate_for("bt", n)
@@ -150,16 +159,9 @@ def _fit(data, null: Optional[NullHypothesis], tol: float):
             lead = np.concatenate([lead, null.values])
         else:
             tied = null.r - 1
-    if np.ndim(t.totals) == 0:
-        balanced = t.totals > 0
-    else:
-        i, j = np.triu_indices(n, k=1)
-        pairs = t.totals[..., i, j]
-        balanced = (pairs[..., 0] > 0) & (pairs == pairs[..., :1]).all(axis=-1)
-        if pairs.size and pairs.flat[0] > 0 and np.all(pairs == pairs.flat[0]):
-            t = Tallies(t.degrees, pairs.flat[0])  # one count for every pair: class_tallies sums by class sizes
-    maps, fixed = class_maps(t.degrees, lead, tied, balanced)
-    fits = fit_by_classes(class_model(), t, maps, fixed, tied > 0, ~np.asarray(connected), tol)
+    count = shared_count(t.totals)
+    maps, fixed = class_maps(t.degrees, lead, tied, np.ndim(count) == 0 and count > 0)
+    fits = fit_by_classes(class_model(), Tallies(t.degrees, count), maps, fixed, tied > 0, ~np.asarray(connected), tol)
     return fits[0] if isinstance(data, ComparisonTable) else fits
 
 
@@ -167,10 +169,10 @@ def bt_fit_mle(data, *, tol: float = TOL_SCORE):
     """Fit the n-1 free merit parameters of a table, or of each table of a stack.
 
     ``data`` is a ComparisonTable, which gives one Fit, or the
-    ComparisonStack of k tables (win totals (k, n) and pair counts: a
-    number, an (n, n) matrix or a (k, n, n) stack), which gives their Fits,
-    fitted together.  Existence is decided up front by strong connectivity:
-    a table's own, or a stack's mask.  The reference is fixed at zero.
+    ComparisonStack of k tables on one design (win totals (k, n) and pair
+    counts, a number or an (n, n) matrix), which gives their Fits, fitted
+    together.  Existence is decided up front by strong connectivity: a
+    table's own, or a stack's mask.  The reference is fixed at zero.
     """
     return _fit(data, None, tol)
 
@@ -334,20 +336,18 @@ def simulate_comparisons(beta, k, rng):
     core.pair_rows), each generator's in turn.  Each block's set-up
     (expit, the inversion constants, the row and column sums) is made once
     per call when the pairs fit in one block, else once per block of
-    generators.  A stack holds each table's win totals and whether it is
-    strongly connected: on a design with one count for every pair, by
-    landau_connected on the totals, and on any other by
+    generators.  A stack holds each table's win totals, the design's
+    counts (shared_count) and whether each table is strongly connected: on
+    a design with one count for every pair, by landau_connected on the
+    totals, and on any other by
     strongly_connected on one block of generators' win matrices at a time.
     """
     b = as_model_params(beta, "bt")
     n = b.size
     if n < 3:
         raise ValueError("need at least three subjects")
-    counts = comparison_counts(k, n)
+    counts = shared_count(comparison_counts(k, n))
     one = isinstance(rng, np.random.Generator)
-    shared = counts if np.ndim(counts) == 0 else counts[0, 1]  # the count of every pair, if one
-    if np.ndim(counts) and np.any((counts != shared) & ~np.eye(n, dtype=bool)):
-        shared = None
 
     def blocks():
         return (_pair_block(b, counts, *rows) for rows in pair_rows(n, PAIR_BLOCK))
@@ -357,11 +357,11 @@ def simulate_comparisons(beta, k, rng):
     wins, connected = [np.zeros((0, n), dtype=np.int64)], [np.zeros(0, dtype=bool)]
     while block := list(itertools.islice(gens, DRAW_BLOCK)):
         w = np.zeros((len(block), n), dtype=np.int64)
-        tables = np.zeros((len(block), n, n), dtype=np.int64) if one or shared is None else None
+        tables = np.zeros((len(block), n, n), dtype=np.int64) if one or np.ndim(counts) else None
         for draw in ready or blocks():
             draw(block, w, tables)
         if one:
             return ComparisonTable(tables[0])
         wins.append(w)
-        connected.append(strongly_connected(tables) if shared is None else landau_connected(w, shared))
+        connected.append(strongly_connected(tables) if np.ndim(counts) else landau_connected(w, counts))
     return ComparisonStack(Tallies(np.concatenate(wins), counts), np.concatenate(connected))

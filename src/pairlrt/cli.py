@@ -75,14 +75,18 @@ def _guard(fn):
     return wrapper
 
 
+def _whole_number(spec: str, option: str, name: str) -> int:
+    """The whole number ``name`` after the colon of ``spec``, a value of ``option``; a ValueError names both."""
+    text = spec.split(":", 1)[1]
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{option} needs a whole number {name}, got {text!r}") from None
+
+
 def _parse_null(spec: str, model: str, n: int) -> NullHypothesis:
     if spec.startswith("homogeneous:"):
-        text = spec.split(":", 1)[1]
-        try:
-            r = int(text)
-        except ValueError:
-            raise ValueError(f"--null homogeneous:<r> needs a whole number r, got {text!r}") from None
-        null = NullHypothesis.homogeneous(r)
+        null = NullHypothesis.homogeneous(_whole_number(spec, "--null homogeneous:<r>", "r"))
     elif spec.startswith("specified:"):
         values = load_vector(_read_source(spec.split(":", 1)[1]))
         r = values.size if model == "beta" else values.size + 1
@@ -253,7 +257,7 @@ def qq(reference, workers, out, **design) -> None:
     ref = None
     if reference:
         if reference.startswith("chi2:"):
-            ref = lrt.ChiSquare(int(reference.split(":", 1)[1]))
+            ref = lrt.ChiSquare(_whole_number(reference, "--reference chi2:<df>", "df"))
         elif reference == "normal":
             ref = lrt.NormalizedGaussian()
         else:

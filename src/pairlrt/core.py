@@ -173,20 +173,21 @@ class ComparisonTable:
         return "\n".join(out) + "\n"
 
 
-def as_model_params(beta, model: str, *, stacked: bool = False) -> np.ndarray:
-    """Return ``beta`` as a validated plain array for ``model``.
+def as_model_params(beta, model: str, n: Optional[int] = None) -> np.ndarray:
+    """Return ``beta`` as a validated one-dimensional array for ``model``, of length ``n`` if given.
 
     For the paired-comparison model the first entry is the reference subject
-    and must be exactly zero.  With ``stacked``, beta may also be a stack of
-    parameter vectors, one per row.
+    and must be exactly zero.
     """
     b = np.asarray(beta, dtype=float)
-    if b.ndim != 1 and not (stacked and b.ndim == 2):
+    if b.ndim != 1:
         raise ValueError("parameter vector must be one-dimensional")
     if not np.all(np.isfinite(b)):
         raise ValueError("parameters must be finite")
-    if model == "bt" and b.shape[-1] and np.any(b[..., 0] != 0.0):
+    if model == "bt" and b.size and b[0] != 0.0:
         raise ValueError("reference subject parameter must be 0")
+    if n is not None and b.size != n:
+        raise ValueError(f"parameter length {b.size} does not match n={n}")
     return b
 
 
@@ -504,37 +505,36 @@ ClassModel = namedtuple("ClassModel", "loglik expected info sign")
 BATCH_CELLS = 2**14
 
 
-def class_maps(totals: np.ndarray, lead, tied: int, balanced) -> tuple[np.ndarray, list]:
-    """Node-to-class maps of a stack, one row per member, and each member's fixed class values.
+def class_maps(totals: np.ndarray, lead, tied: int, balanced: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Node-to-class maps of a stack, one row per member, and its fixed class values, a row per member.
 
     ``totals`` holds every node's total, one row per member.  The leading
     nodes are fixed at the values ``lead``, the next ``tied`` nodes form one
-    fitted class, and the rest are free.  In a ``balanced`` member, whose
+    fitted class, and the rest are free.  In a ``balanced`` stack, whose
     pairs all carry equal trials, nodes of equal fixed value share a class,
     numbered by first appearance so the first node's class is 0, and free
     nodes of equal total share one, ranked by total: they share the
     maximizer, since the likelihood is strictly concave and unchanged by
-    swapping them.  Any other member keeps one class per node.  The fixed
-    classes come first, then the tied block, then the free classes.
+    swapping them.  Otherwise every node keeps a class of its own.  The
+    fixed classes come first, then the tied block, then the free classes;
+    their values are one row, broadcast to (k, f).
     """
     k, n = totals.shape
-    lead = np.asarray(lead, dtype=float)
-    f, free = lead.size, lead.size + tied
-    _, first, inverse = np.unique(lead, return_index=True, return_inverse=True)
-    balanced = np.broadcast_to(balanced, (k,))[:, None]
-    # the rank of each free total among its member's distinct ones
-    order = np.argsort(totals[:, free:], axis=1)
-    rises = np.diff(np.take_along_axis(totals[:, free:], order, axis=1), axis=1) > 0
-    rank = np.zeros((k, n - free), dtype=int)
-    np.put_along_axis(rank, order[:, 1:], np.cumsum(rises, axis=1), axis=1)
-    fixed = np.where(balanced, first.size, f)
-    maps = np.concatenate([
-        np.where(balanced, np.argsort(np.argsort(first))[inverse], np.arange(f)),
-        np.broadcast_to(fixed, (k, tied)),
-        np.where(balanced, rank, np.arange(n - free)) + fixed + (tied > 0),
-    ], axis=1)
-    merged = lead[np.sort(first)]
-    return maps, [merged if b else lead for b in balanced[:, 0]]
+    fixed = np.asarray(lead, dtype=float)
+    head, free = np.arange(fixed.size), fixed.size + tied
+    rest = np.arange(n - free)
+    if balanced:
+        _, first, inverse = np.unique(fixed, return_index=True, return_inverse=True)
+        head, fixed = np.argsort(np.argsort(first))[inverse], fixed[np.sort(first)]
+        # the rank of each free total among its member's distinct ones
+        order = np.argsort(totals[:, free:], axis=1)
+        rises = np.diff(np.take_along_axis(totals[:, free:], order, axis=1), axis=1) > 0
+        rest = np.zeros((k, n - free), dtype=int)
+        np.put_along_axis(rest, order[:, 1:], np.cumsum(rises, axis=1), axis=1)
+    f = fixed.size
+    maps = np.empty((k, n), dtype=int)
+    maps[:, :head.size], maps[:, head.size:free], maps[:, free:] = head, f, rest + f + (tied > 0)
+    return maps, np.broadcast_to(fixed, (k, f))
 
 
 def class_tallies(t: Tallies, classes: np.ndarray) -> Tallies:
@@ -558,46 +558,48 @@ def class_tallies(t: Tallies, classes: np.ndarray) -> Tallies:
     return Tallies(degrees, np.swapaxes(member, -1, -2) @ np.asarray(t.totals, dtype=float) @ member)
 
 
-def fit_by_classes(model: ClassModel, data: Tallies, maps, fixed: list, tied: bool, absent, tol: float) -> Fits:
+def fit_by_classes(model: ClassModel, data: Tallies, maps, fixed: np.ndarray, tied: bool, absent, tol: float) -> Fits:
     """Fit each member of a stack with one parameter per class of its node-to-class map.
 
-    ``data`` holds the node Tallies, a row per member.  Member t has map
-    ``maps[t]`` (see class_maps), its fixed classes first, holding the
-    values ``fixed[t]``; with ``tied`` the next class is a block tied to one
-    unknown value, and every later class is fitted freely.  A member marked
-    in ``absent``, a mask or one flag for all, has no maximizer and is not
-    fitted; its values are zero.  Members of equal class and fixed-class
-    count are fitted together, in ascents of at most BATCH_CELLS cells, so
-    none is padded and each runs the arithmetic of its fit alone.  Before
-    any step, a member has no maximizer when a fitted class's total sits at
-    its least or its most, d_a <= w_a or d_a >= rowsum(T)_a - w_a, where
-    w_a = (1 - sign)/4 T_aa counts the wins within the class, which no
-    value moves; its values are then its fixed values and zeros.  A member
-    with no fitted class is a converged fit at its fixed values; the others
-    start at their mean-field points (mean_field_start).  A class's reduced
-    score, its total less model.expected, is over its node count, or whole
-    for a tied block.  A converged member whose fitted values saturate
-    (pair_saturated) has no maximizer and keeps its last values and steps.
-    Returns the Fits in the stack's order; a member without a maximizer
-    has a NaN log-likelihood and an infinite gradient norm.
+    ``data`` holds the node Tallies: a row of totals per member and the pair
+    counts of the stack's one design, a number or an (n, n) matrix.  Member
+    t has map ``maps[t]`` (see class_maps), its f fixed classes first,
+    holding the values ``fixed[t]`` (fixed is (k, f)); with ``tied`` the
+    next class is a block tied to one unknown value, and every later class
+    is fitted freely.  A member marked in ``absent``, a mask or one flag for
+    all, has no maximizer and is not fitted; its values are zero.  Members
+    of equal class count are fitted together, in ascents of at most
+    BATCH_CELLS cells, so none is padded and each runs the arithmetic of its
+    fit alone.  Before any step, a member has no maximizer when a fitted
+    class's total sits at its least or its most, d_a <= w_a or d_a >=
+    rowsum(T)_a - w_a, where w_a = (1 - sign)/4 T_aa counts the wins within
+    the class, which no value moves; its values are then its fixed values
+    and zeros.  A member with no fitted class is a converged fit at its
+    fixed values; the others start at their mean-field points
+    (mean_field_start).  A class's reduced score, its total less
+    model.expected, is over its node count, or whole for a tied block.  A
+    converged member whose fitted values saturate (pair_saturated) has no
+    maximizer and keeps its last values and steps.  Returns the Fits in the
+    stack's order; a member without a maximizer has a NaN log-likelihood and
+    an infinite gradient norm.
     """
     if not 0 < tol < 1:
         raise ValueError(f"score tolerance must be in (0, 1), got {tol}")
     maps = np.asarray(maps)
     k, n = maps.shape
+    f = fixed.shape[1]
     values, steps = np.zeros((k, n)), np.zeros(k, dtype=int)
     loglik, gnorm = np.full(k, np.nan), np.full(k, np.inf)
     exists, converged = ~np.broadcast_to(absent, (k,)), np.zeros(k, dtype=bool)
     count = (maps.max(axis=-1, initial=0) + 1).tolist()
     groups: dict = {}
     for t in np.flatnonzero(exists).tolist():
-        groups.setdefault((count[t], fixed[t].size), []).append(t)
-    for (c, f), members in groups.items():
+        groups.setdefault(count[t], []).append(t)
+    for c, members in groups.items():
         size = max(1, BATCH_CELLS // c**2)
         for rows in (np.array(members[i:i + size]) for i in range(0, len(members), size)):
-            classes, head = maps[rows], np.array([fixed[t] for t in rows])
-            totals = data.totals if np.ndim(data.totals) < 3 else data.totals[rows]
-            tallies = class_tallies(Tallies(data.degrees[rows], totals), classes)
+            classes, head = maps[rows], fixed[rows]
+            tallies = class_tallies(Tallies(data.degrees[rows], data.totals), classes)
             w = (1 - model.sign) / 4 * np.diagonal(tallies.totals, axis1=-2, axis2=-1)
             d = tallies.degrees
             bound = ((d <= w) | (d >= tallies.totals.sum(axis=-1) - w))[:, f:].any(axis=1)

@@ -36,11 +36,6 @@ from .core import (
 
 REGIMES = ("fixed", "growing")
 DEFAULT_BOOTSTRAP_B = 999
-# Bootstrap children spawned at a time, as the draw reads them (bt_model.DRAW_BLOCK
-# draws together); the fits then run over all B tables, grouped by class count (see
-# core.BATCH_CELLS).  Fitting inside chunks of 32 was slower, since a chunk's groups
-# by class count are tiny.
-BOOTSTRAP_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -232,13 +227,13 @@ def bootstrap_distribution(
     design it was drawn on (a number or a matrix, bt_model.comparison_counts),
     which every draw has and which with the win totals are all a fit reads.
     Table i is drawn from the i-th child of rng, the children spawned
-    BOOTSTRAP_CHUNK at a time as one simulate_comparisons call reads them
-    (successive spawns continue one sequence of children).  The stack is
-    fitted and classified as a Monte Carlo chunk is (fit_pair, outcomes),
-    and its finite statistics come in the children's order.
+    bt_model.DRAW_BLOCK at a time as the draw reads them (successive spawns
+    continue one sequence of children).  The stack is fitted and classified
+    as a Monte Carlo chunk is (fit_pair, outcomes), and its finite
+    statistics come in the children's order.
     """
     totals = table.totals if isinstance(table, ComparisonTable) else table
-    children = (c for start in range(0, B, BOOTSTRAP_CHUNK) for c in rng.spawn(min(BOOTSTRAP_CHUNK, B - start)))
+    children = (c for s in range(0, B, bt_model.DRAW_BLOCK) for c in rng.spawn(min(bt_model.DRAW_BLOCK, B - s)))
     stats, _ = outcomes(*fit_pair(bt_model.simulate_comparisons(beta_null, totals, children), null, tol))
     return stats[np.isfinite(stats)].tolist(), B
 

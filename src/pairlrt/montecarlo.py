@@ -76,6 +76,8 @@ class Scenario:
             if self.k is None:
                 raise ValueError("comparison-model scenarios need pair totals k")
             bt_model.comparison_counts(self.k, self.n)
+        elif self.k is not None:
+            raise ValueError("graph scenarios take no pair totals 'k'; it is for model 'bt'")
         b.setflags(write=False)
         object.__setattr__(self, "true_beta", b)
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))

@@ -59,12 +59,16 @@ def win_stack(beta, k, gens):
     return np.array([bt_model.simulate_comparisons(beta, k, g).wins for g in gens]).reshape(-1, n, n)
 
 
-def table_stack(wins):
-    """A (k, n, n) stack of win matrices as the comparison fits take it: win totals, each table's
-    pair totals, and which tables are strongly connected."""
+def table_stack(wins, k):
+    """A (count, n, n) stack of win matrices drawn on the design k as the comparison fits take it: win
+    totals, the design's pair counts (bt_model.comparison_counts), and which tables are strongly connected."""
     from pairlrt import bt_model
     from pairlrt.core import Tallies
 
     wins = np.asarray(wins)
-    return bt_model.ComparisonStack(Tallies(wins.sum(axis=-1), wins + np.swapaxes(wins, -1, -2)),
+    n = wins.shape[-1]
+    counts = bt_model.comparison_counts(k, n)
+    played = wins + np.swapaxes(wins, -1, -2)
+    assert np.array_equal(played, np.broadcast_to(counts * (1 - np.eye(n, dtype=np.int64)), played.shape))
+    return bt_model.ComparisonStack(Tallies(wins.sum(axis=-1), counts),
                                     np.asarray(bt_model.strongly_connected(wins), dtype=bool).reshape(-1))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from pairlrt import bt_model as btm
-from pairlrt.core import TOL_SCORE, ComparisonTable, Fits, NullHypothesis, class_tallies, fit_by_classes
+from pairlrt.core import TOL_SCORE, ComparisonTable, Fits, NullHypothesis, Tallies, class_tallies, fit_by_classes
 
 from conftest import random_connected_table, table_stack, tied_class_map, win_stack
 from oracles import comparison_loglik, fd_gradient, fd_hessian, maximize_comparison
@@ -23,6 +23,13 @@ def test_loglik_simple_values():
     assert btm.bt_log_likelihood(np.zeros(4), t) == pytest.approx(-18 * np.log(2), abs=1e-13)
     with pytest.raises(ValueError, match="does not match n=3"):
         btm.bt_log_likelihood(np.zeros(4), CYCLE3)
+
+
+def test_table_evaluators_take_one_parameter_vector():
+    # a ComparisonTable takes one value per subject; a stack of rows is for class Tallies
+    for evaluator in (btm.bt_log_likelihood, btm.bt_expected_wins, btm.bt_fisher_info):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            evaluator(np.zeros((2, 3)), CYCLE3)
 
 
 def test_loglik_frozen_value():
@@ -136,8 +143,8 @@ def test_batch_members_stop_on_their_own():
     wins = win_stack(np.zeros(n), totals, np.random.default_rng(3).spawn(60))
     null = NullHypothesis.specified(2, [17.5])
     tables = [ComparisonTable(w) for w in wins]
-    full = btm.bt_fit_mle(table_stack(wins))
-    restricted = btm.bt_fit_restricted(table_stack(wins), null)
+    full = btm.bt_fit_mle(table_stack(wins, totals))
+    restricted = btm.bt_fit_restricted(table_stack(wins, totals), null)
     assert isinstance(full, Fits) and full.iterations == sum(f.iterations for f in full)
     for got, table in zip(full, tables):
         _assert_same_fit(got, btm.bt_fit_mle(table))
@@ -147,7 +154,7 @@ def test_batch_members_stop_on_their_own():
     assert {(False, False), (True, False), (True, True)} <= kinds
 
     # at a tolerance the arithmetic cannot reach, members stall after different numbers of steps
-    stalled = btm.bt_fit_mle(table_stack(wins), tol=1e-300)
+    stalled = btm.bt_fit_mle(table_stack(wins, totals), tol=1e-300)
     for got, table in zip(stalled, tables):
         _assert_same_fit(got, btm.bt_fit_mle(table, tol=1e-300))
     assert any(f.exists and not f.converged for f in stalled)
@@ -155,7 +162,8 @@ def test_batch_members_stop_on_their_own():
 
     # a tied block that only meets itself has no identified level, so no maximizer up
     # front; two free subjects that only meet each other have singular information, so
-    # that member stops before its first step; the others go on
+    # that table stops before its first step; the others go on.  Each design is its own
+    # stack, the lone and the apart table stacks of one
     lone = np.zeros((n, n), dtype=int)
     lone[1, 2] = lone[2, 1] = 1
     for i, j in [(0, 3), (3, 4), (0, 4)]:
@@ -164,20 +172,35 @@ def test_batch_members_stop_on_their_own():
     apart[3, 4] = apart[4, 3] = 1
     for i, j in [(0, 1), (1, 2), (0, 2)]:
         apart[i, j], apart[j, i] = 2, 1
-    stack = np.concatenate([wins[:8], lone[None], wins[8:16], apart[None], wins[16:20]])
     tied = NullHypothesis.homogeneous(3)
-    fits = btm.bt_fit_restricted(table_stack(stack), tied)
-    for got, w in zip(fits, stack):
-        _assert_same_fit(got, btm.bt_fit_restricted(ComparisonTable(w), tied))
-    assert not fits[8].exists and fits[8].iterations == 0
-    assert fits[17].exists and not fits[17].converged and fits[17].iterations == 0
-    assert all(f.converged for t, f in enumerate(fits) if f.exists and t not in (8, 17))
+    designs = {"drawn": wins[:20], "lone": lone[None], "apart": apart[None]}
+    fits = {name: btm.bt_fit_restricted(table_stack(w, w[0] + w[0].T), tied) for name, w in designs.items()}
+    for name, w in designs.items():
+        for got, table in zip(fits[name], w):
+            _assert_same_fit(got, btm.bt_fit_restricted(ComparisonTable(table), tied))
+    assert len(fits["lone"]) == len(fits["apart"]) == 1
+    assert not fits["lone"][0].exists and fits["lone"][0].iterations == 0
+    assert fits["apart"][0].exists and not fits["apart"][0].converged and fits["apart"][0].iterations == 0
+    assert all(f.converged for f in fits["drawn"] if f.exists)
+
+
+def test_a_stack_holds_one_design():
+    # a stack's pair counts are one number or one (n, n) matrix; counts per table, (k, n, n),
+    # are a ValueError that names their shape, in both fits
+    wins = win_stack(np.zeros(4), 2, np.random.default_rng(7).spawn(3))
+    stack = table_stack(wins, 2)
+    per_table = btm.ComparisonStack(Tallies(stack.tallies.degrees, wins + np.swapaxes(wins, -1, -2)), stack.connected)
+    for fit in (btm.bt_fit_mle, lambda s: btm.bt_fit_restricted(s, NullHypothesis.homogeneous(3))):
+        assert len(fit(stack)) == 3
+        with pytest.raises(ValueError, match=r"number or an 4-by-4 matrix, got \(3, 4, 4\)"):
+            fit(per_table)
 
 
 def _fit_on_maps(wins, maps):
-    # full fits of a stack of win matrices on the given class maps, the reference fixed at zero
-    fixed = [np.zeros(1)] * len(wins)
-    return fit_by_classes(btm.class_model(), table_stack(wins).tallies, maps, fixed, False, False, TOL_SCORE)
+    # full fits of a stack of win matrices, every pair compared twice, on the given class
+    # maps, the reference fixed at zero
+    fixed = np.zeros((len(wins), 1))
+    return fit_by_classes(btm.class_model(), table_stack(wins, 2).tallies, maps, fixed, False, False, TOL_SCORE)
 
 
 def test_members_keep_their_own_class_maps():
@@ -219,9 +242,8 @@ def _fit_kind(kind, data):
 def _per_subject_fit(kind, wins):
     head, fixed, tied = PER_SUBJECT[kind]
     n = wins.shape[-1]
-    return fit_by_classes(
-        btm.class_model(), table_stack(wins[None]).tallies, [head(n)], [fixed], tied, False, TOL_SCORE
-    )[0]
+    stack = table_stack(wins[None], wins + wins.T)
+    return fit_by_classes(btm.class_model(), stack.tallies, [head(n)], fixed[None], tied, False, TOL_SCORE)[0]
 
 
 def _balanced_tables(n, k, count, seed):
@@ -266,23 +288,6 @@ def test_unbalanced_tables_keep_one_class_per_subject(kind):
         if got.exists:
             _assert_same_fit(got, _per_subject_fit(kind, wins))
     assert fitted > 5
-
-
-@pytest.mark.parametrize("kind", sorted(PER_SUBJECT))
-def test_stack_mixes_balanced_and_unbalanced_tables(kind):
-    # a stack whose members' pair totals differ: each member is fitted as alone, balanced
-    # ones on win-total classes and the others per subject
-    wins = _balanced_tables(10, 2, 24, 4)[:16]
-    wins[1::2, 5, 7] += 1  # every other table gets one pair compared three times
-    fits = _fit_kind(kind, table_stack(wins))
-    assert isinstance(fits, Fits) and len(fits) == len(wins)
-    kinds = set()
-    for t, got in enumerate(fits):
-        _assert_same_fit(got, _fit_kind(kind, ComparisonTable(wins[t])))
-        if got.exists and t % 2:
-            _assert_same_fit(got, _per_subject_fit(kind, wins[t]))
-        kinds.add((t % 2, got.exists))
-    assert {(0, True), (1, True)} <= kinds
 
 
 def test_fit_cycle_symmetry():

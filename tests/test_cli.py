@@ -421,6 +421,27 @@ def test_qq_rejects_chi_square_reference_below_one_df(runner, df):
     assert "nan" not in res.stdout
 
 
+@pytest.mark.parametrize("df", ["abc", "2.5"])
+def test_qq_names_a_chi_square_df_that_is_not_whole(runner, df):
+    res = runner.invoke(main, ["qq", "--preset", "H04", "--n", "20", "--reps", "20", "--reference", f"chi2:{df}"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == f"error: --reference chi2:<df> needs a whole number df, got '{df}'\n"
+
+
+@pytest.mark.parametrize("verb", ["power", "qq", "simulate"])
+def test_a_graph_preset_with_k_exits_2(runner, monkeypatch, verb):
+    # --k sets the comparisons of a pair, which no graph design has; it is an error, not
+    # a value the report echoes and the run ignores
+    def fail(*args, **kwargs):
+        raise AssertionError("a replicate was drawn for a graph design given k")
+
+    monkeypatch.setattr(mc, "run_scenario", fail)
+    monkeypatch.setattr(mc, "simulate", fail)
+    res = runner.invoke(main, [verb, "--preset", "H04", "--n", "10", "--reps", "5", "--k", "3"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert "'k'" in res.stderr
+
+
 def test_qq_rejects_a_bad_reference_before_any_replicate(runner, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("replicates ran before the reference was checked")

@@ -391,13 +391,14 @@ def test_class_tallies_are_built_in_core():
 
 def test_class_maps_number_fixed_values_by_first_appearance():
     totals = np.array([[5, 5, 5, 5, 3, 1, 3, 3]] * 2)
-    maps, fixed = class_maps(totals, [0.0, -0.5, 0.5, 0.0], 0, np.array([True, False]))
     # balanced: equal fixed values share a class, free nodes of equal total too
-    assert maps[0].tolist() == [0, 1, 2, 0, 4, 3, 4, 4]
-    assert fixed[0].tolist() == [0.0, -0.5, 0.5]
+    maps, fixed = class_maps(totals, [0.0, -0.5, 0.5, 0.0], 0, True)
+    assert maps.tolist() == [[0, 1, 2, 0, 4, 3, 4, 4]] * 2
+    assert fixed.tolist() == [[0.0, -0.5, 0.5]] * 2
     # unbalanced: one class per node, pinned nodes included
-    assert maps[1].tolist() == list(range(8))
-    assert fixed[1].tolist() == [0.0, -0.5, 0.5, 0.0]
+    maps, fixed = class_maps(totals, [0.0, -0.5, 0.5, 0.0], 0, False)
+    assert maps.tolist() == [list(range(8))] * 2
+    assert fixed.tolist() == [[0.0, -0.5, 0.5, 0.0]] * 2
     tied, _ = class_maps(totals, [0.0], 3, True)
     assert tied[0].tolist() == [0, 1, 1, 1, 3, 2, 3, 3]
 
@@ -409,13 +410,13 @@ def test_class_maps_match_a_node_loop(lead, tied):
     rng = np.random.default_rng(33)
     k, n = 40, 11
     totals = rng.integers(0, 5, (k, n))
-    balanced = rng.random(k) < 0.5
-    maps, fixed = class_maps(totals, lead, tied, balanced)
-    assert maps.shape == (k, n) and len(fixed) == k
-    for t in range(k):
-        want_map, want_fixed = class_maps_by_node(totals[t], lead, tied, balanced[t])
-        assert maps[t].tolist() == want_map.tolist()
-        assert fixed[t].tolist() == want_fixed.tolist()
+    for balanced in (False, True):
+        maps, fixed = class_maps(totals, lead, tied, balanced)
+        assert maps.shape == (k, n) and len(fixed) == k
+        for t in range(k):
+            want_map, want_fixed = class_maps_by_node(totals[t], lead, tied, balanced)
+            assert maps[t].tolist() == want_map.tolist()
+            assert fixed[t].tolist() == want_fixed.tolist()
 
 
 def _up_front(fit):
@@ -464,9 +465,10 @@ def test_class_rule_matches_the_comparison_checks():
     lone[1, 2] = lone[2, 1] = 1
     for i, j in [(0, 3), (3, 4), (4, 5), (0, 5)]:
         lone[i, j], lone[j, i] = 2, 1
+    # each table is its own design, so each is fitted alone
     wins = np.array(tables + [lone])
-    pinned = btm.bt_fit_restricted(table_stack(wins), NullHypothesis.specified(r, [0.4, -0.4]))
-    tied = btm.bt_fit_restricted(table_stack(wins), NullHypothesis.homogeneous(r))
+    pinned = [btm.bt_fit_restricted(ComparisonTable(w), NullHypothesis.specified(r, [0.4, -0.4])) for w in wins]
+    tied = [btm.bt_fit_restricted(ComparisonTable(w), NullHypothesis.homogeneous(r)) for w in wins]
     apart = at_bound = 0
     for w, p, h in zip(wins, pinned, tied):
         played = w + w.T
@@ -566,22 +568,24 @@ def _fit_bits(f):
 @pytest.mark.parametrize("kind", ["full", "specified", "homogeneous"])
 def test_balanced_tables_fit_alike_from_one_count_and_from_their_totals(kind):
     # Tallies(wins, k) sums classes by class sizes and Tallies(wins, totals) by membership
-    # products; a table alone and a stack get Fits of the same bits from either
+    # products; a table alone and a stack get Fits of the same bits from either, and from
+    # each table's own pair totals w + w.T, fitted alone
     k, n, count = 2, 8, 40
     wins = win_stack(np.linspace(0.0, 1.5, n), k, np.random.default_rng(8).spawn(count))
     degrees = wins.sum(axis=-1)
     lead, tied = {"full": ([0.0], 0), "specified": ([0.0, 0.4, -0.3], 0), "homogeneous": ([0.0], 2)}[kind]
     maps, fixed = class_maps(degrees, lead, tied, True)
     totals = k * (1 - np.eye(n, dtype=np.int64))
+
+    def fit(rows, t):
+        return [_fit_bits(f) for f in fit_by_classes(
+            btm.class_model(), Tallies(degrees[rows], t), maps[rows], fixed[rows], tied > 0, False, TOL_SCORE,
+        )]
+
     stepped = 0
     for rows in (slice(0, 1), slice(None)):
-        bits = [
-            [_fit_bits(f) for f in fit_by_classes(
-                btm.class_model(), Tallies(degrees[rows], t), maps[rows], fixed[rows], tied > 0,
-                False, TOL_SCORE,
-            )]
-            for t in (k, totals, np.repeat(totals[None], count, axis=0)[rows])
-        ]
+        own = [fit([i], wins[i] + wins[i].T)[0] for i in range(count)[rows]]
+        bits = [fit(rows, k), fit(rows, totals), own]
         assert bits[0] == bits[1] == bits[2]
         stepped += sum(b[2] > 0 for b in bits[0])
     assert stepped > count // 2
@@ -725,7 +729,11 @@ def _stack_and_alone(kind):
     wins[1::2, 4, 6] += 1  # every other table unbalanced, so fitted per subject
     tables = [ComparisonTable(w) for w in wins]
     yield from zip(graph_fit(degree_stack(graphs)), map(graph_fit, graphs), graphs, [bm.log_likelihood] * len(graphs))
-    yield from zip(table_fit(table_stack(wins)), map(table_fit, tables), tables, [btm.bt_log_likelihood] * len(tables))
+    # the balanced tables and the unbalanced ones, each on its one design, as two stacks
+    for part in (slice(0, None, 2), slice(1, None, 2)):
+        alone = tables[part]
+        yield from zip(table_fit(table_stack(wins[part], alone[0].totals)), map(table_fit, alone), alone,
+                       [btm.bt_log_likelihood] * len(alone))
 
 
 @pytest.mark.parametrize("kind", ["full", "homogeneous", "specified"])
@@ -752,7 +760,7 @@ def test_fully_pinned_fits_take_no_step():
     pins = NullHypothesis.specified(n, beta)
     cases = [
         (graphs, bm.fit_restricted_specified(degree_stack(graphs), pins), bm.log_likelihood),
-        (map(ComparisonTable, wins), btm.bt_fit_restricted(table_stack(wins), NullHypothesis.specified(n, beta[1:])),
+        (map(ComparisonTable, wins), btm.bt_fit_restricted(table_stack(wins, 2), NullHypothesis.specified(n, beta[1:])),
          btm.bt_log_likelihood),
     ]
     for data, fits, loglik in cases:
@@ -774,7 +782,7 @@ def test_newton_cap_stops_members_mid_stack(model, monkeypatch):
         fit, stack, solos = bm.fit_mle, degree_stack(graphs), graphs
     else:
         wins = win_stack(beta - beta[0], 2, rng.spawn(40))
-        fit, stack, solos = btm.bt_fit_mle, table_stack(wins), map(ComparisonTable, wins)
+        fit, stack, solos = btm.bt_fit_mle, table_stack(wins, 2), map(ComparisonTable, wins)
     uncapped = fit(stack)
     steps = [f.iterations for f in uncapped if f.exists]
     assert all(f.converged for f in uncapped if f.exists)
@@ -899,11 +907,10 @@ def test_saturation_shortcut_gives_the_full_rule_s_flags(sign):
         totals, model = 2 * (1 - np.eye(6, dtype=np.int64)), btm.class_model()
         node_totals = np.broadcast_to(totals, (len(values), 6, 6))
     cases = [class_maps(d[None], head, 0, True) for d, head in zip(degrees, lead)]
-    maps, fixed = np.concatenate([m for m, _ in cases]), [f[0] for _, f in cases]
+    maps, fixed = np.concatenate([m for m, _ in cases]), np.concatenate([f for _, f in cases])
 
     def fit(rows):
-        return fit_by_classes(model, Tallies(degrees[rows], totals), maps[rows], [fixed[i] for i in rows], False,
-                              False, TOL_SCORE)
+        return fit_by_classes(model, Tallies(degrees[rows], totals), maps[rows], fixed[rows], False, False, TOL_SCORE)
 
     every = fit(list(range(len(values))))
     below = fit([0, 3])  # no member reaches the edge, so the pass is skipped for the whole stack

@@ -236,7 +236,7 @@ def test_bootstrap_matches_fitting_each_table_alone(design):
     assert total == B and len(got) == len(want)
     assert np.abs(np.array(got) - np.array(want)).max() <= 1e-8
     # more than two chunks, and each design reaches the case it is named for
-    assert B > 2 * lrt.BOOTSTRAP_CHUNK
+    assert B > 2 * btm.DRAW_BLOCK
     if design == "no-full-maximizer":
         assert lost_full > 0
     if design == "restricted-saturates":
@@ -252,7 +252,7 @@ def test_bootstrap_statistics_do_not_depend_on_chunk_or_batch_sizes(monkeypatch)
         return lrt.bootstrap_distribution(table, null, beta_null, 120, np.random.default_rng(4), TOL_SCORE)
 
     want = run()
-    monkeypatch.setattr(lrt, "BOOTSTRAP_CHUNK", 7)
+    monkeypatch.setattr(btm, "DRAW_BLOCK", 7)
     assert run() == want
     monkeypatch.setattr(core, "BATCH_CELLS", 1000)  # at most 3 tables of 18 classes a batch
     assert run() == want
@@ -339,8 +339,8 @@ def test_a_bootstrap_holds_no_win_matrices(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    assert lrt.BOOTSTRAP_CHUNK * n * n * 8 > 20 * 2**20
-    assert peak(2 * lrt.BOOTSTRAP_CHUNK) < peak(2) + 2**20
+    assert 32 * n * n * 8 > 20 * 2**20
+    assert peak(64) < peak(2) + 2**20
 
 
 def test_a_bootstrap_and_a_monte_carlo_chunk_share_one_outcome_rule(monkeypatch):

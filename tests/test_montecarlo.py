@@ -102,6 +102,19 @@ def test_scenario_validation():
         mc.Scenario(**{**ok, "model": "bt", "k": 2, "true_beta": np.ones(4)})
 
 
+def test_a_graph_scenario_takes_no_k():
+    # k counts the comparisons of a pair, which a graph does not have: setting it is an
+    # error that names it, not a value the run echoes and ignores
+    ok = dict(name="x", model="beta", n=4, null=NullHypothesis.homogeneous(2), true_beta=np.zeros(4),
+              regime="fixed", kind="type1", reps=5)
+    for k in (3, np.full((4, 4), 2)):
+        with pytest.raises(ValueError, match="'k'"):
+            mc.Scenario(**ok, k=k)
+    with pytest.raises(ValueError, match="'k'"):
+        mc.build_scenario("H04", n=10, reps=5, k=3)
+    assert mc.build_scenario("H04", n=10, reps=5).k is None
+
+
 def test_scenario_roundtrip_json():
     s = mc.build_scenario("NBASmall", c=0.7, reps=10, seed=9, alphas=(0.01, 0.05))
     d = json.loads(json.dumps(s.to_dict()))
