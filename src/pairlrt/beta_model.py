@@ -34,7 +34,6 @@ from .core import (
 )
 
 LARGEST_LOGIT = math.acosh(np.finfo(float).max / 2)  # 2 + 2 cosh(x) is finite up to here
-PAIR_BLOCK = 2**16  # node pairs that simulate_graph draws at a time
 
 
 def edge_probabilities(beta) -> np.ndarray:
@@ -194,7 +193,7 @@ def simulate_graph(beta, rng):
     of them, which gives the degree stack Tallies(degrees, 1) of their
     graphs, degrees of shape (len(rng), n), row t drawn from rng[t] exactly
     as one graph from it.  The pairs i < j are drawn in row order, a block
-    of whole rows at a time (at most PAIR_BLOCK pairs, or one row,
+    of whole rows at a time (at most core.PAIR_BLOCK pairs, or one row,
     core.pair_rows), each generator's uniforms for a block in turn: a draw
     holds its edges, or its degree rows, and one block, never an array of
     n^2 entries.
@@ -206,7 +205,7 @@ def simulate_graph(beta, rng):
     one = isinstance(rng, np.random.Generator)
     gens = [rng] if one else list(rng)
     edges, degrees = [], np.zeros((len(gens), n), dtype=np.int64)
-    for top, i, j, starts in pair_rows(n, PAIR_BLOCK):
+    for top, i, j, starts in pair_rows(n):
         end = top + starts.size
         p = expit(b[i] + b[j])
         for t, gen in enumerate(gens):

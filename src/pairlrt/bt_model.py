@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 from scipy.special import expit
 
+from . import core
 from .core import (
     MAX_TABLE_COMPARISONS,
     TOL_SCORE,
@@ -32,7 +33,6 @@ from .core import (
     pair_rows,
 )
 
-PAIR_BLOCK = 2**16  # subject pairs that simulate_comparisons draws at a time, at most
 DRAW_BLOCK = 32  # generators that simulate_comparisons draws together, at most
 
 
@@ -332,8 +332,8 @@ def simulate_comparisons(beta, k, rng):
     Generator.binomial call would, with the same bits and the same state
     after (_binomial_rows).  The generators are read and drawn DRAW_BLOCK
     at a time, so a stack keeps only one block of them; the pairs are drawn
-    a block of whole rows at a time (at most PAIR_BLOCK pairs, or one row,
-    core.pair_rows), each generator's in turn.  Each block's set-up
+    a block of whole rows at a time (at most core.PAIR_BLOCK pairs, or one
+    row, core.pair_rows), each generator's in turn.  Each block's set-up
     (expit, the inversion constants, the row and column sums) is made once
     per call when the pairs fit in one block, else once per block of
     generators.  A stack holds each table's win totals, the design's
@@ -350,9 +350,9 @@ def simulate_comparisons(beta, k, rng):
     one = isinstance(rng, np.random.Generator)
 
     def blocks():
-        return (_pair_block(b, counts, *rows) for rows in pair_rows(n, PAIR_BLOCK))
+        return (_pair_block(b, counts, *rows) for rows in pair_rows(n))
 
-    ready = list(blocks()) if n * (n - 1) // 2 <= PAIR_BLOCK else None
+    ready = list(blocks()) if n * (n - 1) // 2 <= core.PAIR_BLOCK else None
     gens = iter([rng] if one else rng)
     wins, connected = [np.zeros((0, n), dtype=np.int64)], [np.zeros(0, dtype=bool)]
     while block := list(itertools.islice(gens, DRAW_BLOCK)):

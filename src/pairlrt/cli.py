@@ -17,6 +17,7 @@ from typing import Optional
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import beta_model, bt_model, fisher_approx, lrt, moments_oracle, montecarlo
 from .core import (
@@ -231,10 +232,8 @@ def simulate(index, out, **design) -> None:
 def power(alphas, workers, stats_csv, out, **design) -> None:
     """Monte Carlo rejection rates (Type I error for null-true scenarios, power otherwise)."""
     scenario = _load_scenario(alphas=tuple(alphas) or None, **design)
-    if scenario.kind == "type1":
-        report = montecarlo.run_type1(scenario, workers=workers)
-    else:
-        report = montecarlo.run_power(scenario, workers=workers)
+    run = montecarlo.run_type1 if scenario.kind == "type1" else montecarlo.run_scenario
+    report = run(scenario, workers=workers)
     if stats_csv:
         with open(stats_csv, "w") as fh:
             for s in report.stats:
@@ -268,8 +267,12 @@ def qq(reference, workers, out, **design) -> None:
     _emit_text("\n".join(lines) + "\n", out)
 
 
+# the oracle options that each --stat never reads; giving one is a usage error
+_ORACLE_UNREAD = {"quadratic": (), "cubic": ("mc_reps", "seed"), "mixed": ("r", "weights", "mc_reps", "seed")}
+
+
 @main.command()
-@click.option("--stat", type=click.Choice(["quadratic", "cubic", "mixed"]), required=True)
+@click.option("--stat", type=click.Choice(list(_ORACLE_UNREAD)), required=True)
 @click.option("--beta-file", required=True, help="Parameter vector, one value per line.")
 @click.option("--r", type=click.IntRange(min=0), default=None, help="Leading block size (defaults to n).")
 @click.option("--weights", default="ones", show_default=True,
@@ -282,6 +285,10 @@ def qq(reference, workers, out, **design) -> None:
 @_guard
 def oracle(stat, beta_file, r, weights, do_enum, mc_reps, seed, out) -> None:
     """Exact moments of weighted centered-degree sums."""
+    source = click.get_current_context().get_parameter_source
+    unread = [f"--{name.replace('_', '-')}" for name in _ORACLE_UNREAD[stat] if source(name) is not ParameterSource.DEFAULT]
+    if unread:
+        raise ValueError(f"--stat {stat} does not read {', '.join(unread)}")
     beta = load_vector(_read_source(beta_file))
     n = beta.size
     r = n if r is None else r

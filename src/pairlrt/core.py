@@ -21,6 +21,7 @@ MAX_NEWTON = 100
 DIVERGENCE_CAP = 40.0
 TOL_SCORE = 1e-8
 MAX_TABLE_COMPARISONS = 2**52  # so every sum of w + w.T, at most twice this, is exact in a double
+PAIR_BLOCK = 2**16  # pairs that pair_rows yields at a time, at most: a draw holds one block
 
 
 class DataFormatError(ValueError):
@@ -255,8 +256,8 @@ def sum_bins(x: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
     return out.reshape(lead + (size,))
 
 
-def pair_rows(n: int, size: int) -> Iterator[tuple]:
-    """The pairs i < j of n nodes in row order, a block of whole rows at a time (at most ``size`` pairs, or one row).
+def pair_rows(n: int) -> Iterator[tuple]:
+    """The pairs i < j of n nodes in row order, a block of whole rows at a time (at most PAIR_BLOCK pairs, or one row).
 
     Yields (top, i, j, starts) per block: its first row, its pairs, and
     where each of its rows starts among them.
@@ -265,7 +266,7 @@ def pair_rows(n: int, size: int) -> Iterator[tuple]:
     first = np.concatenate([[0], np.cumsum(lengths)])  # index of each row's first pair
     top = 0
     while top < n - 1:
-        end = max(top + 1, int(np.searchsorted(first, first[top] + size, side="right")) - 1)
+        end = max(top + 1, int(np.searchsorted(first, first[top] + PAIR_BLOCK, side="right")) - 1)
         rows, starts = np.arange(top, end), first[top:end] - first[top]
         i = np.repeat(rows, lengths[top:end])
         yield top, i, np.arange(i.size) + np.repeat(rows + 1 - starts, lengths[top:end]), starts
@@ -578,10 +579,10 @@ def fit_by_classes(model: ClassModel, data: Tallies, maps, fixed: np.ndarray, ti
     fixed values; the others start at their mean-field points
     (mean_field_start).  A class's reduced score, its total less
     model.expected, is over its node count, or whole for a tied block.  A
-    converged member whose fitted values saturate (pair_saturated) has no
-    maximizer and keeps its last values and steps.  Returns the Fits in the
-    stack's order; a member without a maximizer has a NaN log-likelihood and
-    an infinite gradient norm.
+    member whose fitted values saturate (pair_saturated) has no maximizer,
+    whether it converged or stalled short of tol, and keeps its last values
+    and steps.  Returns the Fits in the stack's order; a member without a
+    maximizer has a NaN log-likelihood and an infinite gradient norm.
     """
     if not 0 < tol < 1:
         raise ValueError(f"score tolerance must be in (0, 1), got {tol}")
@@ -620,10 +621,9 @@ def fit_by_classes(model: ClassModel, data: Tallies, maps, fixed: np.ndarray, ti
                 model.loglik, lambda b, t: t.degrees - model.expected(b, t), model.info, tallies,
                 mean_field_start(tallies, head, model.sign), per, tol,
             )
-            done = norm <= tol
-            lost = done & (c > f) & pair_saturated(fitted, tallies, model.sign, tol)
+            lost = (c > f) & pair_saturated(fitted, tallies, model.sign, tol)
             values[rows] = np.take_along_axis(fitted, classes, axis=1)
-            steps[rows], exists[rows], converged[rows] = iters, ~lost, done & ~lost
+            steps[rows], exists[rows], converged[rows] = iters, ~lost, (norm <= tol) & ~lost
             loglik[rows], gnorm[rows] = np.where(lost, np.nan, ll), np.where(lost, np.inf, norm)
     return Fits(values, loglik, steps, converged, exists, gnorm)
 

@@ -6,9 +6,11 @@ streams come from mixing (master seed, replicate index) through numpy's
 SeedSequence, so replicate t is the same draw whether the run uses one
 worker or eight, and extending a run leaves earlier replicates unchanged.
 
-A job draws its replicates a chunk at a time and fits each chunk's
-datasets together, the graphs batched by class count.  A member's fit is
-bitwise its fit alone, so no result depends on which replicates share a
+A job is a contiguous run of replicate indices.  It draws its replicates a
+chunk at a time, fits each chunk's datasets together, the graphs batched
+by class count, and hands back three columns in index order: statistics,
+p-values and unconverged flags, which run_scenario joins.  A member's fit
+is bitwise its fit alone, so no result depends on which replicates share a
 chunk, a job or a worker.
 
 A chunk is classified by lrt.outcomes, as a bootstrap's tables are.
@@ -36,7 +38,7 @@ from .core import TOL_SCORE, NullHypothesis, float_array, whole_number
 # Replicates drawn and fitted together: as many as fit in this many n-by-n
 # cells, so a chunk's memory is fixed whatever the replicate count.  A chunk
 # holds only its degree or win-total rows and one block of pairs
-# (beta_model.PAIR_BLOCK, bt_model.PAIR_BLOCK).
+# (core.PAIR_BLOCK).
 CHUNK_CELLS = 2**20
 
 PRESETS = ("H01", "H02", "H03", "H04", "PowerBeta", "PowerBT", "NBASmall")
@@ -146,11 +148,6 @@ def linear_profile(n: int, L: float) -> np.ndarray:
     return np.arange(n) * (L / (n - 1))
 
 
-def _tail_profile(n: int, r: int, L: float) -> np.ndarray:
-    """Trailing profile for fixed-block designs: position i keeps the linear value."""
-    return np.arange(r, n) * (L / (n - 1))
-
-
 def _power_profile(n: int, r: int, c: float) -> np.ndarray:
     head = np.arange(1, r + 1) * (c / r)
     tail = 0.2 * np.arange(1, n - r + 1) * math.log(n) / n
@@ -163,11 +160,15 @@ def build_scenario(preset: str, **params) -> Scenario:
     Common parameters: n, reps, seed, alphas, model (graph designs accept
     model="bt" with k).  Design-specific: L (profile height) for H01/H02/H04,
     explicit `values` plus L for H03, and (r, c) for the power presets.
-    PowerBeta is always a graph design and PowerBT/NBASmall comparison designs.
+    PowerBeta is a graph design and PowerBT/NBASmall comparison designs: any
+    other model is a ValueError.
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {PRESETS}")
-    model = params.pop("model", "beta" if preset in ("H01", "H02", "H03", "H04", "PowerBeta") else "bt")
+    own = {"PowerBeta": "beta", "PowerBT": "bt", "NBASmall": "bt"}.get(preset)
+    model = params.pop("model", own or "beta")
+    if own and model != own:
+        raise ValueError(f"preset {preset} is a {own!r} design; it takes no 'model' {model!r}")
     n = int(params.pop("n", 30 if preset == "NBASmall" else 100))
     reps = int(params.pop("reps", 2000))
     seed = int(params.pop("seed", 0))
@@ -192,20 +193,17 @@ def build_scenario(preset: str, **params) -> Scenario:
         values = np.asarray(params.pop("values"), dtype=float)
         head = values if model == "beta" else np.concatenate([[0.0], values])
         null = NullHypothesis.specified(head.size, values)
-        true = np.concatenate([head, _tail_profile(n, head.size, float(params.pop("L", 0.0)))])
+        true = np.concatenate([head, linear_profile(n, float(params.pop("L", 0.0)))[head.size:]])
     elif preset == "H04":
         r = int(params.pop("r", 5))
         null = NullHypothesis.homogeneous(r)
-        true = np.concatenate([np.zeros(r), _tail_profile(n, r, float(params.pop("L", 0.0)))])
+        true = np.concatenate([np.zeros(r), linear_profile(n, float(params.pop("L", 0.0)))[r:]])
     else:
         r = int(params.pop("r", 10 if preset == "NBASmall" else 5))
         null = NullHypothesis.homogeneous(r)
         true = _power_profile(n, r, float(params.pop("c", 0.0)))
         kind = "power"
-        if preset == "PowerBeta":
-            model, k = "beta", None
-        else:
-            model = "bt"
+        if model == "bt":
             true = true - true[0]
     scenario = Scenario(
         name=preset, model=model, n=n, null=null, true_beta=true,
@@ -258,50 +256,48 @@ def simulate(scenario: Scenario, rng):
 
 
 def _replicate_batch(args):
-    """(index, statistic, p-value, unconverged) of each replicate of a job, in index order.
+    """The statistics, p-values and unconverged flags of a job's replicates: three columns in index order.
 
     The replicates are drawn and fitted a chunk at a time, each chunk's
-    datasets through one fit_pair and lrt.outcomes; replicate i draws from
-    its own stream, which then feeds its bootstrap, if any.  A chunk is its
-    degree stack or win totals, which only the fits read; a bootstrap
-    redraws on the design's pair counts, and no other p-value reads data.
+    datasets through one fit_pair, and lrt.outcomes fills the chunk's slice
+    of the columns; replicate i draws from its own stream, which then feeds
+    its bootstrap, if any.  A chunk is its degree stack or win totals, which
+    only the fits read; a bootstrap redraws on the design's pair counts from
+    the replicate's restricted values, and no other p-value reads data.
     """
     scenario, indices, stats_only = args
     size = max(1, CHUNK_CELLS // scenario.n**2)
     reference = None if stats_only else lrt.reference_distribution(scenario.model, scenario.null, scenario.regime)
-    out = []
+    stats, pvalues = np.full(len(indices), np.nan), np.full(len(indices), np.nan)
+    unconverged = np.zeros(len(indices), dtype=bool)
     for start in range(0, len(indices), size):
-        chunk = indices[start:start + size]
-        rngs = [replicate_rng(scenario.seed, i) for i in chunk]
+        rngs = [replicate_rng(scenario.seed, i) for i in indices[start:start + size]]
         full, restr = lrt.fit_pair(simulate(scenario, rngs), scenario.null)
-        stats, unconverged = lrt.outcomes(full, restr)
-        for t, i in enumerate(chunk):
-            p = float("nan")
-            if reference is not None and np.isfinite(stats[t]):
-                p, _ = lrt.p_value(reference, stats[t], scenario.k, scenario.null, restr[t].beta_hat, rngs[t], TOL_SCORE)
-            out.append((i, stats[t], p, unconverged[t]))
-    return out
+        chunk = slice(start, start + len(rngs))
+        stats[chunk], unconverged[chunk] = lrt.outcomes(full, restr)
+        if reference is not None:
+            for t in np.flatnonzero(np.isfinite(stats[chunk])).tolist():
+                pvalues[start + t], _ = lrt.p_value(
+                    reference, stats[start + t], scenario.k, scenario.null, restr.values[t], rngs[t], TOL_SCORE
+                )
+    return stats, pvalues, unconverged
 
 
 def run_scenario(scenario: Scenario, *, workers: int = 1, stats_only: bool = False) -> MCReport:
     """Run every replicate and aggregate; deterministic for fixed (scenario, seed).
 
     With workers <= 1 the replicates run in this process as one job;
-    otherwise they are split into index-ordered jobs for a process pool,
-    read back in index order.  A fit's result does not depend on the fits
-    beside it, so every result is the same for any worker count.  Raises
-    when most replicates lack a maximizer.
+    otherwise they are split into contiguous, index-ordered jobs for a
+    process pool, whose columns are joined in that order.  A fit's result
+    does not depend on the fits beside it, so every result is the same for
+    any worker count.  Raises when most replicates lack a maximizer.
     """
     reps = scenario.reps
-    stats = np.full(reps, np.nan)
-    pvals = np.full(reps, np.nan)
-    unconverged = np.zeros(reps, dtype=bool)
     parts = np.array_split(np.arange(reps), workers * 4) if workers > 1 else [np.arange(reps)]
     jobs = [(scenario, part.tolist(), stats_only) for part in parts if part.size]
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for batch in (pool.map if pool else map)(_replicate_batch, jobs):
-            for i, s, p, u in batch:
-                stats[i], pvals[i], unconverged[i] = s, p, u
+        columns = list((pool.map if pool else map)(_replicate_batch, jobs))
+    stats, pvals, unconverged = (np.concatenate(column) for column in zip(*columns))
     exists = np.isfinite(stats)
     used = int(exists.sum())
     short_of_tol = int(unconverged.sum())
@@ -334,11 +330,6 @@ def run_type1(scenario: Scenario, *, workers: int = 1) -> MCReport:
     """Rejection rates under a null-true scenario."""
     if not scenario.null_holds():
         raise ValueError("scenario's generating parameters do not satisfy its null")
-    return run_scenario(scenario, workers=workers)
-
-
-def run_power(scenario: Scenario, *, workers: int = 1) -> MCReport:
-    """Rejection rates under the scenario as given (power when the null fails)."""
     return run_scenario(scenario, workers=workers)
 
 

@@ -179,7 +179,7 @@ def test_07_power_curve_edge_model(capsys):
     rates = {}
     for c in (0.0, 0.8, 1.6):
         scenario = mc.build_scenario("PowerBeta", n=n, r=r, c=c, reps=reps, seed=0)
-        rates[c] = mc.run_power(scenario).rejection_rate[0.05]
+        rates[c] = mc.run_scenario(scenario).rejection_rate[0.05]
     elapsed = time.monotonic() - start
     # scenario is the c=1.6 design, the last one the loop built
     lam = graph_noncentrality(
@@ -212,7 +212,7 @@ def test_08_power_curve_comparison_model(capsys):
     rates = {}
     for c in (0.0, 1.2):
         scenario = mc.build_scenario("PowerBT", n=n, r=r, c=c, k=k, reps=reps, seed=0)
-        rates[c] = mc.run_power(scenario).rejection_rate[0.05]
+        rates[c] = mc.run_scenario(scenario).rejection_rate[0.05]
     # scenario is the c=1.2 design; under the null subjects 1..r-1 share one
     # level and the reference subject stays at zero
     lam = comparison_noncentrality(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from pairlrt import beta_model as bm
+from pairlrt import core
 from pairlrt.core import Fits, NullHypothesis, Tallies, UndirectedGraph, class_tallies
 
 from conftest import degree_stack, random_existing_graph, tied_class_map
@@ -118,6 +119,15 @@ def test_fit_nonexistence_boundary():
     assert np.isnan(fit.loglik)
     isolated = UndirectedGraph.from_edges(4, [(0, 1), (1, 2)])  # node 3 has degree 0
     assert not bm.fit_mle(isolated).exists
+
+
+def test_a_restricted_fit_that_stalls_at_the_cap_has_no_maximizer():
+    # no interior point has these degrees with nodes 0-2 tied: the values run to the
+    # divergence cap and saturate there short of tol, which is no maximizer
+    g = UndirectedGraph.from_edges(7, [(0, 6), (1, 6), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
+    fit = bm.fit_restricted_homogeneous(g, 3)
+    assert not fit.exists and not fit.converged
+    assert np.isnan(fit.loglik) and fit.gradient_norm == np.inf
 
 
 def test_fit_matches_oracle(rng):
@@ -398,7 +408,7 @@ def _one_shot_edges(beta, gen):
 @pytest.mark.parametrize("n", [9, 50])
 def test_a_draw_in_blocks_is_the_one_shot_draw(n, budget, monkeypatch):
     # any block budget, even one below a row, reads each generator's uniforms in one order
-    monkeypatch.setattr(bm, "PAIR_BLOCK", budget)
+    monkeypatch.setattr(core, "PAIR_BLOCK", budget)
     beta = np.random.default_rng(n).uniform(-1.5, 1.5, n)
     for seed in range(3):
         g = bm.simulate_graph(beta, np.random.default_rng(seed))
@@ -407,9 +417,9 @@ def test_a_draw_in_blocks_is_the_one_shot_draw(n, budget, monkeypatch):
         assert np.array_equal(g.degrees, np.bincount(edges.ravel(), minlength=n))
 
 
-@pytest.mark.parametrize("budget", [1, 37, bm.PAIR_BLOCK])
+@pytest.mark.parametrize("budget", [1, 37, core.PAIR_BLOCK])
 def test_stack_members_have_their_solo_degrees(budget, monkeypatch):
-    monkeypatch.setattr(bm, "PAIR_BLOCK", budget)
+    monkeypatch.setattr(core, "PAIR_BLOCK", budget)
     beta = np.linspace(-1.0, 1.0, 50)
     stack = bm.simulate_graph(beta, np.random.default_rng(8).spawn(5))
     assert isinstance(stack, Tallies) and stack.degrees.shape == (5, 50) and stack.totals == 1

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from pairlrt import bt_model as btm
+from pairlrt import core
 from pairlrt.core import TOL_SCORE, ComparisonTable, Fits, NullHypothesis, Tallies, class_tallies, fit_by_classes
 
 from conftest import random_connected_table, table_stack, tied_class_map, win_stack
@@ -302,6 +303,20 @@ def test_fit_nonexistence_short_circuits():
     fit = btm.bt_fit_mle(sweep)
     assert not fit.exists and not fit.converged
     assert np.isnan(fit.loglik)
+
+
+def test_a_restricted_fit_that_stalls_at_the_cap_has_no_maximizer():
+    # one comparison a pair; subject 0 loses all of them, and row i lists whom subject i
+    # beats.  Tied subjects 1-5 have no interior fit: the values run to the divergence cap
+    # and saturate there short of tol, which is no maximizer
+    beats = {1: [0, 6, 7], 2: [0, 1, 3, 4, 7], 3: [0, 1, 7], 4: [0, 1, 3, 7], 5: [0, 1, 2, 3, 4, 7],
+             6: [0, 2, 3, 4, 5, 7], 7: [0]}
+    wins = np.zeros((8, 8), dtype=np.int64)
+    for i, beaten in beats.items():
+        wins[i, beaten] = 1
+    fit = btm.bt_fit_restricted(ComparisonTable(wins), NullHypothesis.homogeneous(6))
+    assert not fit.exists and not fit.converged
+    assert np.isnan(fit.loglik) and fit.gradient_norm == np.inf
 
 
 def test_fit_matches_oracle(rng):
@@ -648,7 +663,7 @@ def test_drawn_stacks_are_their_tables_across_blocks(seed, monkeypatch):
     # generator ends where that call leaves it; unbalanced designs are decided by the
     # matrix rule, on which Landau's rule on the totals can be wrong
     monkeypatch.setattr(btm, "DRAW_BLOCK", 3)
-    monkeypatch.setattr(btm, "PAIR_BLOCK", 5)
+    monkeypatch.setattr(core, "PAIR_BLOCK", 5)
     redone = []
     inversion_row = btm._inversion_row
     monkeypatch.setattr(btm, "_inversion_row", lambda *args: redone.append(1) or inversion_row(*args))

@@ -437,9 +437,25 @@ def test_a_graph_preset_with_k_exits_2(runner, monkeypatch, verb):
 
     monkeypatch.setattr(mc, "run_scenario", fail)
     monkeypatch.setattr(mc, "simulate", fail)
-    res = runner.invoke(main, [verb, "--preset", "H04", "--n", "10", "--reps", "5", "--k", "3"])
+    for preset in ("H04", "PowerBeta"):
+        res = runner.invoke(main, [verb, "--preset", preset, "--n", "10", "--reps", "5", "--k", "3"])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+        assert "'k'" in res.stderr
+
+
+@pytest.mark.parametrize("verb", ["power", "qq", "simulate"])
+@pytest.mark.parametrize("preset, model", [("PowerBeta", "bt"), ("PowerBT", "beta"), ("NBASmall", "beta")])
+def test_a_power_preset_keeps_its_own_model(runner, monkeypatch, verb, preset, model):
+    # a power preset is a graph or a comparison design; another model is an error that
+    # names it, not an option the report drops (PowerBeta reported "model": "beta" for bt)
+    def fail(*args, **kwargs):
+        raise AssertionError("a replicate was drawn for a design its preset does not take")
+
+    monkeypatch.setattr(mc, "run_scenario", fail)
+    monkeypatch.setattr(mc, "simulate", fail)
+    res = runner.invoke(main, [verb, "--preset", preset, "--n", "10", "--r", "3", "--reps", "3", "--model", model])
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
-    assert "'k'" in res.stderr
+    assert "'model'" in res.stderr and preset in res.stderr
 
 
 def test_qq_rejects_a_bad_reference_before_any_replicate(runner, monkeypatch):
@@ -523,6 +539,23 @@ def test_oracle_cubic_and_mixed(runner, tmp_path):
          "--r", "3", "--weights", str(wfile)],
     )
     assert short.exit_code == 2
+
+
+@pytest.mark.parametrize("stat, options, unread", [
+    ("cubic", ["--mc-reps", "50"], "--mc-reps"),
+    ("cubic", ["--seed", "3"], "--seed"),
+    ("mixed", ["--r", "2", "--weights", "recip-var", "--mc-reps", "5"], "--r, --weights, --mc-reps"),
+    ("mixed", ["--seed", "0"], "--seed"),
+], ids=["cubic-mc-reps", "cubic-seed", "mixed-three", "mixed-seed"])
+def test_oracle_rejects_options_its_stat_never_reads(runner, tmp_path, stat, options, unread):
+    # cubic moments have no Monte Carlo check and the mixed sum runs over every pair with
+    # unit weights: such an option used to be echoed or dropped, with exit 0
+    bfile = tmp_path / "beta.txt"
+    bfile.write_text("0.2\n-0.1\n0.0\n0.3\n")
+    res = runner.invoke(main, ["oracle", "--stat", stat, "--beta-file", str(bfile), *options])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert f"--stat {stat} does not read {unread}" in res.stderr
+    assert res.stdout == ""
 
 
 @pytest.mark.parametrize("option, value", [("--mc-reps", "-5"), ("--r", "-1")])
@@ -658,3 +691,19 @@ def test_h03_preset_without_values_exits_2(runner, verb):
     res = runner.invoke(main, [verb, "--preset", "H03"])
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert "H03 needs explicit null values" in res.stderr
+
+
+def test_a_fit_that_stalls_at_the_divergence_cap_has_no_maximizer(runner, tmp_path):
+    # degrees (5, 5, 4, 3, 3, 1, 1) sit on an Erdos-Gallai facet: the full fit's values run
+    # to the cap and saturate there short of tol, which is no maximizer, not a fit that
+    # exists but did not converge
+    g = UndirectedGraph.from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4),
+                                       (1, 6), (2, 3), (2, 4)])
+    path = tmp_path / "facet.txt"
+    path.write_text(g.to_text())
+    fit = runner.invoke(main, ["fit", "--model", "beta", "--input", str(path)])
+    assert fit.exit_code == 3 and fit.stdout == "", fit.output
+    test = runner.invoke(main, ["test", "--model", "beta", "--input", str(path), "--null", "homogeneous:2",
+                                "--regime", "fixed"])
+    assert test.exit_code == 3, test.output
+    assert "maximizer does not exist" in test.stderr

@@ -110,9 +110,22 @@ def test_a_graph_scenario_takes_no_k():
     for k in (3, np.full((4, 4), 2)):
         with pytest.raises(ValueError, match="'k'"):
             mc.Scenario(**ok, k=k)
-    with pytest.raises(ValueError, match="'k'"):
-        mc.build_scenario("H04", n=10, reps=5, k=3)
+    for preset in ("H04", "PowerBeta"):
+        with pytest.raises(ValueError, match="'k'"):
+            mc.build_scenario(preset, n=10, reps=5, k=3)
     assert mc.build_scenario("H04", n=10, reps=5).k is None
+
+
+def test_a_power_preset_keeps_its_own_model():
+    # PowerBeta is a graph design and PowerBT and NBASmall comparison designs: another
+    # model is an error that names it, not a value dropped
+    with pytest.raises(ValueError, match="PowerBeta.*'model'"):
+        mc.build_scenario("PowerBeta", n=10, reps=3, model="bt")
+    for preset in ("PowerBT", "NBASmall"):
+        with pytest.raises(ValueError, match=f"{preset}.*'model'"):
+            mc.build_scenario(preset, n=12, reps=3, model="beta")
+    assert mc.build_scenario("PowerBeta", n=10, reps=3, model="beta").model == "beta"
+    assert mc.build_scenario("PowerBT", n=10, r=3, reps=3, model="bt", k=2).k == 2
 
 
 def test_scenario_roundtrip_json():
@@ -329,6 +342,19 @@ def test_chunked_runs_ignore_worker_count(model, small_chunks):
     assert np.array_equal(one.stats, three.stats, equal_nan=True)
     assert np.array_equal(one.pvalues, three.pvalues, equal_nan=True)
     assert one.to_dict() == three.to_dict()
+
+
+def test_bootstrap_replicates_ignore_worker_count(monkeypatch):
+    # each replicate's bootstrap p-value lands in its own slot, whichever chunk and job it
+    # ran in: chunks of 3 replicates in one job against seven jobs of one replicate
+    monkeypatch.setattr(mc, "CHUNK_CELLS", 3 * 8**2)
+    s = mc.build_scenario("H03", model="bt", n=8, values=[0.0, 0.0], k=2, reps=7, seed=5)
+    one = mc.run_type1(s, workers=1)
+    two = mc.run_type1(s, workers=2)
+    assert np.isfinite(one.pvalues).sum() >= 5
+    assert np.array_equal(one.stats, two.stats, equal_nan=True)
+    assert np.array_equal(one.pvalues, two.pvalues, equal_nan=True)
+    assert one.to_dict() == two.to_dict()
 
 
 @pytest.mark.parametrize("model", sorted(SMALL_DESIGNS))
