@@ -141,19 +141,17 @@ def class_model() -> ClassModel:
     return ClassModel(log_likelihood, expected_degrees, fisher_info, 1)
 
 
-def _fit(g, lead, tied: int, tol: float, check=None):
+def _fit(g, lead, tied: int, tol: float):
     """Fit with the first nodes fixed at ``lead`` and the next ``tied`` tied (core.class_maps).
 
     ``g`` is a graph, which gives one Fit, or the degree stack
     Tallies(degrees, 1) of k graphs on the same nodes, degrees of shape
     (k, n) as simulate_graph draws them, which gives their Fits, fitted
-    together.  ``check(n)`` validates the constraint for n nodes.  Every
+    together.  The caller has checked the constraint against n.  Every
     pair of nodes is one trial, so free nodes of equal degree share a class.
     """
     one = isinstance(g, UndirectedGraph)
     degrees = g.degrees[None] if one else g.degrees
-    if check is not None:
-        check(degrees.shape[1])
     maps, fixed = class_maps(degrees, lead, tied, True)
     fits = fit_by_classes(class_model(), Tallies(degrees, 1), maps, fixed, tied > 0, False, tol)
     return fits[0] if one else fits
@@ -173,17 +171,16 @@ def fit_restricted_specified(g, null: NullHypothesis, *, tol: float = TOL_SCORE)
     """Fit with the first r parameters pinned to the null values; ``g`` as in fit_mle."""
     if null.kind != "specified":
         raise ValueError("null must be of the specified kind")
-    return _fit(g, null.values, 0, tol, lambda n: null.validate_for("beta", n))
+    null.validate_for("beta", np.shape(g.degrees)[-1])
+    return _fit(g, null.values, 0, tol)
 
 
 def fit_restricted_homogeneous(g, r: int, *, tol: float = TOL_SCORE):
     """Fit with the first r parameters tied to a common unknown value; ``g`` as in fit_mle."""
-
-    def check(n):
-        if not 1 <= r <= n:
-            raise ValueError(f"r must be in [1, {n}], got {r}")
-
-    return _fit(g, [], r, tol, check)
+    n = np.shape(g.degrees)[-1]
+    if not 1 <= r <= n:
+        raise ValueError(f"r must be in [1, {n}], got {r}")
+    return _fit(g, [], r, tol)
 
 
 def simulate_graph(beta, rng):

@@ -22,11 +22,9 @@ from click.core import ParameterSource
 from . import beta_model, bt_model, fisher_approx, lrt, moments_oracle, montecarlo
 from .core import (
     TOL_SCORE,
-    ComparisonTable,
     DataFormatError,
     NonexistentMLEError,
     NullHypothesis,
-    UndirectedGraph,
     load_comparisons,
     load_edge_list,
     load_vector,
@@ -85,7 +83,7 @@ def _whole_number(spec: str, option: str, name: str) -> int:
         raise ValueError(f"{option} needs a whole number {name}, got {text!r}") from None
 
 
-def _parse_null(spec: str, model: str, n: int) -> NullHypothesis:
+def _parse_null(spec: str, model: str) -> NullHypothesis:
     if spec.startswith("homogeneous:"):
         null = NullHypothesis.homogeneous(_whole_number(spec, "--null homogeneous:<r>", "r"))
     elif spec.startswith("specified:"):
@@ -94,8 +92,13 @@ def _parse_null(spec: str, model: str, n: int) -> NullHypothesis:
         null = NullHypothesis.specified(r, values)
     else:
         raise ValueError("--null must look like specified:<file> or homogeneous:<r>")
-    null.validate_for(model, n)
     return null
+
+
+def _given(names) -> list:
+    """The options among ``names`` (parameter names) that the call gave, as flags; a default never counts."""
+    source = click.get_current_context().get_parameter_source
+    return [f"--{name.replace('_', '-')}" for name in names if source(name) is not ParameterSource.DEFAULT]
 
 
 def _load_data(model: str, path: str):
@@ -132,7 +135,7 @@ _scenario_options = [
     click.option("--c", type=float, default=None, help="Signal strength for power presets."),
     click.option("--k", type=int, default=None, help="Constant comparisons per pair (comparison model)."),
     click.option("--reps", type=int, default=None),
-    click.option("--seed", type=int, default=None),
+    click.option("--seed", type=click.IntRange(min=0), default=None),
 ]
 
 
@@ -159,7 +162,7 @@ def fit(model: str, input_path: str, out: Optional[str], tol: float) -> None:
     if model == "beta":
         result = beta_model.fit_mle(data, tol=tol)
         if result.exists:
-            se = np.sqrt(fisher_approx.diag_approx(beta_model.degree_variances(result.beta_hat), 0))
+            se = np.sqrt(fisher_approx.diag_approx(beta_model.degree_variances(result.beta_hat)))
     else:
         result = bt_model.bt_fit_mle(data, tol=tol)
         if result.exists:
@@ -183,7 +186,7 @@ def fit(model: str, input_path: str, out: Optional[str], tol: float) -> None:
 @click.option("--null", "null_spec", required=True, help="specified:<file> or homogeneous:<r>.")
 @click.option("--regime", type=click.Choice(list(lrt.REGIMES)), required=True)
 @click.option("--bootstrap-b", type=click.IntRange(min=1), default=lrt.DEFAULT_BOOTSTRAP_B, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True, help="Bootstrap seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Bootstrap seed.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
 def test(
@@ -197,7 +200,11 @@ def test(
 ) -> None:
     """Likelihood-ratio test of a leading-block null."""
     data = _load_data(model, input_path)
-    null = _parse_null(null_spec, model, data.n)
+    null = _parse_null(null_spec, model)
+    given = _given(("bootstrap_b", "seed"))
+    if given and not isinstance(lrt.reference_distribution(model, null, regime), lrt.Bootstrap):
+        raise ValueError(f"a {regime}-regime test of a {null.kind} null in model {model!r} draws no bootstrap: "
+                         f"it does not read {', '.join(given)}")
     report = lrt.run_test(
         data, null, regime, bootstrap_reps=bootstrap_b, rng=np.random.default_rng(seed)
     )
@@ -211,7 +218,7 @@ def test(
 
 @main.command()
 @_with_scenario_options
-@click.option("--index", type=int, default=0, show_default=True, help="Replicate index to draw.")
+@click.option("--index", type=click.IntRange(min=0), default=0, show_default=True, help="Replicate index to draw.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
 def simulate(index, out, **design) -> None:
@@ -280,15 +287,17 @@ _ORACLE_UNREAD = {"quadratic": (), "cubic": ("mc_reps", "seed"), "mixed": ("r", 
 @click.option("--enumerate", "do_enum", is_flag=True, help="Cross-check by exhaustive enumeration (n <= 5).")
 @click.option("--mc-reps", type=click.IntRange(min=0), default=0, show_default=True,
               help="Monte Carlo check replicates.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
 def oracle(stat, beta_file, r, weights, do_enum, mc_reps, seed, out) -> None:
     """Exact moments of weighted centered-degree sums."""
-    source = click.get_current_context().get_parameter_source
-    unread = [f"--{name.replace('_', '-')}" for name in _ORACLE_UNREAD[stat] if source(name) is not ParameterSource.DEFAULT]
-    if unread:
-        raise ValueError(f"--stat {stat} does not read {', '.join(unread)}")
+    unread, unless = _ORACLE_UNREAD[stat], ""
+    if stat == "quadratic" and mc_reps == 0:  # the seed feeds only the Monte Carlo check
+        unread, unless = ("seed",), " without --mc-reps"
+    given = _given(unread)
+    if given:
+        raise ValueError(f"--stat {stat} does not read {', '.join(given)}{unless}")
     beta = load_vector(_read_source(beta_file))
     n = beta.size
     r = n if r is None else r

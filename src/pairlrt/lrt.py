@@ -58,7 +58,13 @@ class NormalizedGaussian:
 
 @dataclass(frozen=True)
 class Bootstrap:
+    """A parametric bootstrap of B tables drawn from the restricted fit (see p_value)."""
+
     B: int = DEFAULT_BOOTSTRAP_B
+
+    def __post_init__(self) -> None:
+        if self.B < 1:
+            raise ValueError(f"bootstrap needs at least one replicate, got B={self.B}")
 
     def to_dict(self) -> dict:
         return {"type": "bootstrap", "B": self.B}
@@ -238,31 +244,6 @@ def bootstrap_distribution(
     return stats[np.isfinite(stats)].tolist(), B
 
 
-def bootstrap_tail(
-    table,
-    null: NullHypothesis,
-    stat: float,
-    beta_null: np.ndarray,
-    B: int,
-    rng: np.random.Generator,
-    tol: float,
-) -> tuple[float, int]:
-    """Bootstrap p-value of stat and the number of usable replicates.
-
-    The p-value is (1 + #{bootstrap stat >= stat}) over (#usable + 1).
-    Replicates with no converged maximizer are dropped; when more than half
-    of them are lost there is no p-value, and it is NaN.  B must be at
-    least 1.  ``table`` is as bootstrap_distribution takes it.
-    """
-    if B < 1:
-        raise ValueError(f"bootstrap needs at least one replicate, got B={B}")
-    stats, total = bootstrap_distribution(table, null, beta_null, B, rng, tol)
-    if len(stats) < total / 2:
-        return float("nan"), len(stats)
-    exceed = sum(1 for s in stats if s >= stat)
-    return (1.0 + exceed) / (len(stats) + 1.0), len(stats)
-
-
 def p_value(
     reference: Reference,
     stat: float,
@@ -270,21 +251,25 @@ def p_value(
     null: NullHypothesis,
     beta_null: np.ndarray,
     rng: np.random.Generator,
-    tol: float,
 ) -> tuple[float, Optional[int]]:
     """p-value of stat under reference, and the number of usable bootstrap replicates.
 
-    The growing regime reads the chi-square(r) surrogate.  A bootstrap
-    redraws the table ``data``, or tables on the pair counts ``data``, from
-    the restricted fit beta_null (see bootstrap_distribution); no other
-    reference reads ``data``, and without a bootstrap the replicate count is
-    None.
+    The growing regime reads the chi-square(r) surrogate, and only a
+    bootstrap counts replicates (else None).  A bootstrap redraws reference.B
+    tables like ``data`` from beta_null with rng (bootstrap_distribution; no
+    other reference reads ``data``), drops those with no converged maximizer
+    and gives (1 + #{bootstrap stat >= stat}) / (#usable + 1), or NaN when
+    fewer than half are usable.
     """
     if isinstance(reference, NormalizedGaussian):
         return chi_square_sf(stat, null.r), None
     if isinstance(reference, ChiSquare):
         return chi_square_sf(stat, reference.df), None
-    return bootstrap_tail(data, null, stat, beta_null, reference.B, rng, tol)
+    stats, total = bootstrap_distribution(data, null, beta_null, reference.B, rng, TOL_SCORE)
+    if len(stats) < total / 2:
+        return float("nan"), len(stats)
+    exceed = sum(1 for s in stats if s >= stat)
+    return (1.0 + exceed) / (len(stats) + 1.0), len(stats)
 
 
 def run_test(
@@ -294,10 +279,11 @@ def run_test(
     *,
     bootstrap_reps: int = DEFAULT_BOOTSTRAP_B,
     rng: Optional[np.random.Generator] = None,
-    tol: float = TOL_SCORE,
 ) -> TestReport:
     """Fit the full and restricted models and assemble the test report.
 
+    The null is validated against the data first and both fits run to
+    TOL_SCORE; a bootstrap is Bootstrap(bootstrap_reps) on rng (seed 0 by default).
     Nonexistent maximizers surface as NonexistentMLEError so simulation
     drivers can tally them; every returned report therefore has both
     existence flags true.
@@ -311,7 +297,7 @@ def run_test(
     null.validate_for(model, data.n)
     reference = reference_distribution(model, null, regime)
 
-    full, restricted = fit_pair(data, null, tol)
+    full, restricted = fit_pair(data, null)
     stat = lrt_statistic(full, restricted)
 
     warnings: list = []
@@ -325,7 +311,7 @@ def run_test(
         reference = Bootstrap(bootstrap_reps)
         if rng is None:
             rng = np.random.default_rng(0)
-    p, used = p_value(reference, stat, data, null, restricted.beta_hat, rng, tol)
+    p, used = p_value(reference, stat, data, null, restricted.beta_hat, rng)
     if regime == "growing":
         r = null.r
         normalized_stat = _normalized(stat, float(r))

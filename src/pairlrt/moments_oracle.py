@@ -209,7 +209,8 @@ def enumerate_exact_moments(
     """Exact moments by summing over every graph of at most 5 nodes.
 
     Returns a MomentReport for the polynomial statistics and an
-    LRTDistribution for the likelihood-ratio statistic (graph model only).
+    LRTDistribution for the likelihood-ratio statistic (graph model only,
+    by lrt.outcomes: a graph whose maximizers exist but are unconverged raises).
     """
     b = as_model_params(beta, "beta")
     n = b.size
@@ -225,12 +226,11 @@ def enumerate_exact_moments(
         if null is None:
             raise ValueError("the likelihood-ratio statistic needs a null hypothesis")
         null.validate_for("beta", n)
-        fits = list(zip(*lrt.fit_pair(Tallies(deg, 1), null, tol=1e-11)))
-        exists = np.array([full.exists and restr.exists for full, restr in fits])
-        stats = [lrt.lrt_statistic(*pair) for pair, ok in zip(fits, exists) if ok]
-        return LRTDistribution(
-            values=np.asarray(stats), probs=probs[exists], nonexist_mass=float(probs[~exists].sum())
-        )
+        stats, unconverged = lrt.outcomes(*lrt.fit_pair(Tallies(deg, 1), null, tol=1e-11))
+        if unconverged.any():
+            raise RuntimeError("likelihood-ratio statistic from non-converged fits")
+        exists = np.isfinite(stats)
+        return LRTDistribution(values=stats[exists], probs=probs[exists], nonexist_mass=float(probs[~exists].sum()))
     dbar = deg - beta_model.expected_degrees(b)
     if statistic == MIXED_SUM:
         values = np.einsum("gi,ij,gj->g", dbar**2, _check_weight_matrix(b, f), dbar)

@@ -33,7 +33,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import beta_model, bt_model, lrt
-from .core import TOL_SCORE, NullHypothesis, float_array, whole_number
+from .core import NullHypothesis, float_array, whole_number
 
 # Replicates drawn and fitted together: as many as fit in this many n-by-n
 # cells, so a chunk's memory is fixed whatever the replicate count.  A chunk
@@ -68,6 +68,8 @@ class Scenario:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.reps < 1:
             raise ValueError("reps must be positive")
+        if self.seed < 0:
+            raise ValueError(f"'seed' must be at least 0, got {self.seed}")
         self.null.validate_for(self.model, self.n)
         b = float_array(self.true_beta, "true_beta")
         if b.shape != (self.n,):
@@ -277,9 +279,8 @@ def _replicate_batch(args):
         stats[chunk], unconverged[chunk] = lrt.outcomes(full, restr)
         if reference is not None:
             for t in np.flatnonzero(np.isfinite(stats[chunk])).tolist():
-                pvalues[start + t], _ = lrt.p_value(
-                    reference, stats[start + t], scenario.k, scenario.null, restr.values[t], rngs[t], TOL_SCORE
-                )
+                pvalues[start + t], _ = lrt.p_value(reference, stats[start + t], scenario.k, scenario.null,
+                                                    restr.values[t], rngs[t])
     return stats, pvalues, unconverged
 
 

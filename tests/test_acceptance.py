@@ -28,6 +28,7 @@ from pairlrt import moments_oracle as mo
 from pairlrt import montecarlo as mc
 from pairlrt.core import NonexistentMLEError, NullHypothesis
 
+from conftest import degree_stack, table_stack
 from oracles import (
     adjacency,
     comparison_noncentrality,
@@ -279,6 +280,59 @@ def test_09_specified_null_reference_breakdown(capsys):
     assert ok, f"ks2 {ks2}, ks3 {ks3}, edge-model rates {beta_r05}, {beta_r10}"
 
 
+def _count_statistics(rng, draw, fit_full, fit_homogeneous, fit_specified):
+    """Check 10's count of one model's statistics, (checked, negative), over at most 40,000 instances.
+
+    Instance i is draw(rng, i % 2 == 0), (n, beta, data, r), drawn in order
+    and tested under a homogeneous null of r when i is even, else under
+    beta's first r values.  Instances are drawn a batch at a time, then the
+    full fits of equal n go through fit_full(datasets) as one stack, the
+    homogeneous fits of equal (n, r) through fit_homogeneous(datasets, r),
+    and the specified ones alone, fit_specified(data, beta, r), made only
+    when the full maximizer exists.  A stack member's fit is its fit alone,
+    so every count is the one-by-one loop's.
+    """
+    checked = skipped = negatives = 0
+    while checked < 5000 and checked + skipped < 40000:
+        # each instance counts once, so no limit is reached before a batch's last instance:
+        # rng stops just after the last instance counted, where the one-by-one loop left it
+        first = checked + skipped
+        homogeneous = [(first + t) % 2 == 0 for t in range(min(5000 - checked, 40000 - first))]
+        ns, betas, data, rs = zip(*(draw(rng, h) for h in homogeneous))
+        full = _stacked(data, ns, lambda n, group: fit_full(group))
+        restr = _stacked(data, [(n, r) if h else None for n, r, h in zip(ns, rs, homogeneous)],
+                         lambda nr, group: fit_homogeneous(group, nr[1]))
+        for t, h in enumerate(homogeneous):
+            if not full[t].exists:  # lrt_statistic raises NonexistentMLEError, whatever the restricted fit
+                skipped += 1
+                continue
+            try:
+                if not h:
+                    restr[t] = fit_specified(data[t], betas[t], rs[t])
+                if lrt.lrt_statistic(full[t], restr[t]) < 0.0:
+                    negatives += 1
+                checked += 1
+            except NonexistentMLEError:
+                skipped += 1
+            except RuntimeError as err:
+                if "negative" in str(err):
+                    negatives += 1
+                    checked += 1
+                else:
+                    skipped += 1
+    return checked, negatives
+
+
+def _stacked(data, keys, fit):
+    """{t: the fit of data[t]} for each t whose keys[t] is not None, each group of equal keys fitted
+    together by fit(key, datasets)."""
+    groups: dict = {}
+    for t, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(t)
+    return {t: f for key, members in groups.items() for t, f in zip(members, fit(key, [data[t] for t in members]))}
+
+
 def test_10_calibration_properties(capsys, homogeneous_null_run):
     rng = np.random.default_rng(2024)
 
@@ -314,57 +368,35 @@ def test_10_calibration_properties(capsys, homogeneous_null_run):
         )
     fd_ok = worst_grad <= 1e-5 and worst_hess <= 1e-4
 
-    # statistic nonnegativity over 10,000 fitted instances
-    negatives = 0
-    checked = 0
-    skipped = 0
-    while checked < 5000 and checked + skipped < 40000:
+    # statistic nonnegativity over 10,000 fitted instances, 5,000 per model
+    def draw_graph(rng, homogeneous):
         n = int(rng.integers(4, 8))
         beta = rng.uniform(-1.0, 1.0, n)
         g = bm.simulate_graph(beta, rng)
-        try:
-            full = bm.fit_mle(g)
-            if (checked + skipped) % 2 == 0:
-                restr = bm.fit_restricted_homogeneous(g, int(rng.integers(2, n + 1)))
-            else:
-                r = int(rng.integers(1, 4))
-                restr = bm.fit_restricted_specified(g, NullHypothesis.specified(r, beta[:r]))
-            if lrt.lrt_statistic(full, restr) < 0.0:
-                negatives += 1
-            checked += 1
-        except NonexistentMLEError:
-            skipped += 1
-        except RuntimeError as err:
-            if "negative" in str(err):
-                negatives += 1
-                checked += 1
-            else:
-                skipped += 1
-    beta_checked = checked
-    checked = 0
-    skipped = 0
-    while checked < 5000 and checked + skipped < 40000:
+        return n, beta, g, int(rng.integers(2, n + 1)) if homogeneous else int(rng.integers(1, 4))
+
+    def draw_table(rng, homogeneous):
         n = int(rng.integers(4, 8))
         beta = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, n - 1)])
         table = bt.simulate_comparisons(beta, 2, rng)
-        try:
-            full = bt.bt_fit_mle(table)
-            if (checked + skipped) % 2 == 0:
-                restr = bt.bt_fit_restricted(table, NullHypothesis.homogeneous(int(rng.integers(3, n + 1))))
-            else:
-                r = int(rng.integers(2, 4))
-                restr = bt.bt_fit_restricted(table, NullHypothesis.specified(r, beta[1:r]))
-            if lrt.lrt_statistic(full, restr) < 0.0:
-                negatives += 1
-            checked += 1
-        except NonexistentMLEError:
-            skipped += 1
-        except RuntimeError as err:
-            if "negative" in str(err):
-                negatives += 1
-                checked += 1
-            else:
-                skipped += 1
+        return n, beta, table, int(rng.integers(3, n + 1)) if homogeneous else int(rng.integers(2, 4))
+
+    def tables(data):
+        return table_stack([t.wins for t in data], 2)
+
+    beta_checked, beta_negatives = _count_statistics(
+        rng, draw_graph,
+        lambda graphs: bm.fit_mle(degree_stack(graphs)),
+        lambda graphs, r: bm.fit_restricted_homogeneous(degree_stack(graphs), r),
+        lambda g, beta, r: bm.fit_restricted_specified(g, NullHypothesis.specified(r, beta[:r])),
+    )
+    checked, negatives = _count_statistics(
+        rng, draw_table,
+        lambda data: bt.bt_fit_mle(tables(data)),
+        lambda data, r: bt.bt_fit_restricted(tables(data), NullHypothesis.homogeneous(r)),
+        lambda table, beta, r: bt.bt_fit_restricted(table, NullHypothesis.specified(r, beta[1:r])),
+    )
+    negatives += beta_negatives
     nonneg_ok = negatives == 0 and beta_checked + checked == 10000
 
     # p-values of the fixed-r chi-square test are uniform under the null

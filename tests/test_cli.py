@@ -47,7 +47,7 @@ def test_fit_beta_matches_library(runner, cycle_graph):
     assert payload["n"] == 6
     assert np.allclose(payload["beta_hat"], direct.beta_hat, atol=1e-10)
     V = bm.fisher_info(direct.beta_hat)
-    assert np.allclose(payload["se"], np.sqrt(fa.diag_approx(V, 0)), atol=1e-10)
+    assert np.allclose(payload["se"], np.sqrt(fa.diag_approx(V)), atol=1e-10)
     assert payload["loglik"] == pytest.approx(direct.loglik)
     assert "loglik" in res.stderr
 
@@ -255,6 +255,48 @@ def test_bootstrap_size_must_be_positive(runner, tmp_path, B):
     res = runner.invoke(main, base + ["--bootstrap-b", B])
     assert res.exit_code == 2
     assert "--bootstrap-b" in res.stderr and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("model, null, regime, options, given", [
+    ("beta", "homogeneous:3", "fixed", ["--seed", "5", "--bootstrap-b", "7"], "--bootstrap-b, --seed"),
+    ("beta", "homogeneous:3", "growing", ["--seed", "0"], "--seed"),
+    ("bt", "homogeneous:3", "fixed", ["--seed", "5"], "--seed"),
+    ("bt", "specified", "growing", ["--bootstrap-b", "999"], "--bootstrap-b"),
+], ids=["graph-fixed-both", "graph-growing-default-seed", "comparison-homogeneous", "comparison-growing"])
+def test_a_test_without_a_bootstrap_rejects_its_options(runner, cycle_graph, small_table, tmp_path,
+                                                        model, null, regime, options, given):
+    # only a fixed specified comparison-model test draws a bootstrap; these options used to be
+    # dropped with exit 0, even when given at their default values
+    path = cycle_graph[1] if model == "beta" else small_table[1]
+    if null == "specified":
+        values = tmp_path / "null.txt"
+        values.write_text("0.0\n")
+        null = f"specified:{values}"
+    base = ["test", "--model", model, "--input", path, "--null", null, "--regime", regime]
+    assert runner.invoke(main, base).exit_code == 0
+    res = runner.invoke(main, base + options)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert f"draws no bootstrap: it does not read {given}" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("verb, args, option", [
+    ("test", ["--model", "beta", "--input", "GRAPH", "--null", "homogeneous:3", "--regime", "fixed", "--seed", "-1"],
+     "--seed"),
+    ("simulate", ["--preset", "H04", "--n", "10", "--index", "-1"], "--index"),
+    ("simulate", ["--preset", "H04", "--n", "10", "--seed", "-3"], "--seed"),
+    ("power", ["--preset", "H04", "--n", "10", "--reps", "3", "--seed", "-2"], "--seed"),
+    ("qq", ["--preset", "H04", "--n", "10", "--reps", "3", "--seed", "-2"], "--seed"),
+    ("oracle", ["--stat", "quadratic", "--beta-file", "BETA", "--mc-reps", "5", "--seed", "-1"], "--seed"),
+], ids=["test-seed", "simulate-index", "simulate-seed", "power-seed", "qq-seed", "oracle-seed"])
+def test_a_negative_seed_or_index_names_the_option(runner, cycle_graph, tmp_path, verb, args, option):
+    # each used to exit 2 with numpy's "expected non-negative integer", naming no option
+    bfile = tmp_path / "beta.txt"
+    bfile.write_text("0.2\n-0.1\n0.0\n0.3\n")
+    args = [{"GRAPH": cycle_graph[1], "BETA": str(bfile)}.get(a, a) for a in args]
+    res = runner.invoke(main, [verb, *args])
+    assert res.exit_code == 2
+    assert f"Invalid value for '{option}'" in res.stderr and "is not in the range x>=0" in res.stderr
 
 
 def test_test_verb_rejects_bad_null(runner, cycle_graph):
@@ -546,10 +588,13 @@ def test_oracle_cubic_and_mixed(runner, tmp_path):
     ("cubic", ["--seed", "3"], "--seed"),
     ("mixed", ["--r", "2", "--weights", "recip-var", "--mc-reps", "5"], "--r, --weights, --mc-reps"),
     ("mixed", ["--seed", "0"], "--seed"),
-], ids=["cubic-mc-reps", "cubic-seed", "mixed-three", "mixed-seed"])
+    ("quadratic", ["--seed", "4"], "--seed without --mc-reps"),
+    ("quadratic", ["--mc-reps", "0", "--seed", "4"], "--seed without --mc-reps"),
+], ids=["cubic-mc-reps", "cubic-seed", "mixed-three", "mixed-seed", "quadratic-seed", "quadratic-no-reps-seed"])
 def test_oracle_rejects_options_its_stat_never_reads(runner, tmp_path, stat, options, unread):
-    # cubic moments have no Monte Carlo check and the mixed sum runs over every pair with
-    # unit weights: such an option used to be echoed or dropped, with exit 0
+    # cubic moments have no Monte Carlo check, the mixed sum runs over every pair with unit
+    # weights, and quadratic moments read the seed only for their Monte Carlo check: such an
+    # option used to be echoed or dropped, with exit 0
     bfile = tmp_path / "beta.txt"
     bfile.write_text("0.2\n-0.1\n0.0\n0.3\n")
     res = runner.invoke(main, ["oracle", "--stat", stat, "--beta-file", str(bfile), *options])
@@ -653,6 +698,7 @@ def test_a_design_past_2_52_comparisons_exits_2(runner, verb, k):
         ("no null kind", "unknown null kind None"),
         ("k as a string", "'k' must be a whole number"),
         ("k as a bool", "'k' must be a whole number"),
+        ("a negative seed", "'seed' must be at least 0"),
     ],
 )
 def test_malformed_scenario_file_exits_2(runner, tmp_path, verb, case, fragment):
@@ -676,6 +722,8 @@ def test_malformed_scenario_file_exits_2(runner, tmp_path, verb, case, fragment)
         d["k"] = "3"
     elif case == "k as a bool":
         d["k"] = True
+    elif case == "a negative seed":  # numpy refused it at the first draw, naming no key
+        d["seed"] = -4
     else:
         d = [d]
     sfile = tmp_path / "scenario.json"

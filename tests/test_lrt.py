@@ -172,21 +172,20 @@ def test_bootstrap_pvalue_matches_run_test(rng):
     null = NullHypothesis.specified(2, [0.0])
     report = lrt.run_test(table, null, "fixed", bootstrap_reps=99, rng=np.random.default_rng(3))
     _, restr = lrt.fit_pair(table, null)
-    p, used = lrt.bootstrap_tail(table, null, report.stat, restr.beta_hat, 99, np.random.default_rng(3), 1e-8)
+    p, used = lrt.p_value(lrt.Bootstrap(99), report.stat, table, null, restr.beta_hat, np.random.default_rng(3))
     assert p == report.p_value and used == report.diagnostics["bootstrap_used"]
     # a bootstrap keeping fewer than half its draws has no p-value
     _, small = random_connected_table(rng, 3, k=2)
     extreme = NullHypothesis.specified(3, [8.0, -8.0])
-    p, used = lrt.bootstrap_tail(small, extreme, 0.0, np.array([0.0, 8.0, -8.0]), 60, np.random.default_rng(0), 1e-8)
+    beta_null = np.array([0.0, 8.0, -8.0])
+    p, used = lrt.p_value(lrt.Bootstrap(60), 0.0, small, extreme, beta_null, np.random.default_rng(0))
     assert np.isnan(p) and used < 30
 
 
-def test_bootstrap_tail_needs_a_replicate(rng):
-    _, table = random_connected_table(rng, 5, k=3)
-    null = NullHypothesis.specified(2, [0.0])
+def test_a_bootstrap_needs_a_replicate():
     for B in (0, -3):
         with pytest.raises(ValueError, match="at least one replicate"):
-            lrt.bootstrap_tail(table, null, 1.0, np.zeros(5), B, np.random.default_rng(0), 1e-8)
+            lrt.Bootstrap(B)
 
 
 def _season_design():

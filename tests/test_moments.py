@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pairlrt import beta_model as bm
+from pairlrt import lrt
 from pairlrt import moments_oracle as mo
 from pairlrt.core import NullHypothesis
 
@@ -103,6 +104,15 @@ def test_lrt_enumeration_distribution():
     assert dist2.nonexist_mass + dist2.probs.sum() == pytest.approx(1.0, abs=1e-10)
     mean2, var2 = dist2.conditional_moments()
     assert mean2 > 0 and var2 > 0
+
+
+def test_lrt_enumeration_refuses_unconverged_fits(monkeypatch):
+    # a graph whose maximizers exist but whose fits stop short of tol has no statistic to count
+    fit_pair = lrt.fit_pair
+    monkeypatch.setattr(lrt, "fit_pair", lambda data, null, tol: fit_pair(data, null, tol=1e-300))
+    with pytest.raises(RuntimeError, match="non-converged"):
+        mo.enumerate_exact_moments(np.array([0.3, -0.2, 0.1, 0.0, 0.4]), mo.LRT_STAT,
+                                   null=NullHypothesis.homogeneous(3))
 
 
 def test_lrt_enumeration_requires_null():

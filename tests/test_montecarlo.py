@@ -96,6 +96,8 @@ def test_scenario_validation():
         mc.Scenario(**{**ok, "true_beta": np.zeros(5)})
     with pytest.raises(ValueError):
         mc.Scenario(**{**ok, "alphas": (0.05, 1.5)})
+    with pytest.raises(ValueError, match="'seed'"):  # numpy refused it at the first draw, naming no field
+        mc.Scenario(**{**ok, "seed": -4})
     with pytest.raises(ValueError, match="pair totals"):
         mc.Scenario(**{**ok, "model": "bt"})
     with pytest.raises(ValueError, match="true_beta\\[0\\]"):
